@@ -28,7 +28,7 @@ DEEP_BENCH = -run '^$$' -bench BenchmarkDeepDivergence -benchtime=3x -benchmem .
 FANOUT_BENCH = -run '^$$' -bench BenchmarkDirectMailFanout -benchtime=5x -benchmem .
 APPLY_BENCH = -run '^$$' -bench BenchmarkApplyRumors -benchtime=5000x -benchmem ./internal/node
 
-.PHONY: all build test check race cover bench bench-store bench-transport bench-node bench-smoke experiments fuzz obs-smoke cluster-smoke clean
+.PHONY: all build test check race cover bench bench-store bench-transport bench-node bench-smoke bench-adapter experiments fuzz obs-smoke cluster-smoke clean
 
 all: build test check
 
@@ -45,6 +45,7 @@ test:
 # observability and cluster-observatory smoke tests.
 check:
 	$(GO) vet ./...
+	$(MAKE) bench-adapter
 	$(GO) test -race -count=1 ./internal/store/...
 	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail' ./internal/node ./internal/transport
 	$(GO) test -race ./...
@@ -123,6 +124,15 @@ bench-node:
 # the global baseline there walks 100k records per op by design.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeepDivergence[^/]*/n10000_' -benchtime=1x -benchmem .
+
+# bench-adapter vets and short-tests the live-cluster benchmark under
+# bench/: a nested module that `go build ./...` and `go vet ./...` never
+# see, so a change to an API it links (bench/layers/api.go) would otherwise
+# first fail when the benchmark itself runs. -short skips the smoke test
+# that boots daemons.
+bench-adapter:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench -short ./...
 
 # Regenerate every table and figure of the paper.
 experiments:

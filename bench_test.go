@@ -859,7 +859,9 @@ func (p *latencyPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]boo
 	return make([]bool, len(entries)), nil
 }
 
-func (p *latencyPeer) PullRumors() ([]store.Entry, []trace.Hop, error) { return nil, nil, nil }
+func (p *latencyPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
+	return make([]bool, len(ids)), nil, nil, nil
+}
 
 func (p *latencyPeer) Checksum(tau1 int64) (uint64, error) { return 0, nil }
 

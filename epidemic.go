@@ -236,6 +236,8 @@ const (
 	MetricEntriesSent         = obs.MetricEntriesSent
 	MetricEntriesReceived     = obs.MetricEntriesReceived
 	MetricEntriesApplied      = obs.MetricEntriesApplied
+	MetricRumorsOffered       = obs.MetricRumorsOffered
+	MetricRumorsWanted        = obs.MetricRumorsWanted
 	MetricFullCompares        = obs.MetricFullCompares
 	MetricRedistributed       = obs.MetricRedistributed
 	MetricCertificatesExpired = obs.MetricCertificatesExpired

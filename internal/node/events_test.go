@@ -354,8 +354,8 @@ func (p *erroringPeer) AntiEntropy(core.ResolveConfig, *store.Store, *trace.Trac
 func (p *erroringPeer) PushRumors([]store.Entry, []trace.Hop) ([]bool, error) {
 	return nil, ErrPeerDown
 }
-func (p *erroringPeer) PullRumors() ([]store.Entry, []trace.Hop, error) {
-	return nil, nil, ErrPeerDown
+func (p *erroringPeer) OfferRumors([]store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
+	return nil, nil, nil, ErrPeerDown
 }
 func (p *erroringPeer) Checksum(int64) (uint64, error) { return 0, ErrPeerDown }
 func (p *erroringPeer) Mail(store.Entry, trace.Hop) error {

@@ -19,7 +19,7 @@ type LocalPeer struct {
 	target *Node
 
 	// owner is the calling node's digest directory; when set, anti-entropy
-	// and rumor-pull conversations exchange cluster digests with the
+	// and rumor-offer conversations exchange cluster digests with the
 	// target, mirroring the TCP transport's piggyback. Nil disables.
 	owner *cluster.Directory
 
@@ -114,14 +114,14 @@ func (p *LocalPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool,
 	return p.target.HandleRumors(entries, hops), nil
 }
 
-// PullRumors implements Peer.
-func (p *LocalPeer) PullRumors() ([]store.Entry, []trace.Hop, error) {
+// OfferRumors implements Peer.
+func (p *LocalPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
 	if p.isDown() {
-		return nil, nil, ErrPeerDown
+		return nil, nil, nil, ErrPeerDown
 	}
-	entries, hops := p.target.HotEntriesTraced()
+	want, entries, hops := p.target.HandleOffer(ids)
 	p.exchangeDigests()
-	return entries, hops, nil
+	return want, entries, hops, nil
 }
 
 // Checksum implements Peer.

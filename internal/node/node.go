@@ -38,14 +38,19 @@ type Peer interface {
 	// implementations backfill SenderHop on the returned stats' Repairs so
 	// both parties can stamp causal hop spans. A nil tr disables tracing.
 	AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error)
-	// PushRumors delivers hot entries to the peer; needed[i] reports
-	// whether entry i changed the peer's replica (the rumor feedback bit
-	// vector of §1.4). hops carries one provenance envelope per entry, or
-	// nil when tracing is disabled.
+	// OfferRumors opens a rumor conversation with the identities of the
+	// caller's hot rumors: Key, Stamp and Activation, no Value (store.ID).
+	// want[i] reports whether id i's entry would change the peer's replica
+	// — the rumor feedback bit vector of §1.4, learnt before any payload
+	// moves. entries are the peer's own hot rumors that the offer does not
+	// already cover, with their provenance envelopes (nil when the peer
+	// does not trace). An empty offer is a plain pull.
+	OfferRumors(ids []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop, err error)
+	// PushRumors delivers full entries to the peer — after an offer, the
+	// wanted ones; needed[i] reports whether entry i changed the peer's
+	// replica. hops carries one provenance envelope per entry, or nil when
+	// tracing is disabled.
 	PushRumors(entries []store.Entry, hops []trace.Hop) (needed []bool, err error)
-	// PullRumors fetches the peer's current hot entries with their
-	// provenance envelopes (nil when the peer does not trace).
-	PullRumors() ([]store.Entry, []trace.Hop, error)
 	// Checksum returns the peer's live database checksum at its current
 	// clock with the given dormancy threshold — the agreement probe of
 	// §1.5's combined peel-back / rumor scheme.
@@ -101,7 +106,7 @@ type Config struct {
 	// entirely — no spans, no envelopes, no allocations.
 	TraceRing int
 	// Digests, when non-nil, is this node's cluster digest directory: the
-	// transport piggybacks its Share() on anti-entropy and rumor-pull
+	// transport piggybacks its Share() on anti-entropy and rumor-offer
 	// exchanges and merges what peers send back. Nil (the default)
 	// disables the cluster observatory — no directory, no wire bytes.
 	Digests *cluster.Directory
@@ -165,6 +170,11 @@ type Stats struct {
 	EntriesSent     int `json:"entries_sent"`
 	EntriesReceived int `json:"entries_received"`
 	EntriesApplied  int `json:"entries_applied"`
+	// RumorsOffered counts the rumor ids this node offered to peers and
+	// RumorsWanted how many of them the peer asked for (and got): 1 -
+	// wanted/offered is the share of rumor shares that were redundant.
+	RumorsOffered int `json:"rumors_offered"`
+	RumorsWanted  int `json:"rumors_wanted"`
 	// FullCompares counts anti-entropy conversations that fell back to
 	// shipping complete databases (checksum or recent-list miss, §1.3).
 	FullCompares int `json:"full_compares"`
@@ -595,40 +605,78 @@ func (n *Node) noteRepaired(repairs []core.Repair) {
 	}
 }
 
-// HotEntries returns the node's current hot rumors as entries (the
-// infective list). Rumors whose entry has been superseded are dropped.
-func (n *Node) HotEntries() []store.Entry {
+// hotIDs returns the identities (store.ID: no values) of up to limit hot
+// rumors in key order, limit <= 0 meaning all, in one pass under n.mu. A
+// rumor whose entry was superseded or expired while hot is dropped from the
+// list here: the stale version must stop spreading.
+func (n *Node) hotIDs(limit int) []store.Entry {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	keys := n.hot.Keys()
-	stamps := make(map[string]timestamp.T, len(keys))
-	for _, k := range keys {
-		if ts, ok := n.hot.Stamp(k); ok {
-			stamps[k] = ts
-		}
+	if limit <= 0 || limit > len(keys) {
+		limit = len(keys)
 	}
-	n.mu.Unlock()
-
-	out := make([]store.Entry, 0, len(keys))
+	ids := make([]store.Entry, 0, limit)
 	for _, k := range keys {
-		e, ok := n.store.Get(k)
-		if !ok || stamps[k].Less(e.Stamp) {
-			// Superseded or expired while hot: stop spreading the stale
-			// version.
-			n.mu.Lock()
+		if len(ids) == limit {
+			break
+		}
+		hot, _ := n.hot.Stamp(k)
+		id, ok := n.store.ID(k)
+		if !ok || hot.Less(id.Stamp) {
 			n.hot.Remove(k)
-			n.mu.Unlock()
 			continue
 		}
-		out = append(out, e)
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// fetch reads the full entries the ids name, leaving out keys marked in
+// skip.
+func (n *Node) fetch(ids []store.Entry, skip map[string]bool) []store.Entry {
+	var out []store.Entry
+	for _, id := range ids {
+		if skip[id.Key] {
+			continue
+		}
+		if e, ok := n.store.Get(id.Key); ok {
+			out = append(out, e)
+		}
 	}
 	return out
 }
 
-// HotEntriesTraced returns the hot rumors plus one provenance envelope per
-// entry (nil envelopes when tracing is disabled) — the pull-side payload.
-func (n *Node) HotEntriesTraced() ([]store.Entry, []trace.Hop) {
-	entries := n.HotEntries()
-	return entries, n.tracer.Envelopes(entries)
+// HotEntries returns the node's current hot rumors as entries (the
+// infective list), for inspection; the rumor round itself moves ids and
+// reads values only for what a peer wants.
+func (n *Node) HotEntries() []store.Entry { return n.fetch(n.hotIDs(0), nil) }
+
+// HandleOffer is the receive side of OfferRumors. want[i] is exactly what
+// store.Apply of id i's entry would report as Changed(). The reply carries
+// this node's own hot rumors except those the offer covers — the offerer
+// holds an equal or newer version. The cover check is O(offer + hot): one
+// set over this node's hot keys, which costs nothing while it has none (a
+// quiet replica answering a 100 000-id offer from one that just caught up).
+func (n *Node) HandleOffer(ids []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop) {
+	mine := n.hotIDs(0)
+	var covered map[string]bool // my hot keys, true once the offer covers my copy
+	if len(ids) > 0 && len(mine) > 0 {
+		covered = make(map[string]bool, len(mine))
+		for _, m := range mine {
+			covered[m.Key] = false
+		}
+	}
+	want = make([]bool, len(ids))
+	for i, id := range ids {
+		var cov bool
+		want[i], cov = n.store.Wants(id)
+		if _, hot := covered[id.Key]; hot && cov {
+			covered[id.Key] = true
+		}
+	}
+	entries = n.fetch(mine, covered)
+	return want, entries, n.tracer.Envelopes(entries)
 }
 
 // pickPeer chooses a random peer, uniformly or by the weights installed
@@ -654,9 +702,13 @@ func (n *Node) pickPeer() (Peer, bool) {
 // ErrNoPeers is returned by Step methods when the node has no peers.
 var ErrNoPeers = errors.New("node: no peers configured")
 
-// StepRumor runs one rumor-mongering round: share hot rumors with one
-// random peer and apply feedback. In Pull/PushPull modes it also pulls the
-// peer's hot rumors.
+// StepRumor runs one rumor-mongering round with one random peer as an
+// offer-first conversation: the ids of (at most Rumor.MaxBatch) hot rumors
+// go out; the reply says which of them the peer wants and carries the
+// peer's own hot rumors. Only wanted entries are then read from the store
+// and pushed, so a round in which nothing is news costs one round trip and
+// no payload. Push mode ignores the returned entries, Pull mode the
+// want-bits.
 func (n *Node) StepRumor() error {
 	peer, ok := n.pickPeer()
 	if !ok {
@@ -669,36 +721,47 @@ func (n *Node) StepRumor() error {
 	began := time.Now()
 
 	mode := n.cfg.Rumor.Mode
-	if mode == core.Push || mode == core.PushPull {
-		hot, hops := n.HotEntriesTraced()
-		// Clamp the batch so a push stays small (and, over the TCP/UDP
-		// transport, datagram-sized); the rest stays hot for later rounds.
-		if mb := n.cfg.Rumor.MaxBatch; mb > 0 && len(hot) > mb {
-			hot = hot[:mb]
-			if len(hops) > mb {
-				hops = hops[:mb]
+	ids := n.hotIDs(n.cfg.Rumor.MaxBatch)
+	want, entries, hops, err := peer.OfferRumors(ids)
+	if err != nil {
+		return fmt.Errorf("offer rumors to %d: %w", peer.ID(), err)
+	}
+	if mode != core.Pull && len(ids) > 0 {
+		// A want-bit the reply lacks counts as set: a peer that answers the
+		// offer as a plain pull still gets every entry, as it used to.
+		var push []store.Entry
+		var slot []int // push[j] answers ids[slot[j]]
+		for i, id := range ids {
+			if i < len(want) && !want[i] {
+				continue
+			}
+			if e, ok := n.store.Get(id.Key); ok {
+				push, slot = append(push, e), append(slot, i)
 			}
 		}
-		if len(hot) > 0 {
-			needed, err := peer.PushRumors(hot, hops)
+		// Feedback is what the push changed, not what the offer promised:
+		// an entry someone else delivered in between was an unnecessary
+		// share after all.
+		needed := make([]bool, len(ids))
+		if len(push) > 0 {
+			got, err := peer.PushRumors(push, n.tracer.Envelopes(push))
 			if err != nil {
 				return fmt.Errorf("push rumors to %d: %w", peer.ID(), err)
 			}
-			n.mu.Lock()
-			for i, e := range hot {
-				if i < len(needed) {
-					n.hot.Feedback(e.Key, needed[i])
-				}
+			for j, i := range slot {
+				needed[i] = j < len(got) && got[j]
 			}
-			n.stats.EntriesSent += len(hot)
-			n.mu.Unlock()
 		}
+		n.mu.Lock()
+		for i, id := range ids {
+			n.hot.Feedback(id.Key, needed[i])
+		}
+		n.stats.RumorsOffered += len(ids)
+		n.stats.RumorsWanted += len(push)
+		n.stats.EntriesSent += len(push)
+		n.mu.Unlock()
 	}
-	if mode == core.Pull || mode == core.PushPull {
-		entries, hops, err := peer.PullRumors()
-		if err != nil {
-			return fmt.Errorf("pull rumors from %d: %w", peer.ID(), err)
-		}
+	if mode != core.Push {
 		n.applyRumors(entries, hops, trace.MechRumorPull)
 		n.mu.Lock()
 		n.stats.EntriesReceived += len(entries)

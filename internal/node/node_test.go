@@ -131,15 +131,27 @@ func TestRumorDiesAfterKUnnecessary(t *testing.T) {
 	_ = b
 }
 
-// batchPeer records the size of every rumor batch pushed at it.
+// batchPeer records every rumor offer and push it receives. It wants the
+// offered ids whose position is in wantAt (nil: all of them) and reports
+// every pushed entry as needed, so the sender keeps them hot.
 type batchPeer struct {
 	countingPeer
-	batches []int
+	wantAt  map[int]bool
+	offers  [][]store.Entry
+	batches [][]store.Entry
+}
+
+func (p *batchPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
+	p.offers = append(p.offers, ids)
+	want := make([]bool, len(ids))
+	for i := range want {
+		want[i] = p.wantAt == nil || p.wantAt[i]
+	}
+	return want, nil, nil, nil
 }
 
 func (p *batchPeer) PushRumors(entries []store.Entry, _ []trace.Hop) ([]bool, error) {
-	p.batches = append(p.batches, len(entries))
-	// Report every entry as needed so the sender keeps them hot.
+	p.batches = append(p.batches, entries)
 	needed := make([]bool, len(entries))
 	for i := range needed {
 		needed[i] = true
@@ -165,12 +177,13 @@ func TestRumorMaxBatchClampsPushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(p.batches) != 3 {
-		t.Fatalf("batches = %v, want 3 pushes", p.batches)
+	if len(p.offers) != 3 || len(p.batches) != 3 {
+		t.Fatalf("%d offers and %d pushes, want 3 of each", len(p.offers), len(p.batches))
 	}
-	for _, sz := range p.batches {
-		if sz != 3 {
-			t.Errorf("batch of %d entries, want MaxBatch=3 (all entries stay hot)", sz)
+	for i := range p.batches {
+		if len(p.offers[i]) != 3 || len(p.batches[i]) != 3 {
+			t.Errorf("round %d offered %d ids and pushed %d entries, want MaxBatch=3 (all entries stay hot)",
+				i, len(p.offers[i]), len(p.batches[i]))
 		}
 	}
 	// Uncapped entries stay hot for later rounds.

@@ -106,8 +106,8 @@ type outEntry struct {
 }
 
 // peerQueue is one peer's bounded coalescing send queue. All fields are
-// guarded by the owning outbox's mutex except peer, which is fixed at
-// construction (a membership change replaces the whole queue entry).
+// guarded by the owning outbox's mutex, peer included: a membership change
+// keeps the queue of a surviving site and swaps its peer object.
 type peerQueue struct {
 	peer  Peer
 	keys  []string // FIFO key order; a coalesced key keeps its position
@@ -308,17 +308,18 @@ func (ox *outbox) worker() {
 			continue
 		}
 		ox.inflight++
+		peer := q.peer // setPeers may swap q.peer once the lock is released
 		ox.mu.Unlock()
 
-		sent, failed, err := sendBatch(q.peer, batch)
+		sent, failed, err := sendBatch(peer, batch)
 		ox.batches.Add(1)
-		ox.node.noteMailResult(q.peer.ID(), sent, failed, err)
+		ox.node.noteMailResult(peer.ID(), sent, failed, err)
 
 		ox.mu.Lock()
 		ox.inflight--
 		// A replaced queue (membership change mid-send) is abandoned: its
 		// successor schedules itself on the next enqueue.
-		current := ox.queues[q.peer.ID()] == q
+		current := ox.queues[peer.ID()] == q
 		if err != nil {
 			if q.backoff == 0 {
 				q.backoff = ox.cfg.RetryBackoff

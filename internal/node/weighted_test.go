@@ -27,9 +27,9 @@ func (p *countingPeer) PushRumors(entries []store.Entry, _ []trace.Hop) ([]bool,
 	return make([]bool, len(entries)), nil
 }
 
-func (p *countingPeer) PullRumors() ([]store.Entry, []trace.Hop, error) {
+func (p *countingPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
 	p.calls++
-	return nil, nil, nil
+	return make([]bool, len(ids)), nil, nil, nil
 }
 
 func (p *countingPeer) Checksum(int64) (uint64, error) { return 0, nil }

@@ -19,6 +19,8 @@ const (
 	MetricEntriesSent         = "epidemic_entries_sent_total"
 	MetricEntriesReceived     = "epidemic_entries_received_total"
 	MetricEntriesApplied      = "epidemic_entries_applied_total"
+	MetricRumorsOffered       = "epidemic_rumors_offered_total"
+	MetricRumorsWanted        = "epidemic_rumors_wanted_total"
 	MetricFullCompares        = "epidemic_full_compares_total"
 	MetricRedistributed       = "epidemic_redistributed_total"
 	MetricCertificatesExpired = "epidemic_certificates_expired_total"
@@ -41,7 +43,7 @@ const (
 
 	// Transport-side names, fed from transport.Server.SetObserver by the
 	// daemon (the kind label carries the request kind: mail, push-rumors,
-	// pull-rumors, sync, full-sync, checksum).
+	// rumor-offer, sync, full-sync, checksum).
 	MetricTransportRequests = "epidemic_transport_requests_total"
 	MetricTransportSeconds  = "epidemic_transport_request_seconds"
 
@@ -115,6 +117,10 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func(s node.Stats) int { return s.EntriesReceived })
 	counter(MetricEntriesApplied, "Transmitted entries that changed a replica.",
 		func(s node.Stats) int { return s.EntriesApplied })
+	counter(MetricRumorsOffered, "Hot-rumor ids this node offered to peers in rumor rounds (§1.4).",
+		func(s node.Stats) int { return s.RumorsOffered })
+	counter(MetricRumorsWanted, "Offered rumor ids the peer asked for; 1 - wanted/offered is the redundant share.",
+		func(s node.Stats) int { return s.RumorsWanted })
 	counter(MetricFullCompares, "Anti-entropy conversations that fell back to full database compares.",
 		func(s node.Stats) int { return s.FullCompares })
 	counter(MetricRedistributed, "Repaired updates re-hotted or re-mailed (§1.5).",

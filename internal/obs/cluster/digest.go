@@ -1,7 +1,7 @@
 // Package cluster implements the gossip-borne cluster observatory: each
 // node periodically snapshots a compact Digest of its own health and the
 // digest set spreads epidemically, piggybacked on the anti-entropy and
-// rumor-pull exchanges the nodes already run. Any single replica then
+// rumor-offer exchanges the nodes already run. Any single replica then
 // holds an (eventually consistent) view of the whole cluster — the same
 // O(log n)-round push-pull dissemination bound the data itself enjoys —
 // without a central collector or a scrape of every node.

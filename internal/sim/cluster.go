@@ -58,7 +58,7 @@ type ClusterConfig struct {
 	TraceRing int
 	// ClusterDigests, when true, gives every node a cluster digest
 	// directory and wires the in-process peers to exchange digests on
-	// anti-entropy and rumor-pull conversations — the observatory's
+	// anti-entropy and rumor-offer conversations — the observatory's
 	// epidemic channel, testable against ground truth (every node IS the
 	// cluster here). Digest stamps are simulated ticks.
 	ClusterDigests bool
@@ -440,6 +440,8 @@ func (c *Cluster) TotalStats() node.Stats {
 		total.EntriesSent += s.EntriesSent
 		total.EntriesReceived += s.EntriesReceived
 		total.EntriesApplied += s.EntriesApplied
+		total.RumorsOffered += s.RumorsOffered
+		total.RumorsWanted += s.RumorsWanted
 		total.FullCompares += s.FullCompares
 		total.Redistributed += s.Redistributed
 		total.CertificatesExpired += s.CertificatesExpired

@@ -200,36 +200,69 @@ func (s *Store) Get(key string) (Entry, bool) {
 	return e.clone(), true
 }
 
-// Apply merges a remote entry into the store and reports what happened.
-// The merge is the paper's timestamp rule: a larger ordinary timestamp
-// always supersedes a smaller one; equal ordinary timestamps adopt the
-// larger activation timestamp (reactivated death certificates).
+// Merge is the paper's timestamp rule as a pure decision table: the outcome
+// of merging in into a replica that holds cur for the same key (held false:
+// holds nothing). A larger ordinary timestamp always supersedes a smaller
+// one; equal ordinary timestamps adopt the larger activation timestamp
+// (reactivated death certificates). Only Stamp, Activation and whether
+// Value is nil are read, and nil-ness merely separates the two unchanged
+// outcomes, so Changed() is exact for value-less ids as well as full
+// entries. Apply and Wants both decide here.
+func Merge(cur Entry, held bool, in Entry) ApplyResult {
+	switch {
+	case !held || cur.Stamp.Less(in.Stamp):
+		return Applied
+	case in.Stamp.Less(cur.Stamp):
+		if cur.IsDeath() && !in.IsDeath() {
+			return RejectedByDeath
+		}
+		return Unchanged
+	case cur.Activation.Less(in.Activation): // same ordinary timestamp
+		return ActivationAdvanced
+	default:
+		return Unchanged
+	}
+}
+
+// Apply merges a remote entry into the store and reports what Merge
+// decided.
 func (s *Store) Apply(e Entry) ApplyResult {
 	sh := s.shardFor(e.Key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cur, ok := sh.entries[e.Key]
-	if !ok {
+	res := Merge(cur, ok, e)
+	switch res {
+	case Applied:
 		sh.put(e.clone())
-		return Applied
+	case ActivationAdvanced:
+		cur.Activation = e.Activation
+		sh.entries[e.Key] = cur
 	}
-	switch {
-	case cur.Stamp.Less(e.Stamp):
-		sh.put(e.clone())
-		return Applied
-	case e.Stamp.Less(cur.Stamp):
-		if cur.IsDeath() && !e.IsDeath() {
-			return RejectedByDeath
-		}
-		return Unchanged
-	default: // same ordinary timestamp
-		if cur.Activation.Less(e.Activation) {
-			cur.Activation = e.Activation
-			sh.entries[e.Key] = cur
-			return ActivationAdvanced
-		}
-		return Unchanged
-	}
+	return res
+}
+
+// ID returns the identity of the entry held for key — Key, Stamp and
+// Activation, without cloning Value or Retention — which is all a rumor
+// offer puts on the wire and all Merge needs to judge it.
+func (s *Store) ID(key string) (Entry, bool) {
+	sh := s.shardFor(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, ok := sh.entries[key]
+	return Entry{Key: key, Stamp: e.Stamp, Activation: e.Activation}, ok
+}
+
+// Wants judges an offered id without applying anything. wants is exactly
+// Apply(e).Changed() for the entry e the id names; covered reports that the
+// offerer's copy is at least as new as this replica's, so shipping ours back
+// would not change the offerer either.
+func (s *Store) Wants(id Entry) (wants, covered bool) {
+	sh := s.shardFor(id.Key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	cur, ok := sh.entries[id.Key]
+	return Merge(cur, ok, id).Changed(), ok && !Merge(id, true, cur).Changed()
 }
 
 // Checksum returns the incremental checksum over all entries: the XOR fold

@@ -277,6 +277,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, req := range mailRequests() {
 		f.Add(appendRequest(nil, &req, codecBinaryMail))
 	}
+	// And the two frames of a rumor offer: value-less ids out, want-bits
+	// plus entries back.
+	for _, req := range offerRequests() {
+		f.Add(appendRequest(nil, &req, codecBinaryMail))
+	}
+	for _, resp := range offerResponses() {
+		f.Add(appendResponse(nil, &resp, codecBinaryMail))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -122,7 +122,7 @@ func TestDigestNegotiationDowngrade(t *testing.T) {
 
 // TestDigestPiggybackOverTCP is the end-to-end wire property: two nodes
 // with digest directories exchange views through ordinary anti-entropy and
-// rumor-pull calls, no dedicated digest requests.
+// rumor-offer calls, no dedicated digest requests.
 func TestDigestPiggybackOverTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 
@@ -171,13 +171,13 @@ func TestDigestPiggybackOverTCP(t *testing.T) {
 		t.Errorf("client view of site 1 = %+v ok=%v", dg, ok)
 	}
 
-	// Freshen the server's digest; a rumor pull must carry the update.
+	// Freshen the server's digest; a rumor offer must carry the update.
 	serverDir.SetSelf(cluster.Digest{Stamp: 300, StoreKeys: 12})
-	if _, _, err := peer.PullRumors(); err != nil {
+	if _, _, _, err := peer.OfferRumors(nil); err != nil {
 		t.Fatal(err)
 	}
 	if dg, _ := clientDir.Get(1); dg.Stamp != 300 {
-		t.Errorf("rumor pull did not refresh site 1 digest: %+v", dg)
+		t.Errorf("rumor offer did not refresh site 1 digest: %+v", dg)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestClientTruncatedResponseFrame(t *testing.T) {
 	// Legacy mode: no codec hello, so the byte-level fake's frames line up.
 	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
 	defer peer.Close()
-	_, _, err := peer.PullRumors()
+	_, _, _, err := peer.OfferRumors(nil)
 	if !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("err = %v, want ErrTruncatedFrame", err)
 	}
@@ -73,7 +73,7 @@ func TestClientOversizeResponseFrame(t *testing.T) {
 	})
 	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
 	defer peer.Close()
-	_, _, err := peer.PullRumors()
+	_, _, _, err := peer.OfferRumors(nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -126,7 +126,7 @@ func TestClientStalledPeerDeadline(t *testing.T) {
 	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: 150 * time.Millisecond})
 	defer peer.Close()
 	start := time.Now()
-	_, _, err := peer.PullRumors()
+	_, _, _, err := peer.OfferRumors(nil)
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Errorf("err = %v, want deadline exceeded", err)
 	}
@@ -435,7 +435,7 @@ func TestPoolStressConcurrentExchanges(t *testing.T) {
 						Stamp: timestamp.T{Time: int64(g*1000 + i), Site: 1},
 					}, trace.Hop{})
 				case 1:
-					_, _, err = peer.PullRumors()
+					_, _, _, err = peer.OfferRumors(nil)
 				default:
 					_, err = peer.AntiEntropy(cfg, local, nil)
 				}

@@ -1,0 +1,186 @@
+package transport
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"epidemic/internal/node"
+	"epidemic/internal/store"
+	"epidemic/internal/timestamp"
+)
+
+// offerRequests and offerResponses are the two frames of a rumor offer:
+// value-less, retention-less ids out; want-bits plus the responder's
+// uncovered hot rumors back.
+func offerRequests() []request {
+	return []request{
+		{Kind: reqRumorOffer}, // the empty offer: a plain pull
+		{Kind: reqRumorOffer, From: 4, Entries: []store.Entry{
+			{Key: "k/000017", Stamp: timestamp.T{Time: 1 << 40, Site: 2, Seq: 9}, Activation: timestamp.T{Time: 1 << 40, Site: 2, Seq: 9}},
+			{Key: "", Stamp: timestamp.T{Time: 3, Site: 1}, Activation: timestamp.T{Time: 8, Site: 1}}, // reactivated certificate
+		}},
+	}
+}
+
+func offerResponses() []response {
+	return []response{
+		{Needed: []bool{false, false}},
+		{Needed: []bool{false, true}, Entries: []store.Entry{
+			{Key: "k/000021", Value: store.Value("v"), Stamp: timestamp.T{Time: 7, Site: 3}, Activation: timestamp.T{Time: 7, Site: 3}},
+		}},
+	}
+}
+
+// TestOfferIDByteBudget pins what an id costs on the wire against a full
+// entry: the 8-byte keys and 64-byte values of the benchmark stream.
+func TestOfferIDByteBudget(t *testing.T) {
+	full := store.Entry{Key: "k/000017", Value: make(store.Value, 64), Stamp: timestamp.T{Time: 1}, Activation: timestamp.T{Time: 1}}
+	id := store.Entry{Key: full.Key, Stamp: full.Stamp, Activation: full.Activation}
+	size := func(e store.Entry) int { return len(appendEntries(nil, []store.Entry{e})) - 1 }
+	if got := size(id); got != len(id.Key)+entryMinWire {
+		t.Errorf("id of a %d-byte key costs %d bytes, want key + %d", len(id.Key), got, entryMinWire)
+	}
+	if got := size(full) - size(id); got != 64 {
+		t.Errorf("a full entry costs %d bytes more than its id, want its 64-byte value", got)
+	}
+}
+
+// TestOfferForgedIDCount: an offer whose id count promises more ids than
+// the frame could hold at the minimum id size is refused before the
+// decoder allocates for them.
+func TestOfferForgedIDCount(t *testing.T) {
+	req := offerRequests()[1]
+	good := appendRequest(nil, &req, codecBinaryMail)
+	var b []byte
+	b = append(b, byte(reqRumorOffer))
+	b = appendUint32(b, 4)
+	b = appendUint64(b, 0)
+	b = appendVarint(b, 0) // Now
+	b = appendVarint(b, 0) // Tau
+	b = appendVarint(b, 0) // Tau1
+	b = appendStamp(b, timestamp.T{})
+	b = appendVarint(b, 0) // Limit
+	prefix := len(b)
+	if good[prefix] != 2 {
+		t.Fatalf("offer layout moved: byte %d is %d, want the id count 2", prefix, good[prefix])
+	}
+	forged := append(appendUvarint(b, 3), good[prefix+1:]...) // claims 3 ids, carries 2
+	var got request
+	if err := decodeRequest(forged, &got, codecBinaryMail); !errors.Is(err, ErrTruncatedFrame) {
+		t.Errorf("forged id count: err = %v, want ErrTruncatedFrame", err)
+	}
+}
+
+// TestOfferParityLocalAndTCP: for the same pair of nodes, an offer through
+// LocalPeer and through TCPPeer returns identical want-bits and entries on
+// every codec pairing the rollout matrix knows — ids and want-bits ride
+// fields every codec already carries.
+func TestOfferParityLocalAndTCP(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	mk := func(site timestamp.SiteID) *node.Node {
+		n, err := node.New(node.Config{Site: site, Clock: src.ClockAt(site), Tau1: 1 << 40, Tau2: 1 << 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b := mk(1), mk(2)
+	shared := a.Update("shared", store.Value("s"))
+	b.HandleMail(shared, hopAt(nil, 0))
+	a.Update("only-a", store.Value("a"))
+	b.Update("only-b", store.Value("b"))
+	a.Update("raced", store.Value("old"))
+	src.Advance(1)
+	b.Update("raced", store.Value("new"))
+	b.Delete("gone")
+	cert := a.Delete("cert")
+	b.HandleMail(cert, hopAt(nil, 0))
+	src.Advance(5)
+	if _, ok := a.Store().Reactivate("cert"); !ok { // same stamp, newer activation
+		t.Fatal("no certificate to reactivate")
+	}
+
+	var ids []store.Entry
+	for _, e := range a.HotEntries() {
+		id, _ := a.Store().ID(e.Key)
+		ids = append(ids, id)
+	}
+	if len(ids) != 4 {
+		t.Fatalf("a offers %d ids, want shared, only-a, raced, cert", len(ids))
+	}
+	wantBits, wantEntries, _, err := node.NewLocalPeer(b, 1).OfferRumors(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := map[string]bool{}
+	for i, id := range ids {
+		bits[id.Key] = wantBits[i]
+	}
+	if !reflect.DeepEqual(bits, map[string]bool{"shared": false, "only-a": true, "raced": false, "cert": true}) {
+		t.Fatalf("local want-bits = %v", bits)
+	}
+	if len(wantEntries) != 3 { // only-b, raced (newer at b), gone; shared and cert are covered
+		t.Fatalf("local offer returned %d entries: %+v", len(wantEntries), wantEntries)
+	}
+
+	for _, tc := range []struct{ server, client string }{
+		{"binary", "binary"}, {"binary", "binary-v4"}, {"binary", "gob"}, {"binary", "legacy"}, {"gob", "binary"},
+	} {
+		t.Run(tc.client+"-to-"+tc.server, func(t *testing.T) {
+			srv, err := ServeWith(b, "127.0.0.1:0", ServerOptions{Codec: tc.server})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Codec: tc.client, Timeout: 2 * time.Second})
+			defer peer.Close()
+			gotBits, gotEntries, _, err := peer.OfferRumors(ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotBits, wantBits) {
+				t.Errorf("want-bits over the wire = %v, in process = %v", gotBits, wantBits)
+			}
+			got := response{Entries: gotEntries}
+			normalizeResp(&got) // empty retention lists decode as empty, not nil
+			if !reflect.DeepEqual(got.Entries, wantEntries) {
+				t.Errorf("entries over the wire:\n got %+v\nwant %+v", got.Entries, wantEntries)
+			}
+		})
+	}
+}
+
+// TestSingleEntryDrainKeepsItsTelemetry: one Update fanned out to four
+// peers is four 1-entry outbox drains. Each must cross as a mail-batch
+// frame, fresh pool or not, so the receivers' batch counter and queue-age
+// high-water mark describe all mail and not only the multi-entry drains.
+func TestSingleEntryDrainKeepsItsTelemetry(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	a, _ := outboxNode(t, 1, src)
+	ws := &WireStats{}
+	var receivers []*node.Node
+	var peers []node.Peer
+	for site := timestamp.SiteID(2); site <= 5; site++ {
+		n, srv := outboxNode(t, site, src)
+		receivers = append(receivers, n)
+		peers = append(peers, NewTCPPeerWith(site, srv.Addr(), PeerOptions{Stats: ws}))
+	}
+	a.SetPeers(peers)
+	a.Update("k", store.Value("v"))
+	if !a.FlushMail(0) {
+		t.Fatal("flush timed out")
+	}
+	for _, n := range receivers {
+		st := n.Stats()
+		if st.MailBatchesReceived != 1 || st.MailMaxQueuedNanos <= 0 {
+			t.Errorf("site %d received %d batches with max queue age %d ns, want 1 and > 0",
+				n.Site(), st.MailBatchesReceived, st.MailMaxQueuedNanos)
+		}
+	}
+	if snap := ws.Snapshot(); snap.MailBatches != 4 || snap.MailBatchEntries != 4 || snap.MailFallbackEntries != 0 {
+		t.Errorf("wire shows %d batches / %d entries / %d fallbacks, want 4 / 4 / 0",
+			snap.MailBatches, snap.MailBatchEntries, snap.MailFallbackEntries)
+	}
+}

@@ -36,8 +36,7 @@ func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (
 }
 
 // TestMailBatchOverTCP drives a multi-entry outbox drain through the
-// codec-v5 batched frame: after the first per-entry round trip settles the
-// session codec, a whole drain ships as one reqMailBatch.
+// codec-v5 batched frame: a whole drain ships as one reqMailBatch.
 func TestMailBatchOverTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	a, _ := outboxNode(t, 1, src)
@@ -47,7 +46,7 @@ func TestMailBatchOverTCP(t *testing.T) {
 	peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws})
 	a.SetPeers([]node.Peer{peer})
 
-	// First round primes the codec (one per-entry Mail round trip).
+	// First round dials the session and settles its codec.
 	a.Update("prime", store.Value("v"))
 	if !a.FlushMail(0) {
 		t.Fatal("priming flush timed out")

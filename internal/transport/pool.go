@@ -295,10 +295,25 @@ func (p *pool) shardCapable() bool {
 }
 
 // mailCapable reports whether the last negotiated session codec supports
-// batched mail requests. False before the first dial; MailBatch primes the
-// pool with one per-entry round trip before trusting the answer.
+// batched mail requests. False before the first dial; MailBatch settles
+// the pool before trusting the answer.
 func (p *pool) mailCapable() bool {
 	return codecHasMail(byte(p.codec.Load()))
+}
+
+// settle makes sure one handshake has happened, so the capability
+// questions above are answered for the peer and not for a fresh pool. The
+// session it dials stays pooled for the request that follows.
+func (p *pool) settle() error {
+	if p.codec.Load() != 0 {
+		return nil
+	}
+	s, _, err := p.get()
+	if err != nil {
+		return err
+	}
+	p.put(s)
+	return nil
 }
 
 func newPool(addr string, size int, timeout time.Duration, prefer byte, legacy bool, stats *WireStats) *pool {

@@ -31,7 +31,7 @@ type reqKind int
 const (
 	reqMail reqKind = iota + 1
 	reqPushRumors
-	reqPullRumors
+	reqRumorOffer    // hot-rumor ids out; want-bits + the peer's uncovered hot rumors back
 	reqSync          // recent updates + checksum (round 0)
 	reqFullSync      // full live-database swap (capped last resort)
 	reqChecksum      // live checksum probe (§1.5 combined scheme)
@@ -48,8 +48,8 @@ func (k reqKind) kindName() string {
 		return "mail"
 	case reqPushRumors:
 		return "push-rumors"
-	case reqPullRumors:
-		return "pull-rumors"
+	case reqRumorOffer:
+		return "rumor-offer"
 	case reqSync:
 		return "sync"
 	case reqFullSync:
@@ -88,7 +88,7 @@ type request struct {
 	// gob frame entirely, so disabled tracing adds zero wire bytes.
 	Hops []trace.Hop
 	// Digests piggybacks the sender's cluster-digest view on reqSync and
-	// reqPullRumors conversations (the observatory's epidemic channel).
+	// reqRumorOffer conversations (the observatory's epidemic channel).
 	// nil when the observatory is off: omitted from gob frames, one zero
 	// byte on codecBinaryDigest sessions, absent entirely on v2 binary.
 	Digests []cluster.Digest
@@ -420,9 +420,9 @@ func (s *Server) dispatch(req request) response {
 		})}
 	case reqPushRumors:
 		return response{Needed: s.node.HandleRumors(req.Entries, req.Hops)}
-	case reqPullRumors:
-		entries, hops := s.node.HotEntriesTraced()
-		return response{Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
+	case reqRumorOffer:
+		want, entries, hops := s.node.HandleOffer(req.Entries)
+		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
 	case reqSync:
 		st := s.node.Store()
 		for i, e := range req.Entries {
@@ -585,7 +585,7 @@ type PeerOptions struct {
 	// one WireStats across all peers of a process.
 	Stats *WireStats
 	// Digests, when set, is the calling node's cluster-digest directory:
-	// anti-entropy and rumor-pull conversations piggyback its Share() and
+	// anti-entropy and rumor-offer conversations piggyback its Share() and
 	// merge what the peer sends back. Nil disables the piggyback.
 	Digests *cluster.Directory
 }
@@ -759,8 +759,9 @@ func (p *TCPPeer) Mail(e store.Entry, hop trace.Hop) error {
 	return p.call(c)
 }
 
-// MailBatch implements node.BatchMailer: one outbox drain rides one
-// reqMailBatch frame on a codec-v5 session. Against older peers the batch
+// MailBatch implements node.BatchMailer: every outbox drain, a single
+// entry included, rides one reqMailBatch frame on a codec-v5 session, so
+// the batch telemetry describes all mail. Against older peers the batch
 // transparently degrades to per-entry Mail round trips — negotiation
 // guarantees a pre-v5 server never sees the new request kind.
 func (p *TCPPeer) MailBatch(b node.MailBatch) error {
@@ -768,31 +769,19 @@ func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	if len(entries) == 1 {
-		return p.Mail(entries[0], hopAt(hops, 0))
+	if err := p.pool.settle(); err != nil {
+		return err
 	}
 	if !p.pool.mailCapable() {
-		// Before the first handshake the session codec is unknown (a fresh
-		// pool reports gob). One per-entry round trip both delivers the
-		// head and settles the codec; re-check before shipping the rest.
-		if err := p.Mail(entries[0], hopAt(hops, 0)); err != nil {
-			return err
-		}
-		entries = entries[1:]
-		if len(hops) > 0 {
-			hops = hops[1:]
-		}
-		if !p.pool.mailCapable() {
-			// Genuinely pre-v5 peer: per-entry fallback for the remainder.
-			p.opts.Stats.noteMailFallback(len(entries))
-			var first error
-			for i := range entries {
-				if err := p.Mail(entries[i], hopAt(hops, i)); err != nil && first == nil {
-					first = err
-				}
+		// Pre-v5 peer: per-entry fallback.
+		p.opts.Stats.noteMailFallback(len(entries))
+		var first error
+		for i := range entries {
+			if err := p.Mail(entries[i], hopAt(hops, i)); err != nil && first == nil {
+				first = err
 			}
-			return first
 		}
+		return first
 	}
 	c := getWireCall()
 	defer putWireCall(c)
@@ -832,17 +821,20 @@ func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, e
 	return c.resp.Needed, nil
 }
 
-// PullRumors implements node.Peer. When the cluster observatory is on,
-// the pull carries the local digest view out and merges the peer's back.
-func (p *TCPPeer) PullRumors() ([]store.Entry, []trace.Hop, error) {
+// OfferRumors implements node.Peer. The ids ride the request's entries
+// section as value-less, retention-less entries and the want-bits come back
+// in the Needed bitset, so every negotiated codec carries the offer as is.
+// When the cluster observatory is on, the offer carries the local digest
+// view out and merges the peer's back.
+func (p *TCPPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
 	c := getWireCall()
 	defer putWireCall(c)
-	c.req = request{Kind: reqPullRumors, Digests: p.opts.Digests.Share()}
+	c.req = request{Kind: reqRumorOffer, Entries: ids, Digests: p.opts.Digests.Share()}
 	if err := p.call(c); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	p.opts.Digests.Merge(c.resp.Digests)
-	return c.resp.Entries, c.resp.Hops, nil
+	return c.resp.Needed, c.resp.Entries, c.resp.Hops, nil
 }
 
 // Checksum implements node.Peer.

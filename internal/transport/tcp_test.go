@@ -160,7 +160,7 @@ func TestTCPPeerUnreachable(t *testing.T) {
 	if err := dead.Mail(store.Entry{Key: "k"}, trace.Hop{}); err == nil {
 		t.Error("mail to dead peer succeeded")
 	}
-	if _, _, err := dead.PullRumors(); err == nil {
+	if _, _, _, err := dead.OfferRumors(nil); err == nil {
 		t.Error("pull from dead peer succeeded")
 	}
 	if _, err := dead.AntiEntropy(core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent}, a.Store(), nil); err == nil {
