@@ -12,7 +12,7 @@ SCRATCH ?= .scratch
 # and a -cpu sweep so sharded-vs-mutex ratios are comparable across runs.
 STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -benchmem ./internal/store
 # WIRE_BENCH / CODEC_BENCH pin the transport benchmarks to fixed iteration
-# counts so UDP-vs-TCP and binary-vs-gob ratios are stable run to run (the
+# counts so UDP-vs-TCP and pooled-vs-dial ratios are stable run to run (the
 # 1x suite pass skips them — see bench).
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
@@ -28,7 +28,7 @@ DEEP_BENCH = -run '^$$' -bench BenchmarkDeepDivergence -benchtime=3x -benchmem .
 FANOUT_BENCH = -run '^$$' -bench BenchmarkDirectMailFanout -benchtime=5x -benchmem .
 APPLY_BENCH = -run '^$$' -bench BenchmarkApplyRumors -benchtime=5000x -benchmem ./internal/node
 
-.PHONY: all build test check race cover bench bench-store bench-transport bench-node bench-smoke bench-adapter experiments fuzz obs-smoke cluster-smoke clean
+.PHONY: all build test check race cover loc bench bench-store bench-transport bench-node bench-smoke bench-adapter experiments fuzz obs-smoke cluster-smoke clean
 
 all: build test check
 
@@ -80,6 +80,15 @@ race:
 cover:
 	$(GO) test -cover ./...
 
+# loc prints the non-test Go lines of every package, the nested bench/
+# module included, and their total: the size number ROADMAP tracks.
+loc:
+	@{ $(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./...; \
+	   $(GO) list -C bench -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./...; } | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] && printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+
 # bench runs the full benchmark suite once per benchmark, appends the
 # store -cpu sweep, and converts the output into $(BENCH_OUT): ns/op,
 # B/op, allocs/op and the paper metrics per benchmark, with the
@@ -100,9 +109,9 @@ bench-store:
 	$(GO) test $(STORE_BENCH)
 
 # bench-transport measures the wire protocol in isolation: pooled vs
-# dial-per-request exchanges (binary and gob codecs), UDP-vs-TCP rumor
-# pushes, the O(δ) peel-back mismatch benchmark, and the raw codec
-# encode/round-trip microbenchmarks, with allocation counts.
+# dial-per-request exchanges, UDP-vs-TCP rumor pushes, the O(δ) peel-back
+# mismatch benchmark, and the raw codec encode/round-trip
+# microbenchmarks, with allocation counts.
 bench-transport:
 	$(GO) test $(WIRE_BENCH)
 	$(GO) test $(CODEC_BENCH)

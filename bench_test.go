@@ -568,8 +568,8 @@ func BenchmarkMailLinkTraffic(b *testing.B) {
 // benchWireExchange measures one in-sync anti-entropy conversation over a
 // real TCP socket: a checksum-agreeing round trip, the steady state of a
 // healthy cluster. The pooled and dial-per-request variants differ only in
-// TCPPeerOptions, isolating the cost of connection setup and per-dial gob
-// type descriptors. The serving node is instrumented and a history
+// TCPPeerOptions, isolating the cost of connection setup and the per-dial
+// hello. The serving node is instrumented and a history
 // sampler ticks over its registry for the whole measured loop, so
 // allocs/op also proves the telemetry pipeline (counters, histograms,
 // time-series capture) stays off the exchange path's allocation budget.
@@ -631,21 +631,14 @@ func benchWireExchange(b *testing.B, opts epidemic.TCPPeerOptions) {
 }
 
 // BenchmarkExchangeDialPerRequest is the pre-pool wire protocol: every
-// request dials, handshakes, and re-ships gob type descriptors.
+// request dials and exchanges the hello before its one frame.
 func BenchmarkExchangeDialPerRequest(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{PoolSize: -1})
 }
 
-// BenchmarkExchangePooled reuses one persistent framed session per request
-// with the default hand-rolled binary codec.
+// BenchmarkExchangePooled reuses one persistent framed session per request.
 func BenchmarkExchangePooled(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{})
-}
-
-// BenchmarkExchangePooledGob is the same pooled exchange negotiated down to
-// gob framing — the codec ablation isolating what the binary codec saves.
-func BenchmarkExchangePooledGob(b *testing.B) {
-	benchWireExchange(b, epidemic.TCPPeerOptions{Codec: "gob"})
 }
 
 // benchRumorPush measures one hot-rumor push round trip: a single entry and
@@ -750,7 +743,10 @@ func BenchmarkExchangePeelBackMismatch(b *testing.B) {
 // newer records newest-first before it reaches the divergence; the
 // shard-vector path localizes the mismatch to the handful of diverged
 // lock stripes and walks only those, examining O(delta + n/shards)
-// records per conversation.
+// records per conversation. The global rows give the local store half the
+// remote's shard count: incomparable vectors, as between two daemons run
+// with different -store-shards, send the conversation down the global
+// walk.
 func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 	const shards = 256
 	src := epidemic.NewSimulatedClock(1 << 30)
@@ -766,7 +762,11 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 	}
 	defer srv.Close()
 
-	local := epidemic.NewShardedStore(1, src.ClockAt(1), shards)
+	localShards := shards
+	if !shardVec {
+		localShards = shards / 2
+	}
+	local := epidemic.NewShardedStore(1, src.ClockAt(1), localShards)
 	for i := 0; i < n; i++ {
 		e := local.Update(fmt.Sprintf("k%07d", i), epidemic.Value("v"))
 		remote.Store().Apply(e)
@@ -782,7 +782,6 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 	if !shardVec {
 		// The global walk has to peel all the way down to the divergence
 		// without tripping the capped full-swap last resort.
-		opts.DisableShardVector = true
 		opts.MaxPeelRounds = 1 << 20
 	}
 	peer := epidemic.NewTCPPeerWith(2, srv.Addr(), opts)
@@ -812,8 +811,8 @@ func benchDeepDivergence(b *testing.B, n, delta int, shardVec bool) {
 		if st.FullCompare {
 			b.Fatal("deep divergence degraded to a full database swap")
 		}
-		if shardVec && st.ShardsRepaired == 0 {
-			b.Fatal("shard-vector path not taken")
+		if shardVec != (st.ShardsRepaired > 0) {
+			b.Fatalf("shard-vector path taken = %v, want %v", st.ShardsRepaired > 0, shardVec)
 		}
 		moved += st.Transferred()
 	}
@@ -831,11 +830,11 @@ func benchDeepDivergenceGrid(b *testing.B, shardVec bool) {
 	}
 }
 
-// BenchmarkDeepDivergenceShardVec repairs through the codec-v4 shard
-// vector: one S x 8-byte vector round trip, then only diverged shards.
+// BenchmarkDeepDivergenceShardVec repairs through the shard vector: one
+// S x 8-byte vector round trip, then only diverged shards.
 func BenchmarkDeepDivergenceShardVec(b *testing.B) { benchDeepDivergenceGrid(b, true) }
 
-// BenchmarkDeepDivergenceGlobal is the pre-v4 baseline: the global merged
+// BenchmarkDeepDivergenceGlobal is the baseline: the global merged
 // peel-back walk over the whole timestamp index.
 func BenchmarkDeepDivergenceGlobal(b *testing.B) { benchDeepDivergenceGrid(b, false) }
 

@@ -36,8 +36,8 @@
 // The wire verb returns the
 // daemon's client-side wire snapshot as one JSON object: connection-pool
 // counters (dials, redials, reuses, open_conns), framed traffic totals,
-// per-codec session and message counts from the binary/gob negotiation
-// (sessions_binary, sessions_gob, msgs_binary, msgs_gob), and the UDP
+// TCP round trips (msgs_binary), shard-vector and mail-batch counters
+// (shardvec_*, mail_batch*), and the UDP
 // rumor fast path's pushes/retries/fallbacks/oversize and byte counters
 // (udp_*). The trace verb accepts a
 // comma-separated -addr list: it federates every replica's hop spans for

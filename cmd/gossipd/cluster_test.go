@@ -18,7 +18,7 @@ func clusterBase() daemonConfig {
 	return daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0", admin: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, shardVector: true,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
 		clusterDigests: true,
 		digestEvery:    10 * time.Millisecond,
 		staleAfter:     300 * time.Millisecond,

@@ -38,20 +38,14 @@ type daemonConfig struct {
 	poolSize        int
 	peelBatch       int
 	exchangeTimeout time.Duration
-	// codec selects the outbound wire codec ("binary", "gob" or "legacy")
-	// and caps what the gossip server negotiates ("binary" serves both;
-	// "gob" refuses binary — the rollout safety valve; "legacy" clients
-	// skip the hello for pre-negotiation servers).
-	codec string
-	// udp enables the single-datagram UDP fast path for rumor pushes
-	// (server side always binds it unless the codec cap forbids binary).
+	// udp enables the single-datagram UDP fast path for rumor pushes on
+	// both sides: peers push over it, and the gossip server binds its
+	// datagram socket (-udp=false leaves it unbound).
 	udp bool
 	// storeShards sets the replica store's lock-stripe count (0 = default).
 	storeShards int
-	// shardVector enables the narrow shard-vector anti-entropy path on
-	// outbound exchanges; shardRepairWorkers bounds how many diverged
-	// shards one exchange repairs concurrently (0 = default).
-	shardVector        bool
+	// shardRepairWorkers bounds how many diverged shards one anti-entropy
+	// exchange repairs concurrently (0 = default).
 	shardRepairWorkers int
 	// outboxWorkers sizes the asynchronous outbound mail engine's worker
 	// pool (0 = default, negative = serial direct mail); outboxQueue
@@ -94,25 +88,10 @@ func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.
 		Timeout:            cfg.exchangeTimeout,
 		PoolSize:           cfg.poolSize,
 		Stats:              wire,
-		Codec:              cfg.codec,
 		UDP:                cfg.udp,
 		Digests:            digests,
-		DisableShardVector: !cfg.shardVector,
 		ShardRepairWorkers: cfg.shardRepairWorkers,
 	}
-}
-
-// serverOptions derives the gossip server's codec ceiling and UDP policy
-// from the same flags: a daemon that speaks only gob outbound also refuses
-// to negotiate binary inbound, and -udp=false unbinds the fast-path socket.
-func (cfg daemonConfig) serverOptions() epidemic.TCPServerOptions {
-	codec := cfg.codec
-	if codec == "legacy" {
-		// "legacy" is a client-only mode (skip the hello); the server
-		// equivalent is a gob ceiling.
-		codec = "gob"
-	}
-	return epidemic.TCPServerOptions{Codec: codec, DisableUDP: !cfg.udp}
 }
 
 // daemon is one running replica: gossip server, client listener, node
@@ -239,7 +218,7 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	n.SetPeers(peers)
 
-	srv, err := epidemic.ServeTCPWith(n, cfg.listen, cfg.serverOptions())
+	srv, err := epidemic.ServeTCPWith(n, cfg.listen, epidemic.TCPServerOptions{DisableUDP: !cfg.udp})
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ func TestFlightDumpOnDaemonKill(t *testing.T) {
 	base := daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0", admin: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, shardVector: true,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
 		traceRing:      256,
 		clusterDigests: true, digestEvery: 20 * time.Millisecond, staleAfter: staleAfter,
 		historyStep: 20 * time.Millisecond, historyRetention: time.Minute,

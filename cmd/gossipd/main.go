@@ -27,25 +27,25 @@
 //	WIRE                 -> <one-line JSON object> (connection-pool and wire-traffic stats)
 //	TRACE <key>          -> <one-line JSON object> (this replica's hop spans for key)
 //
-// Wire protocol: -codec picks the frame encoding (binary is the
-// hand-rolled zero-allocation codec; gob refuses binary inbound and
-// outbound, the rolling-upgrade safety valve; legacy additionally skips
-// the codec hello for pre-negotiation servers) and -udp toggles the
-// single-datagram fast path for rumor pushes, which falls back to pooled
-// TCP on loss or oversize batches. The WIRE client verb and the
-// epidemic_wire_* metrics expose per-codec session/message counts and the
-// UDP push/retry/fallback counters.
+// Wire protocol: gossip rides one hand-rolled binary frame layout, opened
+// by a 4-byte hello that names wire version 5; a peer speaking any other
+// version is refused. -udp toggles the single-datagram fast path for
+// rumor pushes, which falls back to pooled TCP on loss or oversize
+// batches. Anti-entropy narrows a checksum mismatch to the diverged store
+// shards whenever both sides run the same -store-shards, and otherwise
+// walks the whole timestamp index. The WIRE client verb and the
+// epidemic_wire_* metrics expose dial, message, shard-vector and UDP
+// push/retry/fallback counters.
 //
 // Outbound mail: direct-mailed updates ride an asynchronous per-peer
 // send-queue engine — SET/DEL return after an enqueue, workers fan out to
 // all peers in parallel, and back-to-back writes to one key coalesce to
 // the newest stamp. -outbox-workers sizes the pool (negative restores
 // serial mail), -outbox-queue bounds each peer's queue (overflow drops
-// the oldest entry, the paper's lossy-mail queue in §1.2). Peers on codec
-// v5 receive a whole drain as one batched frame; older peers get
-// per-entry mail transparently. The epidemic_outbox_* metrics and the
-// STATSJSON outbox_* fields expose enqueues, coalesced supersessions,
-// drops, batches, and current depth.
+// the oldest entry, the paper's lossy-mail queue in §1.2). A whole drain
+// ships to its peer as one batched frame. The epidemic_outbox_* metrics
+// and the STATSJSON outbox_* fields expose enqueues, coalesced
+// supersessions, drops, batches, and current depth.
 //
 // Observability: -admin host:port serves /metrics (Prometheus text
 // format), /healthz (JSON), /cluster (this replica's gossip-borne view of
@@ -72,8 +72,8 @@
 //
 // Cluster observatory: with -cluster-digests (default on) every replica
 // refreshes a compact health digest each -digest-every and the digests
-// ride ordinary anti-entropy and rumor exchanges as a v3 binary-codec
-// envelope — no extra connections, zero bytes when disabled. Any single
+// ride ordinary anti-entropy and rumor exchanges as a trailing frame
+// section — no extra connections, one byte when disabled. Any single
 // daemon can then serve the whole cluster's status on /cluster (gossipctl
 // status / watch render it). A stall detector flags sites whose digests
 // go stale (-stale-after, default 3x the anti-entropy period), residue
@@ -126,10 +126,8 @@ func main() {
 	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (negative = dial per request)")
 	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
-	flag.StringVar(&cfg.codec, "codec", "binary", "wire codec: binary (negotiate, prefer binary), gob (refuse binary - rollout safety valve) or legacy (no hello, for pre-negotiation servers)")
 	flag.BoolVar(&cfg.udp, "udp", true, "UDP fast path for single-datagram rumor pushes (falls back to TCP)")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
-	flag.BoolVar(&cfg.shardVector, "shard-vector", true, "narrow anti-entropy to diverged store shards when the peer's codec and shard count allow it")
 	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged shards repaired concurrently per exchange (0 = default)")
 	flag.IntVar(&cfg.outboxWorkers, "outbox-workers", 0, "async outbound-mail worker pool size (0 = default, negative = serial direct mail)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")

@@ -133,7 +133,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	base := daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, shardVector: true,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
 	}
 	cfg1 := base
 	cfg1.site = 1

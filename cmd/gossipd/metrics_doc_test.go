@@ -24,8 +24,7 @@ func TestMetricsDocDrift(t *testing.T) {
 	base := daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
-		shardVector: true, traceRing: 64,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, traceRing: 64,
 		clusterDigests: true, digestEvery: 20 * time.Millisecond,
 		historyStep: 50 * time.Millisecond, historyRetention: time.Minute,
 	}

@@ -43,7 +43,7 @@ func TestObsSmoke(t *testing.T) {
 	base := daemonConfig{
 		listen: "127.0.0.1:0", client: "127.0.0.1:0", admin: "127.0.0.1:0",
 		aePer: 20 * time.Millisecond, rumPer: 10 * time.Millisecond,
-		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1, shardVector: true,
+		mail: true, k: 3, tau1: time.Hour, tau2: time.Hour, retain: 1,
 		clusterDigests: true, digestEvery: 20 * time.Millisecond, staleAfter: time.Second,
 		historyStep: 20 * time.Millisecond, historyRetention: time.Minute,
 	}
@@ -118,7 +118,6 @@ func TestObsSmoke(t *testing.T) {
 		epidemic.MetricWireBytesPerExchange,
 		epidemic.MetricWireMailBatches,
 		epidemic.MetricWireMailBatchEntries,
-		epidemic.MetricWireMailFallbackEntries,
 	}
 	for i, d := range daemons {
 		metrics := fetchAdmin(t, d.AdminAddr(), "/metrics")

@@ -99,10 +99,10 @@ type (
 	// serial direct mail.
 	OutboxConfig = node.OutboxConfig
 	// MailBatch is one outbound-queue drain: coalesced entries for a
-	// single peer, shipped in one frame when the peer supports it.
+	// single peer, shipped in one frame.
 	MailBatch = node.MailBatch
 	// BatchMailer is the optional Peer extension for delivering a whole
-	// MailBatch in one call (TCPPeer implements it on codec v5 sessions).
+	// MailBatch in one call (TCPPeer implements it).
 	BatchMailer = node.BatchMailer
 
 	// Cluster is an in-memory cluster on a simulated clock.
@@ -122,12 +122,12 @@ type (
 
 	// TCPServer exposes a node over TCP.
 	TCPServer = transport.Server
-	// TCPServerOptions tunes a TCPServer's codec ceiling and UDP fast path.
+	// TCPServerOptions tunes a TCPServer's UDP fast path.
 	TCPServerOptions = transport.ServerOptions
 	// TCPPeer is a Peer over TCP.
 	TCPPeer = transport.TCPPeer
 	// TCPPeerOptions tunes a TCPPeer's connection pool, per-request
-	// deadline, peel-back budget, wire codec, and UDP fast path.
+	// deadline, peel-back budget, shard repair, and UDP fast path.
 	TCPPeerOptions = transport.PeerOptions
 	// WireStats aggregates client-side pool and wire-traffic counters,
 	// typically shared by every TCPPeer a process dials.
@@ -314,31 +314,27 @@ func NewFlightRecorder(dir string, max int) (*FlightRecorder, error) {
 // Metric names registered by InstrumentWire for the client-side wire
 // protocol (connection pool and per-exchange traffic).
 const (
-	MetricWireDials               = obs.MetricWireDials
-	MetricWireRedials             = obs.MetricWireRedials
-	MetricWireReuses              = obs.MetricWireReuses
-	MetricWireOpenConns           = obs.MetricWireOpenConns
-	MetricWireBytesSent           = obs.MetricWireBytesSent
-	MetricWireBytesReceived       = obs.MetricWireBytesReceived
-	MetricWireExchanges           = obs.MetricWireExchanges
-	MetricWireEntriesPerExchange  = obs.MetricWireEntriesPerExchange
-	MetricWireBytesPerExchange    = obs.MetricWireBytesPerExchange
-	MetricWireSessionsGob         = obs.MetricWireSessionsGob
-	MetricWireSessionsBinary      = obs.MetricWireSessionsBinary
-	MetricWireMsgsGob             = obs.MetricWireMsgsGob
-	MetricWireMsgsBinary          = obs.MetricWireMsgsBinary
-	MetricWireShardVecExchanges   = obs.MetricWireShardVecExchanges
-	MetricWireShardVecShards      = obs.MetricWireShardVecShards
-	MetricWireShardVecDowngrades  = obs.MetricWireShardVecDowngrades
-	MetricWireMailBatches         = obs.MetricWireMailBatches
-	MetricWireMailBatchEntries    = obs.MetricWireMailBatchEntries
-	MetricWireMailFallbackEntries = obs.MetricWireMailFallbackEntries
-	MetricWireUDPPushes           = obs.MetricWireUDPPushes
-	MetricWireUDPRetries          = obs.MetricWireUDPRetries
-	MetricWireUDPFallbacks        = obs.MetricWireUDPFallbacks
-	MetricWireUDPOversize         = obs.MetricWireUDPOversize
-	MetricWireUDPBytesSent        = obs.MetricWireUDPBytesSent
-	MetricWireUDPBytesReceived    = obs.MetricWireUDPBytesReceived
+	MetricWireDials              = obs.MetricWireDials
+	MetricWireRedials            = obs.MetricWireRedials
+	MetricWireReuses             = obs.MetricWireReuses
+	MetricWireOpenConns          = obs.MetricWireOpenConns
+	MetricWireBytesSent          = obs.MetricWireBytesSent
+	MetricWireBytesReceived      = obs.MetricWireBytesReceived
+	MetricWireExchanges          = obs.MetricWireExchanges
+	MetricWireEntriesPerExchange = obs.MetricWireEntriesPerExchange
+	MetricWireBytesPerExchange   = obs.MetricWireBytesPerExchange
+	MetricWireMsgsBinary         = obs.MetricWireMsgsBinary
+	MetricWireShardVecExchanges  = obs.MetricWireShardVecExchanges
+	MetricWireShardVecShards     = obs.MetricWireShardVecShards
+	MetricWireShardVecDowngrades = obs.MetricWireShardVecDowngrades
+	MetricWireMailBatches        = obs.MetricWireMailBatches
+	MetricWireMailBatchEntries   = obs.MetricWireMailBatchEntries
+	MetricWireUDPPushes          = obs.MetricWireUDPPushes
+	MetricWireUDPRetries         = obs.MetricWireUDPRetries
+	MetricWireUDPFallbacks       = obs.MetricWireUDPFallbacks
+	MetricWireUDPOversize        = obs.MetricWireUDPOversize
+	MetricWireUDPBytesSent       = obs.MetricWireUDPBytesSent
+	MetricWireUDPBytesReceived   = obs.MetricWireUDPBytesReceived
 )
 
 // Exchange modes.
@@ -431,11 +427,11 @@ func NewLocalPeer(target *Node, seed int64) *LocalPeer { return node.NewLocalPee
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return sim.NewCluster(cfg) }
 
 // ServeTCP exposes a node to remote peers on addr (":0" for ephemeral),
-// serving every codec and the UDP rumor fast path.
+// serving the framed TCP protocol and the UDP rumor fast path.
 func ServeTCP(n *Node, addr string) (*TCPServer, error) { return transport.Serve(n, addr) }
 
-// ServeTCPWith exposes a node with an explicit codec ceiling and UDP
-// policy (the mixed-version rollout knobs).
+// ServeTCPWith exposes a node with explicit server options (the UDP fast
+// path policy).
 func ServeTCPWith(n *Node, addr string, opts TCPServerOptions) (*TCPServer, error) {
 	return transport.ServeWith(n, addr, opts)
 }

@@ -56,7 +56,6 @@ type Digest struct {
 	RumorRuns int64 `json:"rumor_runs"`
 	// Wire and UDP fast-path counters (zero on sim nodes).
 	WireMsgsBinary int64 `json:"wire_msgs_binary"`
-	WireMsgsGob    int64 `json:"wire_msgs_gob"`
 	UDPPushes      int64 `json:"udp_pushes"`
 	UDPFallbacks   int64 `json:"udp_fallbacks"`
 	// Residue and TLastSeconds are the node's view of the paper's

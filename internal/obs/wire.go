@@ -17,12 +17,8 @@ const (
 	MetricWireEntriesPerExchange = "epidemic_wire_exchange_entries"
 	MetricWireBytesPerExchange   = "epidemic_wire_exchange_bytes"
 
-	// Codec negotiation outcomes: sessions and request round trips by the
-	// codec the handshake settled on.
-	MetricWireSessionsGob    = "epidemic_wire_sessions_gob_total"
-	MetricWireSessionsBinary = "epidemic_wire_sessions_binary_total"
-	MetricWireMsgsGob        = "epidemic_wire_msgs_gob_total"
-	MetricWireMsgsBinary     = "epidemic_wire_msgs_binary_total"
+	// Request round trips over TCP (the name dates from the gob codec).
+	MetricWireMsgsBinary = "epidemic_wire_msgs_binary_total"
 
 	// Shard-vector anti-entropy: narrow repairs completed, shards walked,
 	// and sessions that fell back to the global peel-back path.
@@ -30,11 +26,10 @@ const (
 	MetricWireShardVecShards     = "epidemic_wire_shardvec_shards_total"
 	MetricWireShardVecDowngrades = "epidemic_wire_shardvec_downgrades_total"
 
-	// Batched mail (codec v5): outbox drains shipped as one frame, entries
-	// they carried, entries degraded to per-entry mail on pre-v5 peers.
-	MetricWireMailBatches         = "epidemic_wire_mail_batches_total"
-	MetricWireMailBatchEntries    = "epidemic_wire_mail_batch_entries_total"
-	MetricWireMailFallbackEntries = "epidemic_wire_mail_fallback_entries_total"
+	// Batched mail: outbox drains shipped as one frame and the entries
+	// they carried.
+	MetricWireMailBatches      = "epidemic_wire_mail_batches_total"
+	MetricWireMailBatchEntries = "epidemic_wire_mail_batch_entries_total"
 
 	// UDP rumor fast path (transport/udp.go).
 	MetricWireUDPPushes        = "epidemic_wire_udp_pushes_total"
@@ -76,13 +71,7 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.BytesReceived })
 	counter(MetricWireExchanges, "Anti-entropy conversations completed over the wire.",
 		func(s transport.WireSnapshot) int64 { return s.Exchanges })
-	counter(MetricWireSessionsGob, "Client sessions the codec handshake settled on gob.",
-		func(s transport.WireSnapshot) int64 { return s.SessionsGob })
-	counter(MetricWireSessionsBinary, "Client sessions the codec handshake settled on the binary codec.",
-		func(s transport.WireSnapshot) int64 { return s.SessionsBinary })
-	counter(MetricWireMsgsGob, "Request round trips framed in gob.",
-		func(s transport.WireSnapshot) int64 { return s.MsgsGob })
-	counter(MetricWireMsgsBinary, "Request round trips framed in the binary codec.",
+	counter(MetricWireMsgsBinary, "Gossip request round trips over TCP.",
 		func(s transport.WireSnapshot) int64 { return s.MsgsBinary })
 	counter(MetricWireShardVecExchanges, "Anti-entropy conversations resolved on the narrow shard-vector path.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecExchanges })
@@ -94,8 +83,6 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })
 	counter(MetricWireMailBatchEntries, "Mail entries carried by batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatchEntries })
-	counter(MetricWireMailFallbackEntries, "Mail entries degraded to per-entry round trips on pre-v5 peers.",
-		func(s transport.WireSnapshot) int64 { return s.MailFallbackEntries })
 	counter(MetricWireUDPPushes, "Rumor pushes completed over the UDP fast path.",
 		func(s transport.WireSnapshot) int64 { return s.UDPPushes })
 	counter(MetricWireUDPRetries, "UDP rumor datagrams resent after a response timeout.",

@@ -7,47 +7,37 @@ import (
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
+	"epidemic/internal/obs/cluster"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
 	"epidemic/internal/transport"
 )
 
-// TestMixedCodecTCPClusterConverges stands up a small cluster over the real
-// TCP transport with deliberately mismatched wire configurations — a
-// binary-codec node with the UDP fast path, a gob-capped server, and a
-// legacy client that skips the codec hello entirely — and drives rumor and
-// anti-entropy rounds until every replica agrees. This is the rolling-
-// upgrade story: old (gob) and new (binary/UDP) builds gossiping in one
-// cluster must still converge.
-func TestMixedCodecTCPClusterConverges(t *testing.T) {
+// TestMixedTCPClusterConverges stands up a small cluster over the real TCP
+// transport with deliberately mismatched configurations — the UDP fast
+// path on at some sites and unbound at others, one site whose store runs
+// more shards than everyone else's, cluster digests riding every
+// exchange — and drives rumor and anti-entropy rounds until every replica
+// agrees. On top of the converged cluster, equal-shard peers must repair an
+// aged divergence on the shard-vector path and the odd site must downgrade
+// to the global walk.
+func TestMixedTCPClusterConverges(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 20)
 
 	type site struct {
-		n     *node.Node
-		srv   *transport.Server
-		codec string // client codec this site uses toward its peers
-		udp   bool
+		n   *node.Node
+		srv *transport.Server
+		udp bool
 	}
-
-	// Server codec ceilings and client preferences per site. Site 1 is a
-	// "new" build (binary everywhere + UDP pushes), site 2 an "old" build
-	// (gob ceiling, gob client), site 3 an ancient client that predates
-	// negotiation (legacy: raw frames, no hello), sites 4 and 5 pinned
-	// pre-shard-vector binary builds (v3 and v2), and site 6 a new build
-	// whose store runs more shards than everyone else's — its vectors are
-	// incomparable with site 1's, forcing the shard-count downgrade.
 	plans := []struct {
-		serverCodec string
-		clientCodec string
-		udp         bool
-		shards      int
+		udp    bool
+		shards int
 	}{
-		{serverCodec: "", clientCodec: "binary", udp: true},
-		{serverCodec: "gob", clientCodec: "gob", udp: false},
-		{serverCodec: "", clientCodec: "legacy", udp: false},
-		{serverCodec: "binary-v3", clientCodec: "binary-v3", udp: false},
-		{serverCodec: "", clientCodec: "binary-v2", udp: false},
-		{serverCodec: "", clientCodec: "binary", udp: false, shards: 64},
+		{udp: true},
+		{udp: false},
+		{udp: true},
+		{udp: false},
+		{udp: true, shards: 64},
 	}
 
 	sites := make([]*site, len(plans))
@@ -58,21 +48,22 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 			Clock:       src.ClockAt(id),
 			Rumor:       core.RumorConfig{K: 2, Counter: true, Feedback: true, Mode: core.Push},
 			StoreShards: plan.shards,
+			Digests:     cluster.NewDirectory(int32(id), 0),
 			Seed:        int64(i) + 7,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := transport.ServeWith(n, "127.0.0.1:0", transport.ServerOptions{Codec: plan.serverCodec})
+		n.Digests().SetSelf(cluster.Digest{Stamp: 1})
+		srv, err := transport.ServeWith(n, "127.0.0.1:0", transport.ServerOptions{DisableUDP: !plan.udp})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		sites[i] = &site{n: n, srv: srv, codec: plan.clientCodec, udp: plan.udp}
+		sites[i] = &site{n: n, srv: srv, udp: plan.udp}
 	}
 
 	stats := &transport.WireStats{}
-	var allPeers []*transport.TCPPeer
 	for i, s := range sites {
 		var peers []node.Peer
 		for j, target := range sites {
@@ -80,14 +71,14 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 				continue
 			}
 			p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(), transport.PeerOptions{
-				Timeout: 2 * time.Second,
-				Codec:   s.codec,
-				UDP:     s.udp,
-				Stats:   stats,
+				Timeout:    2 * time.Second,
+				UDP:        s.udp,
+				UDPTimeout: 50 * time.Millisecond,
+				Stats:      stats,
+				Digests:    s.n.Digests(),
 			})
 			defer p.Close()
 			peers = append(peers, p)
-			allPeers = append(allPeers, p)
 		}
 		s.n.SetPeers(peers)
 	}
@@ -117,38 +108,22 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 		src.Advance(1)
 	}
 	if !consistent() {
-		t.Fatal("mixed-codec cluster never converged")
+		t.Fatal("mixed TCP cluster never converged")
 	}
-
-	// Random partner selection may have converged without ever dialing some
-	// pairs; touch every session so each negotiation outcome is observed.
-	for _, p := range allPeers {
-		if _, err := p.Checksum(1 << 40); err != nil {
-			t.Fatalf("checksum via %d: %v", p.ID(), err)
-		}
+	if snap := stats.Snapshot(); snap.MsgsBinary == 0 {
+		t.Error("no TCP round trips counted")
 	}
-
-	// Both codecs must actually have been on the wire: site 1 negotiated
-	// binary sessions, sites 2 and 3 ran gob (capped and legacy).
-	snap := stats.Snapshot()
-	if snap.SessionsBinary == 0 {
-		t.Error("no binary sessions negotiated")
-	}
-	if snap.SessionsGob == 0 {
-		t.Error("no gob sessions negotiated")
-	}
-	if snap.MsgsBinary == 0 || snap.MsgsGob == 0 {
-		t.Errorf("both codecs should carry traffic: binary=%d gob=%d",
-			snap.MsgsBinary, snap.MsgsGob)
+	if got := sites[0].n.Digests().Len(); got < 2 {
+		t.Errorf("site 1's digest view holds %d sites: no digest crossed the wire", got)
 	}
 
 	// Deterministic shard-vector exercise on top of the converged cluster:
-	// a v4<->v4 conversation with equal shard counts must complete on the
+	// a conversation between equal shard counts must complete on the
 	// narrow path; one against the 64-shard site must record a downgrade —
 	// and both must converge.
 	exercise := func(target *site) {
 		t.Helper()
-		sites[0].n.Update(fmt.Sprintf("late-%s", target.codec), store.Value("zz"))
+		sites[0].n.Update(fmt.Sprintf("late-%d", target.n.Site()), store.Value("zz"))
 		src.Advance(500)
 		p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(),
 			transport.PeerOptions{Timeout: 2 * time.Second, Stats: stats})
@@ -162,11 +137,11 @@ func TestMixedCodecTCPClusterConverges(t *testing.T) {
 			t.Fatalf("site %d differs after shard-vector exercise", target.n.Site())
 		}
 	}
-	exercise(sites[2]) // legacy client, but its server negotiates v4
-	exercise(sites[5]) // v4 with 64 shards: incomparable vectors
-	snap = stats.Snapshot()
+	exercise(sites[2])
+	exercise(sites[4])
+	snap := stats.Snapshot()
 	if snap.ShardVecExchanges == 0 {
-		t.Error("no shard-vector exchange completed between equal-shard v4 peers")
+		t.Error("no shard-vector exchange completed between equal-shard peers")
 	}
 	if snap.ShardVecDowngrades == 0 {
 		t.Error("mismatched shard counts never recorded a downgrade")

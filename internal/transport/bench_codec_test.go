@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -35,72 +33,29 @@ func benchResponse(entries int) *response {
 	return resp
 }
 
-// BenchmarkCodecEncode measures one response encode: the binary codec
-// appending into a reused buffer vs a persistent gob encoder writing into a
-// reset buffer (type descriptors already shipped — the pooled-session
-// steady state for both).
+// BenchmarkCodecEncode measures one response encode appending into a
+// reused buffer — the pooled-session steady state.
 func BenchmarkCodecEncode(b *testing.B) {
 	resp := benchResponse(16)
-	b.Run("binary", func(b *testing.B) {
-		buf := make([]byte, 0, 4096)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendResponse(buf[:0], resp, codecBinary)
-		}
-		b.ReportMetric(float64(len(buf)), "wire_bytes")
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(resp); err != nil { // ship type descriptors
-			b.Fatal(err)
-		}
-		first := buf.Len()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var n int
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-		}
-		_ = first
-		b.ReportMetric(float64(n), "wire_bytes")
-	})
+	buf := make([]byte, 0, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendResponse(buf[:0], resp)
+	}
+	b.ReportMetric(float64(len(buf)), "wire_bytes")
 }
 
 // BenchmarkCodecRoundTrip measures encode+decode of the same response: the
-// full serialization cost one framed message pays on the wire, with
-// persistent encoder/decoder state on both sides.
+// full serialization cost one framed message pays on the wire.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	resp := benchResponse(16)
-	b.Run("binary", func(b *testing.B) {
-		buf := make([]byte, 0, 4096)
-		var out response
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = appendResponse(buf[:0], resp, codecBinary)
-			if err := decodeResponse(buf, &out, codecBinary); err != nil {
-				b.Fatal(err)
-			}
+	buf := make([]byte, 0, 4096)
+	var out response
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = appendResponse(buf[:0], resp)
+		if err := decodeResponse(buf, &out); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var out response
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(resp); err != nil {
-				b.Fatal(err)
-			}
-			out = response{}
-			if err := dec.Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

@@ -11,50 +11,16 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// Hand-rolled binary codec for the exchange frames. Where the gob codec
-// pays reflection and per-session type descriptors, this one writes the
-// request/response structs field by field into a buffer the session reuses
-// across messages: fixed-width timestamps and checksums, varints for
-// counts and clock values, length-prefixed keys and values. A steady-state
-// in-sync exchange encodes and decodes without allocating.
+// Hand-rolled binary codec for the exchange frames: the one wire format.
+// It writes the request/response structs field by field into a buffer the
+// session reuses across messages: fixed-width timestamps and checksums,
+// varints for counts and clock values, length-prefixed keys and values. A
+// steady-state in-sync exchange encodes and decodes without allocating.
 //
-// The codec is negotiated per connection (see the handshake in frame.go):
-// a session is either gob (codecGob) or binary (codecBinary) for its whole
-// life, so the two framings never mix on one stream.
-
-// Codec version bytes carried in the connection handshake. Higher is
-// preferred; negotiation picks min(client preference, server ceiling).
-const (
-	codecGob          = 1 // encoding/gob payloads (the PR 3 wire format)
-	codecBinary       = 2 // this file's hand-rolled payloads
-	codecBinaryDigest = 3 // binary payloads + trailing cluster-digest section
-	codecBinaryShard  = 4 // v3 + trailing shard-vector section and shard-scoped peel requests
-	codecBinaryMail   = 5 // v4 + batched mail requests and their trailing telemetry section
-)
-
-// codecName names a negotiated codec for logs, flags, and metric labels.
-// All binary versions report "binary": v3/v4/v5 are the same framing plus
-// trailing sections, and the metrics only distinguish gob from binary.
-func codecName(c byte) string {
-	switch c {
-	case codecGob:
-		return "gob"
-	case codecBinary, codecBinaryDigest, codecBinaryShard, codecBinaryMail:
-		return "binary"
-	default:
-		return "unknown"
-	}
-}
-
-// codecHasDigests reports whether frames of codec c carry the trailing
-// cluster-digest section; codecHasShards whether they additionally carry
-// the shard-vector section; codecHasMail whether requests additionally
-// carry the mail-batch telemetry section (and the session may ship
-// reqMailBatch frames). Session-level properties fixed by the handshake,
-// never guessed from a payload.
-func codecHasDigests(c byte) bool { return c >= codecBinaryDigest }
-func codecHasShards(c byte) bool  { return c >= codecBinaryShard }
-func codecHasMail(c byte) bool    { return c >= codecBinaryMail }
+// No section is optional: requests end in the cluster-digest, shard and
+// mail-telemetry sections, responses in the first two, each a few zero
+// bytes when empty. The version byte in the connection hello (frame.go) is
+// the only gate.
 
 // stampWireLen is the fixed wire size of one timestamp.T: 8-byte Time,
 // 4-byte Site, 4-byte Seq, all big-endian.
@@ -141,11 +107,10 @@ func appendSummary(b []byte, s *cluster.LatencySummary) []byte {
 	return appendFloat64(b, s.P99)
 }
 
-// appendDigests writes the optional trailing cluster-digest section of a
-// codecBinaryDigest frame: a count then each digest field by field. A nil
-// or empty slice costs one zero byte — disabled digests are (nearly) free.
-// Field order matches (*wireReader).digests; fields are only appended,
-// never reordered, so the section stays decodable across versions.
+// appendDigests writes the trailing cluster-digest section: a count then
+// each digest field by field. A nil or empty slice costs one zero byte —
+// disabled digests are (nearly) free. Field order matches
+// (*wireReader).digests.
 func appendDigests(b []byte, digests []cluster.Digest) []byte {
 	b = appendUvarint(b, uint64(len(digests)))
 	for i := range digests {
@@ -161,7 +126,6 @@ func appendDigests(b []byte, digests []cluster.Digest) []byte {
 		b = appendVarint(b, d.AERuns)
 		b = appendVarint(b, d.RumorRuns)
 		b = appendVarint(b, d.WireMsgsBinary)
-		b = appendVarint(b, d.WireMsgsGob)
 		b = appendVarint(b, d.UDPPushes)
 		b = appendVarint(b, d.UDPFallbacks)
 		b = appendFloat64(b, d.Residue)
@@ -175,7 +139,7 @@ func appendDigests(b []byte, digests []cluster.Digest) []byte {
 
 // appendVector writes a shard-vector section payload: a count then each
 // per-shard checksum as fixed 8 bytes. A nil or empty vector costs one
-// zero byte, so non-shard-vector requests on a v4 session stay cheap.
+// zero byte, so requests of every other kind stay cheap.
 func appendVector(b []byte, vec []uint64) []byte {
 	b = appendUvarint(b, uint64(len(vec)))
 	for _, v := range vec {
@@ -184,12 +148,9 @@ func appendVector(b []byte, vec []uint64) []byte {
 	return b
 }
 
-// appendRequest encodes req after b for the given session codec. Field
-// order matches decodeRequest. codecBinaryDigest sessions append the
-// cluster-digest section, codecBinaryShard additionally the shard section
-// (an older peer would read either as trailing garbage, hence the
-// handshake gate).
-func appendRequest(b []byte, req *request, codec byte) []byte {
+// appendRequest encodes req after b. Field order matches decodeRequest;
+// the digest, shard and mail-telemetry sections trail every request.
+func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Kind))
 	b = appendUint32(b, uint32(req.From))
 	b = appendUint64(b, req.Checksum)
@@ -200,22 +161,14 @@ func appendRequest(b []byte, req *request, codec byte) []byte {
 	b = appendVarint(b, int64(req.Limit))
 	b = appendEntries(b, req.Entries)
 	b = appendHops(b, req.Hops)
-	if codecHasDigests(codec) {
-		b = appendDigests(b, req.Digests)
-	}
-	if codecHasShards(codec) {
-		b = appendVarint(b, int64(req.Shard))
-		b = appendVarint(b, int64(req.ShardCount))
-		b = appendVector(b, req.Vector)
-	}
-	if codecHasMail(codec) {
-		// Mail-batch telemetry: two varints on every request (zero outside
-		// reqMailBatch, so non-mail traffic pays two bytes). Responses gain
-		// no v5 section.
-		b = appendVarint(b, req.MailQueuedNanos)
-		b = appendVarint(b, req.MailCoalesced)
-	}
-	return b
+	b = appendDigests(b, req.Digests)
+	b = appendVarint(b, int64(req.Shard))
+	b = appendVarint(b, int64(req.ShardCount))
+	b = appendVector(b, req.Vector)
+	// Mail-batch telemetry: zero outside reqMailBatch, so other kinds pay
+	// two bytes. Responses carry no such section.
+	b = appendVarint(b, req.MailQueuedNanos)
+	return appendVarint(b, req.MailCoalesced)
 }
 
 // Response flag bits.
@@ -224,10 +177,9 @@ const (
 	respMore   = 1 << 1
 )
 
-// appendResponse encodes resp after b for the given session codec. Field
-// order matches decodeResponse; optional trailing sections as in
-// appendRequest.
-func appendResponse(b []byte, resp *response, codec byte) []byte {
+// appendResponse encodes resp after b. Field order matches decodeResponse;
+// the digest and shard sections trail every response.
+func appendResponse(b []byte, resp *response) []byte {
 	var flags byte
 	if resp.InSync {
 		flags |= respInSync
@@ -258,14 +210,9 @@ func appendResponse(b []byte, resp *response, codec byte) []byte {
 	b = appendHops(b, resp.Hops)
 	b = appendUvarint(b, uint64(len(resp.Err)))
 	b = append(b, resp.Err...)
-	if codecHasDigests(codec) {
-		b = appendDigests(b, resp.Digests)
-	}
-	if codecHasShards(codec) {
-		b = appendVarint(b, int64(resp.ShardCount))
-		b = appendVector(b, resp.Vector)
-	}
-	return b
+	b = appendDigests(b, resp.Digests)
+	b = appendVarint(b, int64(resp.ShardCount))
+	return appendVector(b, resp.Vector)
 }
 
 // --- cursor-style decoder ---
@@ -394,8 +341,10 @@ const (
 	entryMinWire = 2*stampWireLen + 3 // key len + value len + stamps + retention len
 	hopWireLen   = 9
 	// digestMinWire: 4-byte site + 8-byte checksum + two 8-byte floats +
-	// 13 varints of at least one byte + two 17-byte summaries.
-	digestMinWire = 4 + 8 + 16 + 13 + 2*17
+	// 12 varints of at least one byte + two 17-byte summaries.
+	digestMinWire = 4 + 8 + 16 + 12 + 2*17
+	// digestMaxWire is the same record with every varint at full width.
+	digestMaxWire = 4 + 8 + 16 + 12*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+16)
 )
 
 func (r *wireReader) entries() []store.Entry {
@@ -495,7 +444,6 @@ func (r *wireReader) digests() []cluster.Digest {
 		d.AERuns = r.varint()
 		d.RumorRuns = r.varint()
 		d.WireMsgsBinary = r.varint()
-		d.WireMsgsGob = r.varint()
 		d.UDPPushes = r.varint()
 		d.UDPFallbacks = r.varint()
 		d.Residue = r.float64()
@@ -522,11 +470,9 @@ func (r *wireReader) finish() error {
 	return nil
 }
 
-// decodeRequest decodes one binary frame payload into req, overwriting
-// every field (so a reused struct never leaks state between messages).
-// codec must match the encoder's — it is a session-level property fixed by
-// the handshake, never guessed from the payload.
-func decodeRequest(payload []byte, req *request, codec byte) error {
+// decodeRequest decodes one frame payload into req, overwriting every field
+// (so a reused struct never leaks state between messages).
+func decodeRequest(payload []byte, req *request) error {
 	r := wireReader{buf: payload}
 	req.Kind = reqKind(r.byte())
 	req.From = timestamp.SiteID(r.uint32())
@@ -538,27 +484,18 @@ func decodeRequest(payload []byte, req *request, codec byte) error {
 	req.Limit = int(r.varint())
 	req.Entries = r.entries()
 	req.Hops = r.hops()
-	req.Digests = nil
-	if codecHasDigests(codec) {
-		req.Digests = r.digests()
-	}
-	req.Shard, req.ShardCount, req.Vector = 0, 0, nil
-	if codecHasShards(codec) {
-		req.Shard = int(r.varint())
-		req.ShardCount = int(r.varint())
-		req.Vector = r.vector()
-	}
-	req.MailQueuedNanos, req.MailCoalesced = 0, 0
-	if codecHasMail(codec) {
-		req.MailQueuedNanos = r.varint()
-		req.MailCoalesced = r.varint()
-	}
+	req.Digests = r.digests()
+	req.Shard = int(r.varint())
+	req.ShardCount = int(r.varint())
+	req.Vector = r.vector()
+	req.MailQueuedNanos = r.varint()
+	req.MailCoalesced = r.varint()
 	return r.finish()
 }
 
-// decodeResponse decodes one binary frame payload into resp, overwriting
-// every field.
-func decodeResponse(payload []byte, resp *response, codec byte) error {
+// decodeResponse decodes one frame payload into resp, overwriting every
+// field.
+func decodeResponse(payload []byte, resp *response) error {
 	r := wireReader{buf: payload}
 	flags := r.byte()
 	resp.InSync = flags&respInSync != 0
@@ -585,15 +522,9 @@ func decodeResponse(payload []byte, resp *response, codec byte) error {
 	resp.Hops = r.hops()
 	errLen := r.uvarint()
 	resp.Err = string(r.take(int(errLen)))
-	resp.Digests = nil
-	if codecHasDigests(codec) {
-		resp.Digests = r.digests()
-	}
-	resp.ShardCount, resp.Vector = 0, nil
-	if codecHasShards(codec) {
-		resp.ShardCount = int(r.varint())
-		resp.Vector = r.vector()
-	}
+	resp.Digests = r.digests()
+	resp.ShardCount = int(r.varint())
+	resp.Vector = r.vector()
 	return r.finish()
 }
 
@@ -611,6 +542,9 @@ func requestWireSize(req *request) int {
 		n += uvarintLen(uint64(len(e.Retention))) + 4*len(e.Retention)
 	}
 	n += uvarintLen(uint64(len(req.Hops))) + hopWireLen*len(req.Hops)
+	n += uvarintLen(uint64(len(req.Digests))) + digestMaxWire*len(req.Digests)
+	// Shard, ShardCount, MailQueuedNanos and MailCoalesced, then the vector.
+	n += 4*binary.MaxVarintLen64 + uvarintLen(uint64(len(req.Vector))) + 8*len(req.Vector)
 	return n
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"epidemic/internal/obs/trace"
@@ -105,12 +106,12 @@ func normalizeResp(r *response) {
 
 func TestCodecRequestRoundTrip(t *testing.T) {
 	for i, req := range codecRequests() {
-		payload := appendRequest(nil, &req, codecBinary)
+		payload := appendRequest(nil, &req)
 		// Decode into a dirty struct: every field must be overwritten.
 		got := request{Kind: 99, From: 99, Checksum: 99, Now: 99, Tau: 99,
 			Tau1: 99, Bound: timestamp.T{Time: 99}, Limit: 99,
 			Entries: []store.Entry{{Key: "stale"}}, Hops: []trace.Hop{{Count: 9}}}
-		if err := decodeRequest(payload, &got, codecBinary); err != nil {
+		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		want := req
@@ -124,11 +125,11 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 
 func TestCodecResponseRoundTrip(t *testing.T) {
 	for i, resp := range codecResponses() {
-		payload := appendResponse(nil, &resp, codecBinary)
+		payload := appendResponse(nil, &resp)
 		got := response{Needed: []bool{true}, Entries: []store.Entry{{Key: "stale"}},
 			InSync: true, Checksum: 99, Now: 99, Bound: timestamp.T{Time: 99},
 			More: true, Hops: []trace.Hop{{Count: 9}}, Err: "stale"}
-		if err := decodeResponse(payload, &got, codecBinary); err != nil {
+		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
 		want := resp
@@ -149,7 +150,7 @@ func TestCodecValueNilVsEmpty(t *testing.T) {
 		{Key: "empty", Value: store.Value{}, Stamp: timestamp.T{Time: 2, Site: 1}},
 	}}
 	var got request
-	if err := decodeRequest(appendRequest(nil, &req, codecBinary), &got, codecBinary); err != nil {
+	if err := decodeRequest(appendRequest(nil, &req), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Entries[0].Value != nil {
@@ -165,10 +166,10 @@ func TestCodecValueNilVsEmpty(t *testing.T) {
 // at full length).
 func TestCodecTruncationEveryPrefix(t *testing.T) {
 	for i, req := range codecRequests() {
-		payload := appendRequest(nil, &req, codecBinary)
+		payload := appendRequest(nil, &req)
 		for n := 0; n < len(payload); n++ {
 			var got request
-			err := decodeRequest(payload[:n], &got, codecBinary)
+			err := decodeRequest(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -178,10 +179,10 @@ func TestCodecTruncationEveryPrefix(t *testing.T) {
 		}
 	}
 	for i, resp := range codecResponses() {
-		payload := appendResponse(nil, &resp, codecBinary)
+		payload := appendResponse(nil, &resp)
 		for n := 0; n < len(payload); n++ {
 			var got response
-			err := decodeResponse(payload[:n], &got, codecBinary)
+			err := decodeResponse(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -196,15 +197,15 @@ func TestCodecTruncationEveryPrefix(t *testing.T) {
 // must notice the frame was not fully consumed.
 func TestCodecTrailingGarbage(t *testing.T) {
 	req := codecRequests()[2]
-	payload := append(appendRequest(nil, &req, codecBinary), 0xde, 0xad)
+	payload := append(appendRequest(nil, &req), 0xde, 0xad)
 	var got request
-	if err := decodeRequest(payload, &got, codecBinary); !errors.Is(err, ErrFrameGarbage) {
+	if err := decodeRequest(payload, &got); !errors.Is(err, ErrFrameGarbage) {
 		t.Errorf("decodeRequest err = %v, want ErrFrameGarbage", err)
 	}
 	resp := codecResponses()[2]
-	rp := append(appendResponse(nil, &resp, codecBinary), 0xbe)
+	rp := append(appendResponse(nil, &resp), 0xbe)
 	var gotR response
-	if err := decodeResponse(rp, &gotR, codecBinary); !errors.Is(err, ErrFrameGarbage) {
+	if err := decodeResponse(rp, &gotR); !errors.Is(err, ErrFrameGarbage) {
 		t.Errorf("decodeResponse err = %v, want ErrFrameGarbage", err)
 	}
 }
@@ -225,7 +226,7 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	b = appendVarint(b, 0)      // Limit
 	b = appendUvarint(b, 1<<40) // forged entry count
 	var got request
-	if err := decodeRequest(b, &got, codecBinary); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeRequest(b, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged entry count: err = %v, want ErrTruncatedFrame", err)
 	}
 
@@ -237,14 +238,14 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	rb = appendStamp(rb, timestamp.T{})
 	rb = appendUvarint(rb, 1<<40) // forged Needed count
 	var gotR response
-	if err := decodeResponse(rb, &gotR, codecBinary); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeResponse(rb, &gotR); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged needed count: err = %v, want ErrTruncatedFrame", err)
 	}
 }
 
 func TestRequestWireSizeIsUpperBound(t *testing.T) {
 	for i, req := range codecRequests() {
-		actual := len(appendRequest(nil, &req, codecBinary))
+		actual := len(appendRequest(nil, &req))
 		bound := requestWireSize(&req)
 		if actual > bound {
 			t.Errorf("case %d: encoded %d bytes > claimed bound %d", i, actual, bound)
@@ -260,98 +261,85 @@ func TestRequestWireSizeIsUpperBound(t *testing.T) {
 // the same value (the codec is its own inverse on its image).
 func FuzzDecodeFrame(f *testing.F) {
 	for _, req := range codecRequests() {
-		f.Add(appendRequest(nil, &req, codecBinary))
+		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range codecResponses() {
-		f.Add(appendResponse(nil, &resp, codecBinary))
+		f.Add(appendResponse(nil, &resp))
 	}
-	// Seed valid v4 frames so the fuzzer starts with shard-vector and
-	// shard-peel sections to mutate.
+	// Seed shard-vector and shard-peel frames so the fuzzer starts with
+	// populated shard sections to mutate.
 	for _, req := range shardRequests() {
-		f.Add(appendRequest(nil, &req, codecBinaryShard))
+		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range shardResponses() {
-		f.Add(appendResponse(nil, &resp, codecBinaryShard))
+		f.Add(appendResponse(nil, &resp))
 	}
-	// And valid v5 frames: mail batches with their telemetry section.
+	// And mail batches with their telemetry section.
 	for _, req := range mailRequests() {
-		f.Add(appendRequest(nil, &req, codecBinaryMail))
+		f.Add(appendRequest(nil, &req))
 	}
 	// And the two frames of a rumor offer: value-less ids out, want-bits
 	// plus entries back.
 	for _, req := range offerRequests() {
-		f.Add(appendRequest(nil, &req, codecBinaryMail))
+		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range offerResponses() {
-		f.Add(appendResponse(nil, &resp, codecBinaryMail))
+		f.Add(appendResponse(nil, &resp))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Every payload is tried under the v2, v4 and v5 framings: the same
-		// bytes mean different things per negotiated codec, and every decoder
-		// must stay panic-free, typed on error, and self-inverse on success.
-		for _, codec := range []byte{codecBinary, codecBinaryShard, codecBinaryMail} {
-			var req request
-			if err := decodeRequest(payload, &req, codec); err == nil {
-				re := appendRequest(nil, &req, codec)
-				var again request
-				if err := decodeRequest(re, &again, codec); err != nil {
-					t.Fatalf("codec %d: re-decode of re-encoded request failed: %v", codec, err)
-				}
-				normalizeShardReq(&req)
-				normalizeShardReq(&again)
-				if !reflect.DeepEqual(req, again) {
-					t.Fatalf("codec %d: request not stable under re-encode:\n1st %+v\n2nd %+v", codec, req, again)
-				}
-			} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
-				t.Fatalf("codec %d: decodeRequest returned untyped error %v", codec, err)
+		var req request
+		if err := decodeRequest(payload, &req); err == nil {
+			re := appendRequest(nil, &req)
+			var again request
+			if err := decodeRequest(re, &again); err != nil {
+				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
-			var resp response
-			if err := decodeResponse(payload, &resp, codec); err == nil {
-				re := appendResponse(nil, &resp, codec)
-				var again response
-				if err := decodeResponse(re, &again, codec); err != nil {
-					t.Fatalf("codec %d: re-decode of re-encoded response failed: %v", codec, err)
-				}
-				normalizeShardResp(&resp)
-				normalizeShardResp(&again)
-				if !reflect.DeepEqual(resp, again) {
-					t.Fatalf("codec %d: response not stable under re-encode:\n1st %+v\n2nd %+v", codec, resp, again)
-				}
-			} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
-				t.Fatalf("codec %d: decodeResponse returned untyped error %v", codec, err)
+			normalizeShardReq(&req)
+			normalizeShardReq(&again)
+			if !reflect.DeepEqual(req, again) {
+				t.Fatalf("request not stable under re-encode:\n1st %+v\n2nd %+v", req, again)
 			}
+		} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
+			t.Fatalf("decodeRequest returned untyped error %v", err)
+		}
+		var resp response
+		if err := decodeResponse(payload, &resp); err == nil {
+			re := appendResponse(nil, &resp)
+			var again response
+			if err := decodeResponse(re, &again); err != nil {
+				t.Fatalf("re-decode of re-encoded response failed: %v", err)
+			}
+			normalizeShardResp(&resp)
+			normalizeShardResp(&again)
+			if !reflect.DeepEqual(resp, again) {
+				t.Fatalf("response not stable under re-encode:\n1st %+v\n2nd %+v", resp, again)
+			}
+		} else if !errors.Is(err, ErrTruncatedFrame) && !errors.Is(err, ErrFrameGarbage) {
+			t.Fatalf("decodeResponse returned untyped error %v", err)
 		}
 	})
 }
 
-// TestCodecNames pins the codec and flag vocabulary.
+// TestCodecNames pins the Codec option vocabulary: "" and "binary" name the
+// one wire format; every name older builds accepted, and any typo, is an
+// error.
 func TestCodecNames(t *testing.T) {
-	if codecName(codecGob) != "gob" || codecName(codecBinary) != "binary" ||
-		codecName(codecBinaryDigest) != "binary" || codecName(codecBinaryShard) != "binary" ||
-		codecName(codecBinaryMail) != "binary" || codecName(0) != "unknown" {
-		t.Error("codecName vocabulary changed")
-	}
-	for _, tc := range []struct {
-		in     string
-		codec  byte
-		legacy bool
-		ok     bool
-	}{
-		{"", codecBinaryMail, false, true},
-		{"binary", codecBinaryMail, false, true},
-		{"binary-v2", codecBinary, false, true},
-		{"binary-v3", codecBinaryDigest, false, true},
-		{"binary-v4", codecBinaryShard, false, true},
-		{"gob", codecGob, false, true},
-		{"legacy", codecGob, true, true},
-		{"protobuf", 0, false, false},
-	} {
-		c, l, err := parseCodec(tc.in)
-		if (err == nil) != tc.ok || c != tc.codec || l != tc.legacy {
-			t.Errorf("parseCodec(%q) = %d %v %v", tc.in, c, l, err)
+	for _, name := range []string{"", "binary"} {
+		if err := checkCodec(name); err != nil {
+			t.Errorf("checkCodec(%q) = %v, want nil", name, err)
 		}
 	}
-	_ = fmt.Sprintf // keep fmt imported if cases above change
+	for _, name := range append(retiredCodecs(), "binray", "protobuf", "BINARY") {
+		if err := checkCodec(name); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("checkCodec(%q) = %v, want an error naming it", name, err)
+		}
+	}
+}
+
+// retiredCodecs are the Codec names earlier builds accepted, each of which
+// picked an older wire format. All are refused now.
+func retiredCodecs() []string {
+	return []string{"binary-v2", "binary-v3", "binary-v4", "gob", "legacy"}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -19,7 +20,7 @@ func sampleDigests() []cluster.Digest {
 			StoreKeys: 42, Checksum: 0xdeadbeefcafef00d,
 			HotRumors: 3, Peers: 2, Members: 5,
 			AERuns: 100, RumorRuns: 200,
-			WireMsgsBinary: 17, WireMsgsGob: 1, UDPPushes: 9, UDPFallbacks: 2,
+			WireMsgsBinary: 17, UDPPushes: 9, UDPFallbacks: 2,
 			Residue: 0.25, TLastSeconds: 1.5, LastAE: 950,
 			AntiEntropy: cluster.LatencySummary{Count: 100, P50: 0.012, P99: 0.3},
 			Rumor:       cluster.LatencySummary{Count: 200, P50: 0.004, P99: 0.05},
@@ -29,12 +30,12 @@ func sampleDigests() []cluster.Digest {
 }
 
 // TestDigestCodecRoundTrip proves the trailing digest section encodes and
-// decodes exactly, and that it is absent (not just empty) on v2 frames.
+// decodes exactly, and that an empty one costs a single byte.
 func TestDigestCodecRoundTrip(t *testing.T) {
 	digests := sampleDigests()
 	req := request{Kind: reqSync, From: 1, Checksum: 7, Digests: digests}
 	var gotReq request
-	if err := decodeRequest(appendRequest(nil, &req, codecBinaryDigest), &gotReq, codecBinaryDigest); err != nil {
+	if err := decodeRequest(appendRequest(nil, &req), &gotReq); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotReq.Digests, digests) {
@@ -43,28 +44,18 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 
 	resp := response{Checksum: 9, Digests: digests}
 	var gotResp response
-	if err := decodeResponse(appendResponse(nil, &resp, codecBinaryDigest), &gotResp, codecBinaryDigest); err != nil {
+	if err := decodeResponse(appendResponse(nil, &resp), &gotResp); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotResp.Digests, digests) {
 		t.Errorf("response digests = %+v", gotResp.Digests)
 	}
 
-	// A v2 frame never carries the section: encoding with withDigests=false
-	// must byte-match a digest-free request.
-	bare := request{Kind: reqSync, From: 1, Checksum: 7}
-	withField := appendRequest(nil, &req, codecBinary)
-	without := appendRequest(nil, &bare, codecBinary)
-	if string(withField) != string(without) {
-		t.Error("withDigests=false leaked digest bytes onto the frame")
+	if got := appendDigests(nil, nil); len(got) != 1 || got[0] != 0 {
+		t.Errorf("empty digest section = % x, want one zero byte", got)
 	}
-
-	// An empty section costs exactly one byte.
-	empty := request{Kind: reqSync, From: 1, Checksum: 7}
-	v2 := appendRequest(nil, &empty, codecBinary)
-	v3 := appendRequest(nil, &empty, codecBinaryDigest)
-	if len(v3) != len(v2)+1 {
-		t.Errorf("empty digest section = %d bytes, want 1", len(v3)-len(v2))
+	if got := appendDigests(nil, []cluster.Digest{{}}); len(got) != 1+digestMinWire {
+		t.Errorf("zero digest = %d bytes, want count byte + digestMinWire %d", len(got), digestMinWire)
 	}
 }
 
@@ -72,37 +63,46 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 // every truncation point of the digest section.
 func TestDigestSectionTruncation(t *testing.T) {
 	req := request{Kind: reqSync, Digests: sampleDigests()}
-	payload := appendRequest(nil, &req, codecBinaryDigest)
+	payload := appendRequest(nil, &req)
 	var got request
 	for n := len(payload) - 1; n >= 0; n-- {
-		if err := decodeRequest(payload[:n], &got, codecBinaryDigest); err == nil {
+		if err := decodeRequest(payload[:n], &got); err == nil {
 			t.Fatalf("truncated payload at %d bytes decoded cleanly", n)
 		}
 	}
 }
 
-// TestDigestNegotiationDowngrade drives a v3-preferring client against a
-// v2-ceiling server at the session level: the pair settles on plain binary
-// and digest-bearing requests cross the wire with the section stripped.
+// TestDigestNegotiationDowngrade: there is no downgrade any more. A server
+// handed a v3 hello answers with the one wire version and refuses the
+// session, and digests cross a session at that version intact.
 func TestDigestNegotiationDowngrade(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	cs := newSession(client, 0, codecGob)
-	ss := newSession(server, 0, codecGob)
-
 	done := make(chan error, 1)
-	go func() { done <- ss.serverHandshake(codecBinary) }()
-	if err := cs.clientHandshake(codecBinaryDigest, time.Now().Add(time.Second)); err != nil {
+	go func() { done <- newSession(server, 0).serverHandshake() }()
+	if _, err := client.Write([]byte{'E', 'P', 'G', 3}); err != nil {
+		t.Fatal(err)
+	}
+	var answer [1]byte
+	if _, err := client.Read(answer[:]); err != nil || answer[0] != wireVersion {
+		t.Fatalf("answer to a v3 hello = %v %v, want %d", answer, err, wireVersion)
+	}
+	if err := <-done; !errors.Is(err, ErrFrameGarbage) {
+		t.Fatalf("server accepted a v3 hello: %v", err)
+	}
+
+	client, server = net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	cs, ss := newSession(client, 0), newSession(server, 0)
+	go func() { done <- ss.serverHandshake() }()
+	if err := cs.clientHandshake(time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if cs.codec != codecBinary || ss.codec != codecBinary {
-		t.Fatalf("negotiated %d/%d, want both %d", cs.codec, ss.codec, codecBinary)
-	}
-
 	req := request{Kind: reqChecksum, Tau1: 5, Digests: sampleDigests()}
 	go func() { done <- cs.writeRequest(&req) }()
 	var got request
@@ -112,11 +112,8 @@ func TestDigestNegotiationDowngrade(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got.Digests != nil {
-		t.Errorf("digests crossed a v2 session: %+v", got.Digests)
-	}
-	if got.Kind != reqChecksum || got.Tau1 != 5 {
-		t.Errorf("payload corrupted on v2 session: %+v", got)
+	if got.Kind != reqChecksum || got.Tau1 != 5 || !reflect.DeepEqual(got.Digests, req.Digests) {
+		t.Errorf("request corrupted on the session: %+v", got)
 	}
 }
 

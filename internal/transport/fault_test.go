@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -41,17 +39,26 @@ func fakeServer(t *testing.T, handler func(net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// acceptHello plays the server's side of the hello on a fake server's
+// connection: it reads the client's four bytes and answers version, so the
+// frames that follow reach a client past its handshake.
+func acceptHello(conn net.Conn, version byte) {
+	var hello [4]byte
+	_, _ = io.ReadFull(conn, hello[:])
+	_, _ = conn.Write([]byte{version})
+}
+
 func TestClientTruncatedResponseFrame(t *testing.T) {
 	// The remote promises a 100-byte payload, ships 5, and dies.
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
+		acceptHello(conn, wireVersion)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], 100)
 		_, _ = conn.Write(header[:])
 		_, _ = conn.Write([]byte("stub!"))
 	})
-	// Legacy mode: no codec hello, so the byte-level fake's frames line up.
-	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
+	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second})
 	defer peer.Close()
 	_, _, _, err := peer.OfferRumors(nil)
 	if !errors.Is(err, ErrTruncatedFrame) {
@@ -64,6 +71,7 @@ func TestClientOversizeResponseFrame(t *testing.T) {
 	// refuse before allocating a byte of payload.
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
+		acceptHello(conn, wireVersion)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], 1<<31)
 		_, _ = conn.Write(header[:])
@@ -71,7 +79,7 @@ func TestClientOversizeResponseFrame(t *testing.T) {
 		// not a disconnect.
 		time.Sleep(2 * time.Second)
 	})
-	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second, Codec: "legacy"})
+	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: time.Second})
 	defer peer.Close()
 	_, _, _, err := peer.OfferRumors(nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
@@ -83,44 +91,42 @@ func TestOutgoingFrameRespectsLimit(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
-	s := newSession(client, 16, codecGob) // absurdly small per-frame cap
+	s := newSession(client, 16) // absurdly small per-frame cap
 	big := request{Kind: reqMail, Entries: []store.Entry{{Key: "k", Value: store.Value(make([]byte, 1024))}}}
-	if err := s.writeMsg(&big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("writeMsg err = %v, want ErrFrameTooLarge", err)
+	if err := s.writeRequest(&big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("writeRequest err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTrailingGarbage(t *testing.T) {
-	// A frame whose payload holds a full gob value plus trailing junk means
-	// the streams have diverged; readMsg must say so.
+	// A frame whose payload holds a full response plus trailing junk means
+	// the streams have diverged; readResponse must say so.
 	client, server := net.Pipe()
 	defer client.Close()
 	defer server.Close()
 
 	go func() {
 		// Encode one legitimate value, then pad the frame.
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		_ = enc.Encode(&response{Checksum: 7})
-		payload := append(buf.Bytes(), 0xde, 0xad, 0xbe)
+		payload := append(appendResponse(nil, &response{Checksum: 7}), 0xde, 0xad, 0xbe)
 		var header [frameHeaderLen]byte
 		binary.BigEndian.PutUint32(header[:], uint32(len(payload)))
 		_, _ = server.Write(header[:])
 		_, _ = server.Write(payload)
 	}()
 
-	s := newSession(client, 0, codecGob)
+	s := newSession(client, 0)
 	var resp response
-	if err := s.readMsg(&resp); !errors.Is(err, ErrFrameGarbage) {
-		t.Errorf("readMsg err = %v, want ErrFrameGarbage", err)
+	if err := s.readResponse(&resp); !errors.Is(err, ErrFrameGarbage) {
+		t.Errorf("readResponse err = %v, want ErrFrameGarbage", err)
 	}
 }
 
 func TestClientStalledPeerDeadline(t *testing.T) {
-	// The remote accepts, swallows the request, and never answers: the
-	// per-request deadline must fire.
+	// The remote accepts the hello, swallows the request, and never
+	// answers: the per-request deadline must fire.
 	addr := fakeServer(t, func(conn net.Conn) {
 		defer conn.Close()
+		acceptHello(conn, wireVersion)
 		_, _ = io.Copy(io.Discard, conn)
 	})
 	peer := NewTCPPeerWith(7, addr, PeerOptions{Timeout: 150 * time.Millisecond})
@@ -147,10 +153,7 @@ func TestServerSurvivesTruncatedAndOversizeFrames(t *testing.T) {
 	defer srv.Close()
 
 	// Truncated: promise 100 bytes, send 4, hang up.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialHello(t, srv.Addr())
 	var header [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(header[:], 100)
 	_, _ = conn.Write(header[:])
@@ -158,10 +161,7 @@ func TestServerSurvivesTruncatedAndOversizeFrames(t *testing.T) {
 	_ = conn.Close()
 
 	// Oversize: declare a ~4 GiB frame.
-	conn, err = net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn = dialHello(t, srv.Addr())
 	binary.BigEndian.PutUint32(header[:], 0xffffffff)
 	_, _ = conn.Write(header[:])
 	// The server must cut this connection itself.
@@ -177,6 +177,24 @@ func TestServerSurvivesTruncatedAndOversizeFrames(t *testing.T) {
 	if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
 		t.Fatalf("server wedged after fault injection: %v", err)
 	}
+}
+
+// dialHello opens a raw connection to a server and completes the hello, so
+// the bytes a test writes next reach the server's frame reader.
+func dialHello(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answer [1]byte
+	if _, err := conn.Write([]byte{'E', 'P', 'G', wireVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, answer[:]); err != nil || answer[0] != wireVersion {
+		t.Fatalf("hello answer = %v %v", answer, err)
+	}
+	return conn
 }
 
 func TestPoolRedialsAfterRemoteRestart(t *testing.T) {
@@ -368,12 +386,12 @@ func TestUDPLossyPathRecovers(t *testing.T) {
 			}
 			drop = true
 			var req request
-			if nb < udpHeaderLen || decodeRequest(buf[udpHeaderLen:nb], &req, codecBinary) != nil {
+			if nb < udpHeaderLen || decodeRequest(buf[udpHeaderLen:nb], &req) != nil {
 				continue
 			}
 			resp := srv.dispatch(req)
 			out := append([]byte{'E', 'U', udpVersion, udpTypeResponse}, buf[4:udpHeaderLen]...)
-			out = appendResponse(out, &resp, codecBinary)
+			out = appendResponse(out, &resp)
 			_, _ = uc.WriteToUDP(out, raddr)
 		}
 	}()

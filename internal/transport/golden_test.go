@@ -1,0 +1,148 @@
+package transport
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"epidemic/internal/obs/trace"
+	"epidemic/internal/store"
+	"epidemic/internal/timestamp"
+)
+
+// goldenFrame is one request of a kind and a response of the shape that
+// kind is answered with.
+type goldenFrame struct {
+	req  request
+	resp response
+}
+
+func goldenFrames() map[reqKind]goldenFrame {
+	e := store.Entry{Key: "k/000017", Value: store.Value("v1"),
+		Stamp: timestamp.T{Time: 1 << 40, Site: 2, Seq: 9}, Activation: timestamp.T{Time: 1 << 40, Site: 2, Seq: 9}}
+	cert := store.Entry{Key: "gone", Stamp: timestamp.T{Time: 77, Site: 3, Seq: 1},
+		Activation: timestamp.T{Time: 99, Site: 3, Seq: 2}, Retention: []timestamp.SiteID{1, 4}}
+	id := store.Entry{Key: e.Key, Stamp: e.Stamp, Activation: e.Activation}
+	hop := trace.Hop{Parent: 2, Count: 3, Valid: true}
+	bound := timestamp.T{Time: 1<<40 - 5, Site: 1, Seq: 4}
+	return map[reqKind]goldenFrame{
+		reqMail: {
+			req:  request{Kind: reqMail, From: 2, Entries: []store.Entry{e}, Hops: []trace.Hop{hop}},
+			resp: response{},
+		},
+		reqPushRumors: {
+			req:  request{Kind: reqPushRumors, From: 2, Entries: []store.Entry{e, cert}},
+			resp: response{Needed: []bool{true, false}},
+		},
+		reqRumorOffer: {
+			req:  request{Kind: reqRumorOffer, From: 2, Entries: []store.Entry{id}},
+			resp: response{Needed: []bool{false}, Entries: []store.Entry{cert}, Hops: []trace.Hop{hop}},
+		},
+		reqSync: {
+			req: request{Kind: reqSync, From: 2, Entries: []store.Entry{e}, Hops: []trace.Hop{hop},
+				Checksum: 0xdeadbeefcafef00d, Now: 1 << 41, Tau: 20_000, Tau1: 3_600_000},
+			resp: response{Entries: []store.Entry{cert}, Checksum: 0x0123456789abcdef, Now: 1<<41 + 3, InSync: true},
+		},
+		reqFullSync: {
+			req:  request{Kind: reqFullSync, From: 2, Entries: []store.Entry{e, cert}, Now: 1 << 41, Tau1: 3_600_000},
+			resp: response{Entries: []store.Entry{e}, Checksum: 42, Now: 1 << 41, InSync: true},
+		},
+		reqChecksum: {
+			req:  request{Kind: reqChecksum, Tau1: 3_600_000},
+			resp: response{Checksum: 0xfeedfacecafebeef},
+		},
+		reqPeelBack: {
+			req: request{Kind: reqPeelBack, From: 2, Entries: []store.Entry{cert}, Bound: bound, Limit: 64,
+				Now: 1 << 41, Tau1: 3_600_000},
+			resp: response{Entries: []store.Entry{e}, Checksum: 7, Now: 1 << 41, Bound: bound, More: true},
+		},
+		reqShardVector: {
+			req:  request{Kind: reqShardVector, From: 2, Now: 1 << 41, Tau1: 3_600_000, Vector: []uint64{1, 0, ^uint64(0)}},
+			resp: response{Checksum: 9, Now: 1 << 41, ShardCount: 3, Vector: []uint64{1, 2, 3}},
+		},
+		reqPeelBackShard: {
+			req: request{Kind: reqPeelBackShard, From: 2, Bound: bound, Limit: 8, Now: 1 << 41, Tau1: 3_600_000,
+				Shard: 13, ShardCount: 16},
+			resp: response{Entries: []store.Entry{cert}, Checksum: 11, Now: 1 << 41, Bound: bound, More: false},
+		},
+		reqMailBatch: {
+			req: request{Kind: reqMailBatch, From: 2, Entries: []store.Entry{e, cert}, Hops: []trace.Hop{hop, {}},
+				MailQueuedNanos: 1_500_000, MailCoalesced: 3},
+			resp: response{Needed: []bool{true, true}},
+		},
+	}
+}
+
+// goldenHex holds, per kind, the request and response payloads of
+// goldenFrames as earlier builds encoded them at wire version 5. The one
+// format must keep producing these bytes exactly.
+var goldenHex = map[reqKind][2]string{
+	reqMail: {
+		"01000000020000000000000000000000000000000000000000000000000000000001086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090001000000020000000301000000000000",
+		"000000000000000000000000000000000000000000000000000000000000000000",
+	},
+	reqPushRumors: {
+		"02000000020000000000000000000000000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
+		"00000000000000000000000000000000000000000000000000000201000000000000",
+	},
+	reqRumorOffer: {
+		"03000000020000000000000000000000000000000000000000000000000000000001086b2f3030303031370000000100000000000000000200000009000001000000000000000002000000090000000000000000",
+		"000000000000000000000000000000000000000000000000000001000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040100000002000000030100000000",
+	},
+	reqSync: {
+		"0400000002deadbeefcafef00d80808080808001c0b80280bab703000000000000000000000000000000000001086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090001000000020000000301000000000000",
+		"010123456789abcdef8680808080800100000000000000000000000000000000000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040000000000",
+	},
+	reqFullSync: {
+		"05000000020000000000000000808080808080010080bab703000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
+		"01000000000000002a80808080808001000000000000000000000000000000000001086b2f3030303031370376310000010000000000000000020000000900000100000000000000000200000009000000000000",
+	},
+	reqChecksum: {
+		"06000000000000000000000000000080bab70300000000000000000000000000000000000000000000000000",
+		"00feedfacecafebeef000000000000000000000000000000000000000000000000",
+	},
+	reqPeelBack: {
+		"07000000020000000000000000808080808080010080bab703000000fffffffffb000000010000000480010104676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
+		"02000000000000000780808080808001000000fffffffffb00000001000000040001086b2f3030303031370376310000010000000000000000020000000900000100000000000000000200000009000000000000",
+	},
+	reqShardVector: {
+		"08000000020000000000000000808080808080010080bab703000000000000000000000000000000000000000000000300000000000000010000000000000000ffffffffffffffff0000",
+		"000000000000000009808080808080010000000000000000000000000000000000000000000603000000000000000100000000000000020000000000000003",
+	},
+	reqPeelBackShard: {
+		"09000000020000000000000000808080808080010080bab703000000fffffffffb0000000100000004100000001a20000000",
+		"00000000000000000b80808080808001000000fffffffffb0000000100000004000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040000000000",
+	},
+	reqMailBatch: {
+		"0a000000020000000000000000000000000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040200000002000000030100000000000000000000000000c08db70106",
+		"00000000000000000000000000000000000000000000000000000203000000000000",
+	},
+}
+
+// goldenErrHex is a response carrying a remote error, as earlier builds
+// encoded it.
+const goldenErrHex = "000000000000000000000000000000000000000000000000000000000017756e6b6e6f776e2072657175657374206b696e64203939000000"
+
+// TestGoldenFrameBytes pins the payload bytes of every request kind and its
+// response, digest sections empty, to what earlier builds put on the wire:
+// a daemon on this build and one on an earlier build exchange identical
+// frames.
+func TestGoldenFrameBytes(t *testing.T) {
+	frames := goldenFrames()
+	for k := reqMail; k <= reqMailBatch; k++ {
+		f, ok := frames[k]
+		want, wok := goldenHex[k]
+		if !ok || !wok {
+			t.Fatalf("no golden frame for kind %s", k.kindName())
+		}
+		if got := hex.EncodeToString(appendRequest(nil, &f.req)); got != want[0] {
+			t.Errorf("%s request:\n got %s\nwant %s", k.kindName(), got, want[0])
+		}
+		if got := hex.EncodeToString(appendResponse(nil, &f.resp)); got != want[1] {
+			t.Errorf("%s response:\n got %s\nwant %s", k.kindName(), got, want[1])
+		}
+	}
+	errResp := response{Err: "unknown request kind 99"}
+	if got := hex.EncodeToString(appendResponse(nil, &errResp)); got != goldenErrHex {
+		t.Errorf("error response:\n got %s\nwant %s", got, goldenErrHex)
+	}
+}

@@ -2,10 +2,10 @@
 // algorithms run over: a store-and-forward in-memory mail system with the
 // failure modes §1.2 assumes (queue overflow, silent loss, delayed
 // delivery), and a TCP transport that lets real node.Node replicas gossip
-// across machines — pooled persistent sessions framed in a hand-rolled
-// binary codec (codec.go; gob survives behind a negotiated version byte
-// for mixed-version rollout), with a UDP fast path for single-datagram
-// rumor pushes (udp.go). Network direct mail rides the same pooled
+// across machines — pooled persistent sessions framed in one hand-rolled
+// binary layout (codec.go, frame.go), with a UDP fast path for
+// single-datagram rumor pushes (udp.go) that carries the same layout.
+// Network direct mail rides the same pooled
 // sessions and codec as every other request kind, so §1.2 mail pays no
 // separate encode path.
 package transport

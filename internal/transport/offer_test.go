@@ -52,7 +52,7 @@ func TestOfferIDByteBudget(t *testing.T) {
 // decoder allocates for them.
 func TestOfferForgedIDCount(t *testing.T) {
 	req := offerRequests()[1]
-	good := appendRequest(nil, &req, codecBinaryMail)
+	good := appendRequest(nil, &req)
 	var b []byte
 	b = append(b, byte(reqRumorOffer))
 	b = appendUint32(b, 4)
@@ -68,15 +68,15 @@ func TestOfferForgedIDCount(t *testing.T) {
 	}
 	forged := append(appendUvarint(b, 3), good[prefix+1:]...) // claims 3 ids, carries 2
 	var got request
-	if err := decodeRequest(forged, &got, codecBinaryMail); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged id count: err = %v, want ErrTruncatedFrame", err)
 	}
 }
 
 // TestOfferParityLocalAndTCP: for the same pair of nodes, an offer through
-// LocalPeer and through TCPPeer returns identical want-bits and entries on
-// every codec pairing the rollout matrix knows — ids and want-bits ride
-// fields every codec already carries.
+// LocalPeer and through TCPPeer returns identical want-bits and entries.
+// The cases keep the codec pairings older builds offered; a retired name is
+// now refused on the side that names it.
 func TestOfferParityLocalAndTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	mk := func(site timestamp.SiteID) *node.Node {
@@ -129,6 +129,9 @@ func TestOfferParityLocalAndTCP(t *testing.T) {
 		{"binary", "binary"}, {"binary", "binary-v4"}, {"binary", "gob"}, {"binary", "legacy"}, {"gob", "binary"},
 	} {
 		t.Run(tc.client+"-to-"+tc.server, func(t *testing.T) {
+			if expectCodecRefused(t, b, tc.server, tc.client) {
+				return
+			}
 			srv, err := ServeWith(b, "127.0.0.1:0", ServerOptions{Codec: tc.server})
 			if err != nil {
 				t.Fatal(err)
@@ -179,8 +182,7 @@ func TestSingleEntryDrainKeepsItsTelemetry(t *testing.T) {
 				n.Site(), st.MailBatchesReceived, st.MailMaxQueuedNanos)
 		}
 	}
-	if snap := ws.Snapshot(); snap.MailBatches != 4 || snap.MailBatchEntries != 4 || snap.MailFallbackEntries != 0 {
-		t.Errorf("wire shows %d batches / %d entries / %d fallbacks, want 4 / 4 / 0",
-			snap.MailBatches, snap.MailBatchEntries, snap.MailFallbackEntries)
+	if snap := ws.Snapshot(); snap.MailBatches != 4 || snap.MailBatchEntries != 4 {
+		t.Errorf("wire shows %d batches / %d entries, want 4 / 4", snap.MailBatches, snap.MailBatchEntries)
 	}
 }

@@ -3,7 +3,9 @@ package transport
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -36,7 +38,7 @@ func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (
 }
 
 // TestMailBatchOverTCP drives a multi-entry outbox drain through the
-// codec-v5 batched frame: a whole drain ships as one reqMailBatch.
+// batched frame: a whole drain ships as one reqMailBatch.
 func TestMailBatchOverTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	a, _ := outboxNode(t, 1, src)
@@ -46,7 +48,7 @@ func TestMailBatchOverTCP(t *testing.T) {
 	peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws})
 	a.SetPeers([]node.Peer{peer})
 
-	// First round dials the session and settles its codec.
+	// First round dials the session.
 	a.Update("prime", store.Value("v"))
 	if !a.FlushMail(0) {
 		t.Fatal("priming flush timed out")
@@ -66,48 +68,45 @@ func TestMailBatchOverTCP(t *testing.T) {
 	}
 	snap := ws.Snapshot()
 	if snap.MailBatches == 0 {
-		t.Error("no batched mail frames on a v5<->v5 session")
+		t.Error("no batched mail frames on the session")
 	}
 	if snap.MailBatchEntries == 0 {
 		t.Error("batched frames carried no entries")
-	}
-	if snap.MailFallbackEntries != 0 {
-		t.Errorf("fallback entries = %d on a v5 session, want 0", snap.MailFallbackEntries)
 	}
 	if s := b.Stats(); s.MailBatchesReceived == 0 {
 		t.Error("receiver never counted a mail batch")
 	}
 }
 
-// TestMailBatchMixedCodecConvergence ships the same update set from a v5
-// sender to receivers pinned at every older codec level. Pre-v5 peers get
-// transparent per-entry fallback; everyone ends with the identical key
-// set.
+// TestMailBatchMixedCodecConvergence ships one update set from a sender to
+// a receiver through peers built with each Codec name older builds
+// accepted. The one format delivers every key in batched frames; a retired
+// name fails the batch outright, where it once fell back to per-entry mail
+// in an older format.
 func TestMailBatchMixedCodecConvergence(t *testing.T) {
-	cases := []struct {
-		peerCodec string
-		batched   bool // the wire should show batched frames
-	}{
-		{"binary", true},
-		{"binary-v4", false},
-		{"gob", false},
-		{"legacy", false},
-	}
 	keys := []string{"alpha", "beta", "gamma", "delta"}
-	for _, tc := range cases {
-		t.Run(tc.peerCodec, func(t *testing.T) {
+	for _, peerCodec := range []string{"binary", "binary-v4", "gob", "legacy"} {
+		t.Run(peerCodec, func(t *testing.T) {
 			src := timestamp.NewSimulated(1 << 30)
 			a, _ := outboxNode(t, 1, src)
 			b, sb := outboxNode(t, 2, src)
 
 			ws := &WireStats{}
-			peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws, Codec: tc.peerCodec})
-			a.SetPeers([]node.Peer{peer})
-
-			a.Update("prime", store.Value("v"))
-			if !a.FlushMail(0) {
-				t.Fatal("priming flush timed out")
+			peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws, Codec: peerCodec})
+			if !codecAccepted(peerCodec) {
+				err := peer.MailBatch(node.MailBatch{Entries: []store.Entry{a.Update("k", store.Value("v"))}})
+				if err == nil || !strings.Contains(err.Error(), "unknown codec") {
+					t.Fatalf("MailBatch with codec %q: err = %v, want an unknown-codec error", peerCodec, err)
+				}
+				if snap := ws.Snapshot(); snap.Dials != 0 || snap.MailBatches != 0 {
+					t.Errorf("refused peer touched the wire: %+v", snap)
+				}
+				if _, ok := b.Lookup("k"); ok {
+					t.Error("a refused batch reached the receiver")
+				}
+				return
 			}
+			a.SetPeers([]node.Peer{peer})
 			for _, k := range keys {
 				a.Update(k, store.Value("v-"+k))
 			}
@@ -115,39 +114,16 @@ func TestMailBatchMixedCodecConvergence(t *testing.T) {
 				t.Fatal("flush timed out")
 			}
 
-			var got []string
-			for _, k := range b.Store().Keys() {
-				if k != "prime" {
-					got = append(got, k)
-				}
-			}
+			got := b.Store().Keys()
 			sort.Strings(got)
 			want := append([]string(nil), keys...)
 			sort.Strings(want)
-			if len(got) != len(want) {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("receiver keys = %v, want %v", got, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("receiver keys = %v, want %v", got, want)
-				}
-			}
-
-			snap := ws.Snapshot()
-			if tc.batched {
-				if snap.MailBatches == 0 {
-					t.Error("v5 peer moved no batched frames")
-				}
-				if snap.MailFallbackEntries != 0 {
-					t.Errorf("v5 peer degraded %d entries to fallback", snap.MailFallbackEntries)
-				}
-			} else {
-				if snap.MailBatches != 0 {
-					t.Errorf("pre-v5 peer shipped %d batched frames", snap.MailBatches)
-				}
-				if snap.MailFallbackEntries == 0 {
-					t.Error("pre-v5 peer recorded no fallback entries")
-				}
+			if snap := ws.Snapshot(); snap.MailBatches == 0 || snap.MailBatchEntries != int64(len(keys)) {
+				t.Errorf("wire shows %d batches / %d entries, want batched frames carrying %d",
+					snap.MailBatches, snap.MailBatchEntries, len(keys))
 			}
 		})
 	}

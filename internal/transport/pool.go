@@ -17,21 +17,16 @@ type WireStats struct {
 	open                     atomic.Int64
 	bytesSent, bytesReceived atomic.Int64
 	exchanges                atomic.Int64
+	msgs                     atomic.Int64 // request round trips over TCP
 
-	// Codec accounting: sessions by negotiated codec and request round
-	// trips by codec.
-	sessionsGob, sessionsBinary atomic.Int64
-	msgsGob, msgsBinary         atomic.Int64
-
-	// Shard-vector anti-entropy accounting (codec v4): exchanges that
-	// converged via the narrow path, diverged shards they repaired, and
-	// attempts that fell back to the global peel walk.
+	// Shard-vector anti-entropy accounting: exchanges that converged via
+	// the narrow path, diverged shards they repaired, and attempts that
+	// fell back to the global peel walk.
 	shardVecExchanges, shardVecShards, shardVecDowngrades atomic.Int64
 
-	// Batched-mail accounting (codec v5): outbox drains shipped as one
-	// reqMailBatch frame, the entries they carried, and entries that fell
-	// back to per-entry round trips against pre-v5 peers.
-	mailBatches, mailBatchEntries, mailFallbackEntries atomic.Int64
+	// Batched-mail accounting: outbox drains shipped as one reqMailBatch
+	// frame and the entries they carried.
+	mailBatches, mailBatchEntries atomic.Int64
 
 	// UDP fast-path accounting (see udp.go).
 	udpPushes, udpRetries, udpFallbacks, udpOversize atomic.Int64
@@ -61,13 +56,9 @@ type WireSnapshot struct {
 	BytesReceived int64 `json:"bytes_received"`
 	// Exchanges counts completed anti-entropy conversations.
 	Exchanges int64 `json:"exchanges"`
-	// SessionsGob and SessionsBinary count client sessions by the codec the
-	// handshake settled on; MsgsGob and MsgsBinary count request round trips
-	// by the codec that framed them.
-	SessionsGob    int64 `json:"sessions_gob"`
-	SessionsBinary int64 `json:"sessions_binary"`
-	MsgsGob        int64 `json:"msgs_gob"`
-	MsgsBinary     int64 `json:"msgs_binary"`
+	// MsgsBinary counts request round trips over TCP; the name dates from
+	// when gob-framed ones were counted apart.
+	MsgsBinary int64 `json:"msgs_binary"`
 	// Shard-vector counters: anti-entropy exchanges that converged via the
 	// per-shard narrow path, the diverged shards those exchanges repaired,
 	// and attempts that downgraded to the global peel walk.
@@ -75,11 +66,9 @@ type WireSnapshot struct {
 	ShardVecShards     int64 `json:"shardvec_shards"`
 	ShardVecDowngrades int64 `json:"shardvec_downgrades"`
 	// Batched-mail counters: outbox drains shipped as single mail-batch
-	// frames, the entries those frames carried, and entries that degraded
-	// to per-entry round trips against pre-v5 peers.
-	MailBatches         int64 `json:"mail_batches"`
-	MailBatchEntries    int64 `json:"mail_batch_entries"`
-	MailFallbackEntries int64 `json:"mail_fallback_entries"`
+	// frames and the entries those frames carried.
+	MailBatches      int64 `json:"mail_batches"`
+	MailBatchEntries int64 `json:"mail_batch_entries"`
 	// UDP fast-path counters: pushes completed over UDP, datagram retries,
 	// pushes that fell back to pooled TCP, pushes skipped as over the
 	// datagram budget, and raw datagram traffic.
@@ -97,29 +86,25 @@ func (w *WireStats) Snapshot() WireSnapshot {
 		return WireSnapshot{}
 	}
 	return WireSnapshot{
-		Dials:               w.dials.Load(),
-		Redials:             w.redials.Load(),
-		Reuses:              w.reuses.Load(),
-		OpenConns:           w.open.Load(),
-		BytesSent:           w.bytesSent.Load(),
-		BytesReceived:       w.bytesReceived.Load(),
-		Exchanges:           w.exchanges.Load(),
-		SessionsGob:         w.sessionsGob.Load(),
-		SessionsBinary:      w.sessionsBinary.Load(),
-		MsgsGob:             w.msgsGob.Load(),
-		MsgsBinary:          w.msgsBinary.Load(),
-		ShardVecExchanges:   w.shardVecExchanges.Load(),
-		ShardVecShards:      w.shardVecShards.Load(),
-		ShardVecDowngrades:  w.shardVecDowngrades.Load(),
-		MailBatches:         w.mailBatches.Load(),
-		MailBatchEntries:    w.mailBatchEntries.Load(),
-		MailFallbackEntries: w.mailFallbackEntries.Load(),
-		UDPPushes:           w.udpPushes.Load(),
-		UDPRetries:          w.udpRetries.Load(),
-		UDPFallbacks:        w.udpFallbacks.Load(),
-		UDPOversize:         w.udpOversize.Load(),
-		UDPBytesSent:        w.udpBytesSent.Load(),
-		UDPBytesReceived:    w.udpBytesReceived.Load(),
+		Dials:              w.dials.Load(),
+		Redials:            w.redials.Load(),
+		Reuses:             w.reuses.Load(),
+		OpenConns:          w.open.Load(),
+		BytesSent:          w.bytesSent.Load(),
+		BytesReceived:      w.bytesReceived.Load(),
+		Exchanges:          w.exchanges.Load(),
+		MsgsBinary:         w.msgs.Load(),
+		ShardVecExchanges:  w.shardVecExchanges.Load(),
+		ShardVecShards:     w.shardVecShards.Load(),
+		ShardVecDowngrades: w.shardVecDowngrades.Load(),
+		MailBatches:        w.mailBatches.Load(),
+		MailBatchEntries:   w.mailBatchEntries.Load(),
+		UDPPushes:          w.udpPushes.Load(),
+		UDPRetries:         w.udpRetries.Load(),
+		UDPFallbacks:       w.udpFallbacks.Load(),
+		UDPOversize:        w.udpOversize.Load(),
+		UDPBytesSent:       w.udpBytesSent.Load(),
+		UDPBytesReceived:   w.udpBytesReceived.Load(),
 	}
 }
 
@@ -160,34 +145,14 @@ func (w *WireStats) noteClose() {
 	}
 }
 
-func (w *WireStats) noteTraffic(out, in int64) {
+// noteMsg counts one request round trip and the framed bytes it moved.
+func (w *WireStats) noteMsg(out, in int64) {
 	if w == nil {
 		return
 	}
+	w.msgs.Add(1)
 	w.bytesSent.Add(out)
 	w.bytesReceived.Add(in)
-}
-
-func (w *WireStats) noteSession(codec byte) {
-	if w == nil {
-		return
-	}
-	if codec >= codecBinary {
-		w.sessionsBinary.Add(1)
-	} else {
-		w.sessionsGob.Add(1)
-	}
-}
-
-func (w *WireStats) noteMsg(codec byte) {
-	if w == nil {
-		return
-	}
-	if codec >= codecBinary {
-		w.msgsBinary.Add(1)
-	} else {
-		w.msgsGob.Add(1)
-	}
 }
 
 func (w *WireStats) noteShardVec(shards int) {
@@ -210,12 +175,6 @@ func (w *WireStats) noteMailBatch(entries int) {
 	}
 	w.mailBatches.Add(1)
 	w.mailBatchEntries.Add(int64(entries))
-}
-
-func (w *WireStats) noteMailFallback(entries int) {
-	if w != nil {
-		w.mailFallbackEntries.Add(int64(entries))
-	}
 }
 
 func (w *WireStats) noteUDPPush() {
@@ -272,52 +231,15 @@ type pool struct {
 	addr    string
 	timeout time.Duration // dial timeout and per-request deadline
 	size    int           // max idle sessions retained (< 0: no reuse)
-	prefer  byte          // codec preference sent in the hello
-	legacy  bool          // skip the hello entirely (pre-negotiation wire)
 	stats   *WireStats
-
-	// codec records the codec the most recent handshake settled on (zero
-	// until the first dial). The shard-vector path consults it to skip v4
-	// request kinds against peers that cannot negotiate them.
-	codec atomic.Uint32
 
 	mu     sync.Mutex
 	idle   []*session
 	closed bool
 }
 
-// shardCapable reports whether the last negotiated session codec supports
-// the shard-vector request kinds. False before the first dial: the caller's
-// round-0 sync request always precedes a shard-vector attempt, so by the
-// time it matters a handshake has happened.
-func (p *pool) shardCapable() bool {
-	return codecHasShards(byte(p.codec.Load()))
-}
-
-// mailCapable reports whether the last negotiated session codec supports
-// batched mail requests. False before the first dial; MailBatch settles
-// the pool before trusting the answer.
-func (p *pool) mailCapable() bool {
-	return codecHasMail(byte(p.codec.Load()))
-}
-
-// settle makes sure one handshake has happened, so the capability
-// questions above are answered for the peer and not for a fresh pool. The
-// session it dials stays pooled for the request that follows.
-func (p *pool) settle() error {
-	if p.codec.Load() != 0 {
-		return nil
-	}
-	s, _, err := p.get()
-	if err != nil {
-		return err
-	}
-	p.put(s)
-	return nil
-}
-
-func newPool(addr string, size int, timeout time.Duration, prefer byte, legacy bool, stats *WireStats) *pool {
-	return &pool{addr: addr, size: size, timeout: timeout, prefer: prefer, legacy: legacy, stats: stats}
+func newPool(addr string, size int, timeout time.Duration, stats *WireStats) *pool {
+	return &pool{addr: addr, size: size, timeout: timeout, stats: stats}
 }
 
 // get returns a session ready for one request. reused reports whether it
@@ -346,15 +268,11 @@ func (p *pool) dial(redial bool) (*session, bool, error) {
 		_ = tc.SetNoDelay(true)
 	}
 	p.stats.noteDial(redial)
-	s := newSession(conn, maxWireBytes, codecGob)
-	if !p.legacy {
-		if err := s.clientHandshake(p.prefer, time.Now().Add(p.timeout)); err != nil {
-			p.discard(s)
-			return nil, false, err
-		}
+	s := newSession(conn, maxWireBytes)
+	if err := s.clientHandshake(time.Now().Add(p.timeout)); err != nil {
+		p.discard(s)
+		return nil, false, err
 	}
-	p.codec.Store(uint32(s.codec))
-	p.stats.noteSession(s.codec)
 	return s, false, nil
 }
 
@@ -427,8 +345,7 @@ func (p *pool) roundTrip(req *request, resp *response) (bytesOut, bytesIn int64,
 	return bytesOut, bytesIn, nil
 }
 
-// do performs one request/response on s under the pool's deadline, framed
-// in the session's negotiated codec.
+// do performs one request/response on s under the pool's deadline.
 func (p *pool) do(s *session, req *request, resp *response) (bytesOut, bytesIn int64, err error) {
 	if p.timeout > 0 {
 		s.setDeadline(time.Now().Add(p.timeout))
@@ -439,7 +356,6 @@ func (p *pool) do(s *session, req *request, resp *response) (bytesOut, bytesIn i
 		err = s.readResponse(resp)
 	}
 	bytesOut, bytesIn = s.bytesOut-startOut, s.bytesIn-startIn
-	p.stats.noteTraffic(bytesOut, bytesIn)
-	p.stats.noteMsg(s.codec)
+	p.stats.noteMsg(bytesOut, bytesIn)
 	return bytesOut, bytesIn, err
 }

@@ -8,9 +8,8 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// shardRequests are field shapes specific to the codec-v4 shard section:
-// vector swaps, shard-scoped peels, and the zero section every other kind
-// carries on a v4 session.
+// shardRequests are field shapes specific to the shard section: vector
+// swaps, shard-scoped peels, and the zero section every other kind carries.
 func shardRequests() []request {
 	return []request{
 		{Kind: reqShardVector, From: 4, Now: 77, Tau1: 9,
@@ -19,7 +18,7 @@ func shardRequests() []request {
 		{Kind: reqPeelBackShard, From: 2, Shard: 13, ShardCount: 16,
 			Bound: timestamp.T{Time: 50, Site: 1, Seq: 2}, Limit: 8},
 		{Kind: reqPeelBackShard, Shard: 1023, ShardCount: 1024},
-		{Kind: reqChecksum, Tau1: 42}, // empty shard section on v4
+		{Kind: reqChecksum, Tau1: 42}, // empty shard section
 	}
 }
 
@@ -46,12 +45,12 @@ func normalizeShardResp(r *response) {
 }
 
 // TestCodecShardRoundTrip runs both the shard-specific shapes and the whole
-// pre-v4 table through a codecBinaryShard session encode/decode.
+// base table through an encode/decode into dirty shard fields.
 func TestCodecShardRoundTrip(t *testing.T) {
 	for i, req := range append(shardRequests(), codecRequests()...) {
-		payload := appendRequest(nil, &req, codecBinaryShard)
+		payload := appendRequest(nil, &req)
 		got := request{Shard: 99, ShardCount: 99, Vector: []uint64{99}}
-		if err := decodeRequest(payload, &got, codecBinaryShard); err != nil {
+		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("request case %d: decode: %v", i, err)
 		}
 		want := req
@@ -62,9 +61,9 @@ func TestCodecShardRoundTrip(t *testing.T) {
 		}
 	}
 	for i, resp := range append(shardResponses(), codecResponses()...) {
-		payload := appendResponse(nil, &resp, codecBinaryShard)
+		payload := appendResponse(nil, &resp)
 		got := response{ShardCount: 99, Vector: []uint64{99}}
-		if err := decodeResponse(payload, &got, codecBinaryShard); err != nil {
+		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("response case %d: decode: %v", i, err)
 		}
 		want := resp
@@ -76,41 +75,35 @@ func TestCodecShardRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecShardSectionGatedByVersion pins the downgrade semantics: a v2/v3
-// encode of a request carrying shard fields drops them (they never reach an
-// old peer), and a v3 frame decoded as v3 leaves the fields zero even when
-// the decode target was dirty.
+// TestCodecShardSectionGatedByVersion pins that the hello's version byte is
+// the only gate: the shard section is part of every frame, so a frame in
+// the older layout that ended before it is refused as truncated instead of
+// decoding with zero shard fields.
 func TestCodecShardSectionGatedByVersion(t *testing.T) {
-	req := shardRequests()[0]
-	for _, codec := range []byte{codecBinary, codecBinaryDigest} {
-		payload := appendRequest(nil, &req, codec)
-		got := request{Shard: 99, ShardCount: 99, Vector: []uint64{99}}
-		if err := decodeRequest(payload, &got, codec); err != nil {
-			t.Fatalf("codec %d: decode: %v", codec, err)
-		}
-		if got.Shard != 0 || got.ShardCount != 0 || got.Vector != nil {
-			t.Errorf("codec %d: shard section leaked through: %+v", codec, got)
-		}
+	req := request{Kind: reqChecksum, Tau1: 42}
+	payload := appendRequest(nil, &req)
+	// Shard, ShardCount and the vector count, then the two mail varints.
+	old := payload[:len(payload)-5]
+	var got request
+	if err := decodeRequest(old, &got); !errors.Is(err, ErrTruncatedFrame) {
+		t.Errorf("request without shard section: err = %v, want ErrTruncatedFrame", err)
 	}
-	resp := shardResponses()[0]
-	payload := appendResponse(nil, &resp, codecBinaryDigest)
-	got := response{ShardCount: 99, Vector: []uint64{99}}
-	if err := decodeResponse(payload, &got, codecBinaryDigest); err != nil {
-		t.Fatal(err)
-	}
-	if got.ShardCount != 0 || got.Vector != nil {
-		t.Errorf("v3 response decode kept shard section: %+v", got)
+	resp := response{Checksum: 3}
+	rp := appendResponse(nil, &resp)
+	var gotR response
+	if err := decodeResponse(rp[:len(rp)-2], &gotR); !errors.Is(err, ErrTruncatedFrame) {
+		t.Errorf("response without shard section: err = %v, want ErrTruncatedFrame", err)
 	}
 }
 
-// TestCodecShardTruncationEveryPrefix chops v4 payloads at every length:
+// TestCodecShardTruncationEveryPrefix chops shard payloads at every length:
 // typed errors only, never a panic or a false success.
 func TestCodecShardTruncationEveryPrefix(t *testing.T) {
 	for i, req := range shardRequests() {
-		payload := appendRequest(nil, &req, codecBinaryShard)
+		payload := appendRequest(nil, &req)
 		for n := 0; n < len(payload); n++ {
 			var got request
-			err := decodeRequest(payload[:n], &got, codecBinaryShard)
+			err := decodeRequest(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -120,10 +113,10 @@ func TestCodecShardTruncationEveryPrefix(t *testing.T) {
 		}
 	}
 	for i, resp := range shardResponses() {
-		payload := appendResponse(nil, &resp, codecBinaryShard)
+		payload := appendResponse(nil, &resp)
 		for n := 0; n < len(payload); n++ {
 			var got response
-			err := decodeResponse(payload[:n], &got, codecBinaryShard)
+			err := decodeResponse(payload[:n], &got)
 			if err == nil {
 				t.Fatalf("case %d: decode of %d/%d-byte prefix succeeded", i, n, len(payload))
 			}
@@ -134,17 +127,17 @@ func TestCodecShardTruncationEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestCodecShardForgedVectorCount hand-builds a v4 frame whose vector count
+// TestCodecShardForgedVectorCount hand-builds a frame whose vector count
 // promises far more 8-byte sums than the frame holds; the count-vs-remaining
 // check must refuse it before allocating.
 func TestCodecShardForgedVectorCount(t *testing.T) {
 	req := request{Kind: reqShardVector}
-	payload := appendRequest(nil, &req, codecBinaryShard)
-	// The encoding ends ...Shard(0) ShardCount(0) vectorCount(0): forge the
-	// final count byte into a huge uvarint.
-	forged := append(payload[:len(payload)-1], 0xff, 0xff, 0xff, 0xff, 0x0f)
+	payload := appendRequest(nil, &req)
+	// The encoding ends ...vectorCount(0) MailQueuedNanos(0)
+	// MailCoalesced(0): forge the count byte into a huge uvarint.
+	forged := append(append([]byte(nil), payload[:len(payload)-3]...), 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0)
 	var got request
-	if err := decodeRequest(forged, &got, codecBinaryShard); !errors.Is(err, ErrTruncatedFrame) {
+	if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged vector count: err = %v, want ErrTruncatedFrame", err)
 	}
 }

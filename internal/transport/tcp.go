@@ -36,9 +36,9 @@ const (
 	reqFullSync      // full live-database swap (capped last resort)
 	reqChecksum      // live checksum probe (§1.5 combined scheme)
 	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
-	reqShardVector   // per-shard live-checksum vector swap (codec v4)
-	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum (codec v4)
-	reqMailBatch     // one outbox drain: many mail entries in one frame (codec v5)
+	reqShardVector   // per-shard live-checksum vector swap
+	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum
+	reqMailBatch     // one outbox drain: many mail entries in one frame
 )
 
 // kindName names a request kind for logs and metric labels.
@@ -84,30 +84,24 @@ type request struct {
 	Bound timestamp.T
 	Limit int
 	// Hops carries one provenance envelope per entry in Entries when the
-	// sender traces. nil — the common untraced case — is omitted from the
-	// gob frame entirely, so disabled tracing adds zero wire bytes.
+	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
 	// Digests piggybacks the sender's cluster-digest view on reqSync and
 	// reqRumorOffer conversations (the observatory's epidemic channel).
-	// nil when the observatory is off: omitted from gob frames, one zero
-	// byte on codecBinaryDigest sessions, absent entirely on v2 binary.
+	// nil when the observatory is off: one zero byte on the wire.
 	Digests []cluster.Digest
 	// Shard addresses one lock stripe for reqPeelBackShard; ShardCount is
 	// the sender's store shard count (vector compares and shard walks are
 	// only meaningful between stores with identical key→shard maps).
 	// Vector carries the sender's per-shard live checksums on
-	// reqShardVector. All three ride the codec-v4 trailing section (three
-	// near-zero bytes when unused) or plain gob fields old receivers
-	// ignore.
+	// reqShardVector. Unused, the three cost three zero bytes.
 	Shard      int
 	ShardCount int
 	Vector     []uint64
 	// MailQueuedNanos and MailCoalesced are a reqMailBatch's sender-side
 	// outbox telemetry: the queueing age of the batch's oldest entry and
-	// the supersessions coalesced away while it queued. They ride the
-	// codec-v5 trailing section (two bytes on non-mail requests); pre-v5
-	// peers never receive reqMailBatch at all — the client falls back to
-	// per-entry reqMail.
+	// the supersessions coalesced away while it queued (two zero bytes on
+	// other kinds).
 	MailQueuedNanos int64
 	MailCoalesced   int64
 }
@@ -145,55 +139,35 @@ const (
 	serverWriteTimeout = 30 * time.Second
 )
 
-// ServerOptions tunes a Server. The zero value serves every codec and
-// binds the UDP fast path.
+// ServerOptions tunes a Server. The zero value binds the UDP fast path.
 type ServerOptions struct {
-	// Codec caps the codec the handshake may settle on: "" or "binary"
-	// (serve both, prefer binary), or "gob" (never negotiate binary — the
-	// rollout safety valve). Legacy clients that send no hello always get a
-	// gob session regardless.
+	// Codec names the wire format and accepts only "" or "binary", the one
+	// format there is; ServeWith refuses any other value.
 	Codec string
 	// DisableUDP skips binding the UDP fast-path socket; rumor pushes from
 	// UDP-enabled peers then time out once and fall back to pooled TCP.
 	DisableUDP bool
 }
 
-// parseCodec maps a codec flag value to the wire byte. legacy reports the
-// client-only mode that skips the hello for pre-negotiation servers. The
-// pinned "binary-v2"/"binary-v3"/"binary-v4" names cap negotiation at an
-// older binary version — rollout valves (and mixed-version test handles)
-// for clusters still carrying pre-digest, pre-shard-vector, or
-// pre-batched-mail builds.
-func parseCodec(name string) (codec byte, legacy bool, err error) {
-	switch name {
-	case "", "binary":
-		return codecBinaryMail, false, nil
-	case "binary-v2":
-		return codecBinary, false, nil
-	case "binary-v3":
-		return codecBinaryDigest, false, nil
-	case "binary-v4":
-		return codecBinaryShard, false, nil
-	case "gob":
-		return codecGob, false, nil
-	case "legacy":
-		return codecGob, true, nil
-	default:
-		return 0, false, fmt.Errorf("transport: unknown codec %q (want binary, binary-v2, binary-v3, binary-v4, gob, or legacy)", name)
+// checkCodec validates a Codec option: "" and "binary" name the one wire
+// format, and anything else is an error rather than a guess.
+func checkCodec(name string) error {
+	if name == "" || name == "binary" {
+		return nil
 	}
+	return fmt.Errorf("transport: unknown codec %q (the only wire format is \"binary\")", name)
 }
 
 // Server exposes a node.Node to remote TCPPeers over persistent framed
 // sessions, plus a UDP socket on the same port for single-datagram rumor
 // pushes.
 type Server struct {
-	node     *node.Node
-	ln       net.Listener
-	udp      *net.UDPConn // nil when the fast path is disabled
-	maxCodec byte
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	done     bool
+	node *node.Node
+	ln   net.Listener
+	udp  *net.UDPConn // nil when the fast path is disabled
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	done bool
 
 	conns map[net.Conn]struct{}
 
@@ -210,23 +184,18 @@ func Serve(n *node.Node, addr string) (*Server, error) {
 
 // ServeWith starts a server with explicit options.
 func ServeWith(n *node.Node, addr string, opts ServerOptions) (*Server, error) {
-	maxCodec, legacy, err := parseCodec(opts.Codec)
-	if err != nil {
+	if err := checkCodec(opts.Codec); err != nil {
 		return nil, err
-	}
-	if legacy {
-		maxCodec = codecGob // "legacy" is a client mode; serve it as gob
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	s := &Server{
-		node:     n,
-		ln:       ln,
-		maxCodec: maxCodec,
-		conns:    make(map[net.Conn]struct{}),
-		log:      slog.New(slog.NewTextHandler(io.Discard, nil)),
+		node:  n,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
+		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	if !opts.DisableUDP {
 		// Same port as TCP so one advertised address serves both paths. A
@@ -343,16 +312,16 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one persistent session: the handshake fixes the codec,
-// then requests are read and answered on the same framed streams until the
-// client disconnects, the session idles out, or the stream breaks. One
-// request/response pair is kept alive across the loop so a steady-state
-// binary session serves without allocating.
+// handle serves one persistent session: after the hello, requests are read
+// and answered on the same framed streams until the client disconnects, the
+// session idles out, or the stream breaks. One request/response pair is
+// kept alive across the loop so a steady-state session serves without
+// allocating.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	sess := newSession(conn, maxWireBytes, codecGob)
+	sess := newSession(conn, maxWireBytes)
 	_ = conn.SetReadDeadline(time.Now().Add(serverIdleTimeout))
-	if err := sess.serverHandshake(s.maxCodec); err != nil {
+	if err := sess.serverHandshake(); err != nil {
 		return
 	}
 	log, observe := s.instruments()
@@ -552,12 +521,9 @@ type PeerOptions struct {
 	// conversation before falling back to a full database swap (default
 	// 32).
 	MaxPeelRounds int
-	// Codec selects the wire codec the peer asks for in the connection
-	// handshake: "" or "binary" (the hand-rolled codec, with negotiation
-	// falling back to gob against an old server),
-	// "binary-v2"/"binary-v3"/"binary-v4" (pin an older binary version),
-	// "gob" (negotiate but stick to gob), or "legacy" (send no hello at
-	// all — wire-compatible with pre-negotiation daemons).
+	// Codec names the wire format and accepts only "" or "binary", the one
+	// format there is. Any other value makes every request fail with the
+	// error ServeWith would return for it.
 	Codec string
 	// UDP enables the single-datagram fast path for rumor pushes (udp.go).
 	// Pushes that exceed the datagram budget, or that get no response
@@ -571,11 +537,6 @@ type PeerOptions struct {
 	// UDPBudget caps the datagram size for the fast path (default 1200
 	// bytes, a conservative single-MTU figure).
 	UDPBudget int
-	// DisableShardVector turns off the codec-v4 shard-vector anti-entropy
-	// path: conversations then always use the global peel-back walk, as
-	// pre-v4 peers do. The zero value enables it (it self-disables against
-	// peers that cannot negotiate v4 or whose shard count differs).
-	DisableShardVector bool
 	// ShardRepairWorkers bounds the diverged shards repaired concurrently
 	// during one shard-vector exchange (default 4). Each worker runs its
 	// own pooled session, so the effective parallelism is also bounded by
@@ -632,6 +593,7 @@ type TCPPeer struct {
 	addr string
 	opts PeerOptions
 	pool *pool
+	err  error // a bad Codec option, returned by every request
 
 	udpOnce sync.Once
 	udp     *udpClient // nil until first fast-path push, or on dial failure
@@ -649,17 +611,12 @@ func NewTCPPeer(id timestamp.SiteID, addr string) *TCPPeer {
 // NewTCPPeerWith addresses a remote replica with explicit options.
 func NewTCPPeerWith(id timestamp.SiteID, addr string, opts PeerOptions) *TCPPeer {
 	opts = opts.withDefaults()
-	prefer, legacy, err := parseCodec(opts.Codec)
-	if err != nil {
-		// An unknown codec name cannot surface from a constructor with this
-		// signature; fail toward the interoperable default.
-		prefer, legacy = codecBinary, false
-	}
 	return &TCPPeer{
 		id:   id,
 		addr: addr,
 		opts: opts,
-		pool: newPool(addr, opts.PoolSize, opts.Timeout, prefer, legacy, opts.Stats),
+		pool: newPool(addr, opts.PoolSize, opts.Timeout, opts.Stats),
+		err:  checkCodec(opts.Codec),
 	}
 }
 
@@ -682,9 +639,10 @@ func (p *TCPPeer) Close() error {
 }
 
 // fastPath returns the peer's UDP client, dialing it on first use; nil
-// when the fast path is disabled or its socket cannot be set up.
+// when the fast path is disabled, the peer is misconfigured, or its socket
+// cannot be set up.
 func (p *TCPPeer) fastPath() *udpClient {
-	if !p.opts.UDP {
+	if !p.opts.UDP || p.err != nil {
 		return nil
 	}
 	p.udpOnce.Do(func() {
@@ -733,6 +691,9 @@ var errRemote = errors.New("transport: remote error")
 // call runs c's request over the pool, accumulating framed bytes moved and
 // surfacing remote errors.
 func (p *TCPPeer) call(c *wireCall) error {
+	if p.err != nil {
+		return p.err
+	}
 	o, i, err := p.pool.roundTrip(&c.req, &c.resp)
 	c.bytesOut += o
 	c.bytesIn += i
@@ -760,42 +721,25 @@ func (p *TCPPeer) Mail(e store.Entry, hop trace.Hop) error {
 }
 
 // MailBatch implements node.BatchMailer: every outbox drain, a single
-// entry included, rides one reqMailBatch frame on a codec-v5 session, so
-// the batch telemetry describes all mail. Against older peers the batch
-// transparently degrades to per-entry Mail round trips — negotiation
-// guarantees a pre-v5 server never sees the new request kind.
+// entry included, rides one reqMailBatch frame, so the batch telemetry
+// describes all mail.
 func (p *TCPPeer) MailBatch(b node.MailBatch) error {
-	entries, hops := b.Entries, b.Hops
-	if len(entries) == 0 {
+	if len(b.Entries) == 0 {
 		return nil
-	}
-	if err := p.pool.settle(); err != nil {
-		return err
-	}
-	if !p.pool.mailCapable() {
-		// Pre-v5 peer: per-entry fallback.
-		p.opts.Stats.noteMailFallback(len(entries))
-		var first error
-		for i := range entries {
-			if err := p.Mail(entries[i], hopAt(hops, i)); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
 	}
 	c := getWireCall()
 	defer putWireCall(c)
 	c.req = request{
 		Kind:            reqMailBatch,
-		Entries:         entries,
-		Hops:            hops,
+		Entries:         b.Entries,
+		Hops:            b.Hops,
 		MailQueuedNanos: b.QueuedNanos,
 		MailCoalesced:   int64(b.Coalesced),
 	}
 	if err := p.call(c); err != nil {
 		return err
 	}
-	p.opts.Stats.noteMailBatch(len(entries))
+	p.opts.Stats.noteMailBatch(len(b.Entries))
 	return nil
 }
 
@@ -823,9 +767,8 @@ func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, e
 
 // OfferRumors implements node.Peer. The ids ride the request's entries
 // section as value-less, retention-less entries and the want-bits come back
-// in the Needed bitset, so every negotiated codec carries the offer as is.
-// When the cluster observatory is on, the offer carries the local digest
-// view out and merges the peer's back.
+// in the Needed bitset. When the cluster observatory is on, the offer
+// carries the local digest view out and merges the peer's back.
 func (p *TCPPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
 	c := getWireCall()
 	defer putWireCall(c)
@@ -889,27 +832,26 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		return st, nil
 	}
 
-	// Checksums disagree. On a v4 session, first narrow the divergence to
-	// individual shards with one vector round trip and repair only those,
-	// in parallel; any wrinkle (old peer, mismatched shard counts,
-	// mid-conversation topology change) downgrades to the global walk.
-	if !p.opts.DisableShardVector && p.pool.shardCapable() {
-		// The repair workers capture the stats pointer, which would force
-		// st itself onto the heap for every conversation — including the
-		// allocation-free in-sync fast path above. Hand them a copy that
-		// only escapes on this (already allocating) mismatch path.
-		sv := st
-		done, err := p.shardRepair(cfg, local, tr, now, c, &sv)
-		if err != nil {
-			return sv, err
-		}
-		if done {
-			p.finishExchange(c, &sv)
-			return sv, nil
-		}
-		st = sv // keep whatever the abandoned narrow attempt repaired
-		p.opts.Stats.noteShardVecDowngrade()
+	// Checksums disagree. First narrow the divergence to individual shards
+	// with one vector round trip and repair only those, in parallel; any
+	// wrinkle (mismatched shard counts, mid-conversation topology change)
+	// downgrades to the global walk.
+	//
+	// The repair workers capture the stats pointer, which would force st
+	// itself onto the heap for every conversation — including the
+	// allocation-free in-sync fast path above. Hand them a copy that only
+	// escapes on this (already allocating) mismatch path.
+	sv := st
+	done, err := p.shardRepair(cfg, local, tr, now, c, &sv)
+	if err != nil {
+		return sv, err
 	}
+	if done {
+		p.finishExchange(c, &sv)
+		return sv, nil
+	}
+	st = sv // keep whatever the abandoned narrow attempt repaired
+	p.opts.Stats.noteShardVecDowngrade()
 
 	// Peel back in reverse-timestamp batches until the checksums agree,
 	// both sides walking their own index (§1.3).
@@ -972,7 +914,7 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 	return st, nil
 }
 
-// shardRepair is the codec-v4 narrow path of an anti-entropy conversation:
+// shardRepair is the narrow path of an anti-entropy conversation:
 // one round trip swaps per-shard live-checksum vectors, then only the
 // diverged shards are peeled — each confined to one lock stripe on both
 // sides — by a bounded pool of workers over concurrent pooled sessions. It
@@ -997,9 +939,6 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 	v.req.Vector = local.AppendChecksumVector(v.vecBuf[:0], now, cfg.Tau1)
 	v.vecBuf = v.req.Vector[:0]
 	if err := p.call(v); err != nil {
-		if errors.Is(err, errRemote) {
-			return false, nil // old dispatcher mid-upgrade: downgrade
-		}
 		return false, err
 	}
 	st.ChecksumsCompared++
@@ -1069,9 +1008,6 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 	// concurrent writer) is the global walk's problem.
 	v.req = request{Kind: reqChecksum, Tau1: cfg.Tau1}
 	if err := p.call(v); err != nil {
-		if errors.Is(err, errRemote) {
-			return false, nil
-		}
 		return false, err
 	}
 	st.ChecksumsCompared++

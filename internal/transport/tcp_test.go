@@ -1,7 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -130,25 +134,31 @@ func TestTCPAntiEntropyPeelBackAvoidsFullSwap(t *testing.T) {
 func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
 	a, b := tcpPair(t)
 	// More divergence than one peel round can move (batch 4, one round
-	// each way) forces the capped full-swap fallback.
+	// each way) forces the capped full-swap fallback. The local replica
+	// runs a different shard count from b's, as a mixed pair of daemons
+	// would, so the conversation takes the global walk: this test is about
+	// that path's capped last resort.
+	local := store.NewSharded(1, timestamp.NewSimulated(1<<30).ClockAt(1), 2*store.DefaultShards)
 	for i := 0; i < 50; i++ {
-		a.Store().Update(fmt.Sprintf("only-a-%02d", i), store.Value("x"))
+		local.Update(fmt.Sprintf("only-a-%02d", i), store.Value("x"))
 	}
-	// DisableShardVector pins the conversation to the global walk: this
-	// test is about the global path's capped last resort.
+	stats := &WireStats{}
 	peer := NewTCPPeerWith(2, a.Peers()[0].(*TCPPeer).Addr(),
-		PeerOptions{MaxPeelRounds: 1, DisableShardVector: true})
+		PeerOptions{MaxPeelRounds: 1, Stats: stats})
 	defer peer.Close()
 	st, err := peer.AntiEntropy(core.ResolveConfig{
 		Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 0, BatchSize: 4,
-	}, a.Store(), nil)
+	}, local, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.FullCompare {
 		t.Errorf("expected full-swap last resort: %+v", st)
 	}
-	if !store.ContentEqual(a.Store(), b.Store()) {
+	if snap := stats.Snapshot(); snap.ShardVecDowngrades != 1 || st.ShardsRepaired != 0 {
+		t.Errorf("expected the global walk after one downgrade: %+v", snap)
+	}
+	if !store.ContentEqual(local, b.Store()) {
 		t.Fatal("replicas differ after full swap")
 	}
 }
@@ -284,6 +294,8 @@ func TestTCPPeelBackShipsOrderDelta(t *testing.T) {
 	}
 }
 
+// TestServerRejectsGarbageBytes: a stream that does not open with the hello
+// is closed without an answer, and the server keeps serving.
 func TestServerRejectsGarbageBytes(t *testing.T) {
 	n, err := node.New(node.Config{Site: 1})
 	if err != nil {
@@ -295,20 +307,143 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// Plain garbage, and a well-formed request frame sent without a hello.
+	for _, stream := range [][]byte{[]byte("this is not a frame"), mailFrame("sneaky")} {
+		if got := refusedStream(t, srv.Addr(), stream); len(got) != 0 {
+			t.Errorf("server answered a hello-less stream with % x", got)
+		}
 	}
-	if _, err := conn.Write([]byte("this is not gob")); err != nil {
-		t.Fatal(err)
+	if _, ok := n.Lookup("sneaky"); ok {
+		t.Fatal("server applied a request that arrived without a hello")
 	}
-	_ = conn.Close()
 	// The server must survive; a real request still works.
 	peer := NewTCPPeer(1, srv.Addr())
+	defer peer.Close()
 	if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
 		t.Fatalf("server wedged after garbage: %v", err)
 	}
 	if _, ok := n.Lookup("k"); !ok {
 		t.Fatal("mail after garbage not applied")
+	}
+}
+
+// mailFrame is a framed mail request for key, header included.
+func mailFrame(key string) []byte {
+	frame := appendRequest(make([]byte, frameHeaderLen), &request{Kind: reqMail, Entries: []store.Entry{
+		{Key: key, Value: store.Value("v"), Stamp: timestamp.T{Time: 1}},
+	}})
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderLen))
+	return frame
+}
+
+// refusedStream writes stream on a fresh connection to addr and returns
+// every byte the server sent back before it closed the connection.
+func refusedStream(t *testing.T, addr string, stream []byte) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("server kept the connection open: %v", err)
+	}
+	return got
+}
+
+// TestServerRefusesOtherWireVersions: a hello naming any version but the
+// one spoken is answered with that version and closed without serving the
+// request behind it; a client that hears another version back fails with
+// ErrFrameGarbage; and the server keeps serving.
+func TestServerRefusesOtherWireVersions(t *testing.T) {
+	n, err := node.New(node.Config{Site: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	for _, version := range []byte{1, 4, 6} {
+		stream := append([]byte{'E', 'P', 'G', version}, mailFrame("old")...)
+		if got := refusedStream(t, srv.Addr(), stream); !bytes.Equal(got, []byte{wireVersion}) {
+			t.Errorf("v%d hello: server sent % x, want only its version byte", version, got)
+		}
+	}
+	if _, ok := n.Lookup("old"); ok {
+		t.Fatal("server served a request behind a refused hello")
+	}
+
+	// A server that answers with an older version, as a v4-capped build
+	// did, is refused by the client.
+	old := fakeServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		acceptHello(conn, 4)
+		_, _ = io.Copy(io.Discard, conn)
+	})
+	peer := NewTCPPeerWith(1, old, PeerOptions{Timeout: time.Second})
+	defer peer.Close()
+	if err := peer.Mail(store.Entry{Key: "k"}, trace.Hop{}); !errors.Is(err, ErrFrameGarbage) {
+		t.Errorf("mail to a v4 server: err = %v, want ErrFrameGarbage", err)
+	}
+
+	live := NewTCPPeer(1, srv.Addr())
+	defer live.Close()
+	if err := live.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
+		t.Fatalf("server wedged after refused hellos: %v", err)
+	}
+}
+
+// TestMistypedCodecFailsEveryRequest: a peer built with a Codec name that
+// is not the one format fails every request with the error ServeWith gives
+// for that name — it neither dials nor takes the UDP fast path — where it
+// once spoke an old protocol without a word.
+func TestMistypedCodecFailsEveryRequest(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	n := wireNode(t, 2, src)
+	_, serveErr := ServeWith(n, "127.0.0.1:0", ServerOptions{Codec: "binray"})
+	if serveErr == nil {
+		t.Fatal("ServeWith accepted codec \"binray\"")
+	}
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stats := &WireStats{}
+	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Codec: "binray", UDP: true, Stats: stats})
+	defer peer.Close()
+	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
+	local := store.New(1, src.ClockAt(1))
+	local.Apply(e)
+	calls := map[string]func() error{
+		"mail":       func() error { return peer.Mail(e, trace.Hop{}) },
+		"mail-batch": func() error { return peer.MailBatch(node.MailBatch{Entries: []store.Entry{e}}) },
+		"push":       func() error { _, err := peer.PushRumors([]store.Entry{e}, nil); return err },
+		"offer":      func() error { _, _, _, err := peer.OfferRumors(nil); return err },
+		"checksum":   func() error { _, err := peer.Checksum(0); return err },
+		"anti-entropy": func() error {
+			_, err := peer.AntiEntropy(core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent}, local, nil)
+			return err
+		},
+	}
+	for name, call := range calls {
+		if err := call(); err == nil || err.Error() != serveErr.Error() {
+			t.Errorf("%s: err = %v, want %v", name, err, serveErr)
+		}
+	}
+	if _, ok := n.Lookup("k"); ok {
+		t.Error("an entry crossed the wire from a misconfigured peer")
+	}
+	if snap := stats.Snapshot(); snap != (WireSnapshot{}) {
+		t.Errorf("misconfigured peer touched the wire: %+v", snap)
 	}
 }

@@ -31,7 +31,7 @@ import (
 //	[2]     protocol version (1)
 //	[3]     type: 0 request, 1 response
 //	[4..11] MsgID, big-endian
-//	[12..]  body: the binary codec's request/response encoding (codec.go)
+//	[12..]  body: the request/response encoding TCP frames carry (codec.go)
 //
 // Retried pushes are idempotent merges, but a retry whose first copy was
 // applied (response lost) reports needed=false for entries the peer did in
@@ -143,7 +143,7 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 	}
 	dgram := append(c.dgram[:0], 'E', 'U', udpVersion, udpTypeRequest,
 		0, 0, 0, 0, 0, 0, 0, 0) // MsgID placeholder
-	dgram = appendRequest(dgram, req, codecBinary)
+	dgram = appendRequest(dgram, req)
 	c.dgram = dgram
 	if len(dgram) > c.budget {
 		c.stats.noteUDPOversize()
@@ -187,7 +187,7 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 				continue // stale response from an earlier attempt
 			}
 			c.stats.noteUDPTraffic(0, int64(n))
-			if err := decodeResponse(b[udpHeaderLen:n], resp, codecBinary); err != nil {
+			if err := decodeResponse(b[udpHeaderLen:n], resp); err != nil {
 				break reading // corrupt response: treat as loss, retry
 			}
 			c.down.Store(0)
@@ -200,9 +200,9 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 }
 
 // serveUDP answers fast-path datagrams on the server's UDP socket. Only
-// single-datagram-safe, idempotent request kinds are dispatched; anything
-// else is answered with an error so a misconfigured client falls back
-// instead of stalling.
+// rumor pushes, single-datagram-safe and idempotent, are dispatched;
+// anything else is answered with an error so a misconfigured client falls
+// back instead of stalling.
 func (s *Server) serveUDP(conn *net.UDPConn) {
 	defer s.wg.Done()
 	buf := make([]byte, udpReadBuf)
@@ -220,23 +220,20 @@ func (s *Server) serveUDP(conn *net.UDPConn) {
 			buf[2] != udpVersion || buf[3] != udpTypeRequest {
 			continue
 		}
-		if err := decodeRequest(buf[udpHeaderLen:n], &req, codecBinary); err != nil {
+		if err := decodeRequest(buf[udpHeaderLen:n], &req); err != nil {
 			continue // garbage body: silent drop, the client will retry
 		}
-		var resp response
-		switch req.Kind {
-		case reqPushRumors, reqChecksum:
+		resp := response{Err: "request kind not served over UDP"}
+		if req.Kind == reqPushRumors {
 			start := time.Now()
 			resp = s.dispatch(req)
 			if _, observe := s.instruments(); observe != nil {
 				observe("udp-"+req.Kind.kindName(), time.Since(start))
 			}
-		default:
-			resp = response{Err: "request kind not served over UDP"}
 		}
 		wbuf = append(wbuf[:0], 'E', 'U', udpVersion, udpTypeResponse)
 		wbuf = append(wbuf, buf[4:udpHeaderLen]...) // echo MsgID
-		wbuf = appendResponse(wbuf, &resp, codecBinary)
+		wbuf = appendResponse(wbuf, &resp)
 		if len(wbuf) <= udpReadBuf {
 			_, _ = conn.WriteToUDP(wbuf, raddr)
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,23 +31,66 @@ func wireNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) *no
 	return n
 }
 
-// TestCodecNegotiationMatrix drives every client codec mode against every
-// server ceiling and checks which codec the handshake settles on.
+// codecAccepted reports whether a Codec option names the one wire format.
+func codecAccepted(name string) bool { return name == "" || name == "binary" }
+
+// expectCodecRefused checks what a retired Codec name does now, on the side
+// that names it: ServeWith refuses it, and a peer built with it fails its
+// requests with the same error without dialling. n serves that peer's
+// attempt. It reports whether either name was refused, in which case there
+// is no session left to test.
+func expectCodecRefused(t *testing.T, n *node.Node, server, client string) bool {
+	t.Helper()
+	if !codecAccepted(server) {
+		srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{Codec: server})
+		if err == nil {
+			_ = srv.Close()
+			t.Fatalf("ServeWith accepted codec %q", server)
+		}
+		if !strings.Contains(err.Error(), "unknown codec") {
+			t.Fatalf("ServeWith(%q) = %v, want an unknown-codec error", server, err)
+		}
+		return true
+	}
+	if !codecAccepted(client) {
+		srv, err := Serve(n, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		stats := &WireStats{}
+		peer := NewTCPPeerWith(n.Site(), srv.Addr(), PeerOptions{Codec: client, Stats: stats})
+		defer peer.Close()
+		if _, _, _, err := peer.OfferRumors(nil); err == nil || !strings.Contains(err.Error(), "unknown codec") {
+			t.Fatalf("peer with codec %q: offer err = %v, want an unknown-codec error", client, err)
+		}
+		if snap := stats.Snapshot(); snap.Dials != 0 {
+			t.Errorf("peer with codec %q dialled: %+v", client, snap)
+		}
+		return true
+	}
+	return false
+}
+
+// TestCodecNegotiationMatrix drives the Codec names older builds accepted
+// against each other on both sides. Nothing is negotiated any more: a pair
+// that both name the one format talks it, and a retired name is refused on
+// the side that names it.
 func TestCodecNegotiationMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		server, client string
-		wantBinary     bool
-	}{
-		{"binary", "binary", true},
-		{"binary", "gob", false},
-		{"binary", "legacy", false},
-		{"gob", "binary", false},
-		{"gob", "gob", false},
-		{"gob", "legacy", false},
+	for _, tc := range []struct{ server, client string }{
+		{"binary", "binary"},
+		{"binary", "gob"},
+		{"binary", "legacy"},
+		{"gob", "binary"},
+		{"gob", "gob"},
+		{"gob", "legacy"},
 	} {
 		t.Run(tc.server+"/"+tc.client, func(t *testing.T) {
 			src := timestamp.NewSimulated(1 << 30)
 			n := wireNode(t, 1, src)
+			if expectCodecRefused(t, n, tc.server, tc.client) {
+				return
+			}
 			srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{Codec: tc.server})
 			if err != nil {
 				t.Fatal(err)
@@ -61,64 +105,61 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			if _, ok := n.Lookup("k"); !ok {
 				t.Fatal("mail not applied")
 			}
-			snap := stats.Snapshot()
-			if tc.wantBinary && (snap.SessionsBinary != 1 || snap.SessionsGob != 0 || snap.MsgsBinary == 0) {
-				t.Errorf("wanted a binary session, stats = %+v", snap)
-			}
-			if !tc.wantBinary && (snap.SessionsGob != 1 || snap.SessionsBinary != 0 || snap.MsgsGob == 0) {
-				t.Errorf("wanted a gob session, stats = %+v", snap)
+			if snap := stats.Snapshot(); snap.Dials != 1 || snap.MsgsBinary != 1 {
+				t.Errorf("wanted one dial carrying one message, stats = %+v", snap)
 			}
 		})
 	}
 }
 
-// TestMixedCodecNodesConverge is the rollout acceptance property: a
-// binary-codec node and a gob-only node still converge through
-// anti-entropy, the handshake falling back cleanly in both directions.
+// TestMixedCodecNodesConverge: both spellings of the one format, a
+// UDP-enabled peer, and unequal store shard counts interoperate. Two nodes
+// built that way converge through anti-entropy, the shard-count mismatch
+// sending each conversation down the global walk.
 func TestMixedCodecNodesConverge(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
-	newNode := wireNode(t, 1, src) // speaks binary
-	oldNode := wireNode(t, 2, src) // capped at gob, like a pre-rollout daemon
-
-	newSrv, err := ServeWith(newNode, "127.0.0.1:0", ServerOptions{})
+	mk := func(site timestamp.SiteID, shards int) *node.Node {
+		n, err := node.New(node.Config{
+			Site: site, Clock: src.ClockAt(site), StoreShards: shards, Seed: int64(site),
+			Resolve: core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a, b := mk(1, 16), mk(2, 64)
+	srvA, err := ServeWith(a, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer newSrv.Close()
-	oldSrv, err := ServeWith(oldNode, "127.0.0.1:0", ServerOptions{Codec: "gob"})
+	defer srvA.Close()
+	srvB, err := ServeWith(b, "127.0.0.1:0", ServerOptions{Codec: "binary", DisableUDP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oldSrv.Close()
+	defer srvB.Close()
 
-	newStats, oldStats := &WireStats{}, &WireStats{}
-	// The new node prefers binary; against the old server it must settle on
-	// gob. The old node is configured legacy (no hello at all), which the
-	// new server must serve as plain gob.
-	newNode.SetPeers([]node.Peer{NewTCPPeerWith(2, oldSrv.Addr(), PeerOptions{Codec: "binary", Stats: newStats})})
-	oldNode.SetPeers([]node.Peer{NewTCPPeerWith(1, newSrv.Addr(), PeerOptions{Codec: "legacy", Stats: oldStats})})
+	statsA, statsB := &WireStats{}, &WireStats{}
+	a.SetPeers([]node.Peer{NewTCPPeerWith(2, srvB.Addr(), PeerOptions{Codec: "binary", UDP: true, Stats: statsA})})
+	b.SetPeers([]node.Peer{NewTCPPeerWith(1, srvA.Addr(), PeerOptions{Stats: statsB})})
 
-	newNode.Update("from-new", store.Value("1"))
-	oldNode.Update("from-old", store.Value("2"))
-	for round := 0; round < 20; round++ {
-		if err := newNode.StepAntiEntropy(); err != nil {
+	a.Update("from-a", store.Value("1"))
+	b.Update("from-b", store.Value("2"))
+	src.Advance(100) // outside the recent window: only a narrowed walk finds it
+	for round := 0; round < 20 && !store.ContentEqual(a.Store(), b.Store()); round++ {
+		if err := a.StepAntiEntropy(); err != nil {
 			t.Fatal(err)
 		}
-		if err := oldNode.StepAntiEntropy(); err != nil {
+		if err := b.StepAntiEntropy(); err != nil {
 			t.Fatal(err)
 		}
-		if store.ContentEqual(newNode.Store(), oldNode.Store()) {
-			break
-		}
 	}
-	if !store.ContentEqual(newNode.Store(), oldNode.Store()) {
-		t.Fatal("mixed-codec nodes never converged")
+	if !store.ContentEqual(a.Store(), b.Store()) {
+		t.Fatal("mixed nodes never converged")
 	}
-	if snap := newStats.Snapshot(); snap.SessionsBinary != 0 || snap.SessionsGob == 0 {
-		t.Errorf("new->old sessions should have negotiated down to gob: %+v", snap)
-	}
-	if snap := oldStats.Snapshot(); snap.SessionsBinary != 0 || snap.SessionsGob == 0 {
-		t.Errorf("legacy->new sessions should be gob: %+v", snap)
+	if snap := statsA.Snapshot(); snap.ShardVecDowngrades == 0 || snap.ShardVecExchanges != 0 {
+		t.Errorf("16- vs 64-shard conversations should downgrade to the global walk: %+v", snap)
 	}
 }
 
@@ -197,8 +238,8 @@ func TestUDPOversizePushFallsBack(t *testing.T) {
 	}
 }
 
-// TestUDPRejectsNonPushKinds checks the server answers disallowed kinds
-// with an error instead of serving a multi-round protocol over datagrams.
+// TestUDPRejectsNonPushKinds checks the server answers every kind but a
+// rumor push with an error instead of serving it over datagrams.
 func TestUDPRejectsNonPushKinds(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	n := wireNode(t, 2, src)
@@ -213,13 +254,15 @@ func TestUDPRejectsNonPushKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	req := request{Kind: reqFullSync}
-	var resp response
-	if !c.roundTrip(&req, &resp) {
-		t.Fatal("no response to disallowed kind")
-	}
-	if resp.Err == "" {
-		t.Error("server served full-sync over UDP")
+	for _, kind := range []reqKind{reqFullSync, reqChecksum} {
+		req := request{Kind: kind}
+		var resp response
+		if !c.roundTrip(&req, &resp) {
+			t.Fatalf("no response to disallowed kind %s", kind.kindName())
+		}
+		if resp.Err == "" {
+			t.Errorf("server served %s over UDP", kind.kindName())
+		}
 	}
 }
 
