@@ -134,14 +134,16 @@ bench-node:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeepDivergence[^/]*/n10000_' -benchtime=1x -benchmem .
 
-# bench-adapter vets and short-tests the live-cluster benchmark under
-# bench/: a nested module that `go build ./...` and `go vet ./...` never
-# see, so a change to an API it links (bench/layers/api.go) would otherwise
-# first fail when the benchmark itself runs. -short skips the smoke test
-# that boots daemons.
+# bench-adapter vets and tests the live-cluster benchmark under bench/: a
+# nested module that `go build ./...` and `go vet ./...` never see, so a
+# change to an API it links (bench/layers/api.go) would otherwise first fail
+# when the benchmark itself runs. The tests include TestSmoke, which boots
+# three gossipd daemons per workload and reads every key back (a deleted
+# one must read MISSING): the one end-to-end run of the wire protocol in
+# check and CI (≈ 15 s on two cores).
 bench-adapter:
 	$(GO) vet -C bench ./...
-	$(GO) test -C bench -short ./...
+	$(GO) test -C bench -count=1 ./...
 
 # Regenerate every table and figure of the paper.
 experiments:

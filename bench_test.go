@@ -641,6 +641,55 @@ func BenchmarkExchangePooled(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{})
 }
 
+// BenchmarkExchangeRecentWindow measures round 0 of an anti-entropy
+// conversation where it costs the most and finds the least: two in-sync
+// replicas that share an 800-key recent-update window (8-byte keys, 64-byte
+// values — the live benchmark's shape), one pooled conversation per op.
+// Nothing differs, so every byte is §3's compare traffic; wire_B/op counts
+// both directions, frame headers included.
+func BenchmarkExchangeRecentWindow(b *testing.B) {
+	src := epidemic.NewSimulatedClock(1 << 30)
+	remote, err := epidemic.NewNode(epidemic.NodeConfig{Site: 2, Clock: src.ClockAt(2)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := epidemic.ServeTCP(remote, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+
+	local := epidemic.NewStore(1, src.ClockAt(1))
+	value := make(epidemic.Value, 64)
+	for i := 0; i < 800; i++ {
+		e := local.Update(fmt.Sprintf("k/%06d", i), value)
+		remote.Store().Apply(e)
+		src.Advance(1)
+	}
+	cfg := epidemic.ResolveConfig{
+		Mode: epidemic.PushPull, Strategy: epidemic.CompareRecent,
+		Tau: 1 << 20, Tau1: 1 << 40,
+	}
+	stats := &epidemic.WireStats{}
+	peer := epidemic.NewTCPPeerWith(2, srv.Addr(), epidemic.TCPPeerOptions{Stats: stats})
+	defer peer.Close()
+	if _, err := peer.AntiEntropy(cfg, local, nil); err != nil {
+		b.Fatal(err)
+	}
+	before := stats.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := peer.AntiEntropy(cfg, local, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := stats.Snapshot()
+	moved := after.BytesSent + after.BytesReceived - before.BytesSent - before.BytesReceived
+	b.ReportMetric(float64(moved)/float64(b.N), "wire_B/op")
+}
+
 // benchRumorPush measures one hot-rumor push round trip: a single entry and
 // its provenance hop to a peer that already knows it (the steady-state
 // "unnecessary contact" every rumor eventually dies on). The UDP and TCP

@@ -120,19 +120,25 @@ type ExchangeStats struct {
 	// localized and peeled individually (zero for other strategies or when
 	// the vector compare downgraded to a global walk).
 	ShardsRepaired int
-	// AppliedKeys lists the keys whose entries changed either replica —
-	// the updates anti-entropy "repaired", which §1.5's redistribution
-	// policies act on.
+	// AppliedKeys lists the repaired keys §1.5's redistribution policies
+	// act on. In process that is every key whose entry changed either
+	// replica. A wire conversation lists only the initiator's own repairs,
+	// as it always has: the peer's are in AppliedBySite, and a peer that
+	// restarted empty takes tens of thousands, which would all turn into
+	// rumors at the initiator.
 	AppliedKeys []string
-	// AppliedBySite splits AppliedKeys by the replica each repair landed
-	// on, keyed by site ID — the attribution observability needs to turn
-	// repairs into per-site infection timestamps.
+	// AppliedBySite lists, by the site ID of the replica it landed on,
+	// every key whose entry changed a replica (one per EntriesApplied) —
+	// the attribution observability needs to turn repairs into per-site
+	// infection timestamps, on the wire as in process.
 	AppliedBySite map[timestamp.SiteID][]string
 	// Repairs records each applied entry with full provenance: which site
 	// it landed on, which site shipped it, the exact version, and the
 	// anti-entropy sub-mechanism (recent/full compare vs peel-back batch).
 	// SenderHop starts at trace.HopUnknown; transports that carry hop
-	// envelopes overwrite it so receivers can stamp causal hop counts.
+	// envelopes overwrite it so receivers can stamp causal hop counts. Like
+	// AppliedKeys, a wire conversation records only the initiator's own;
+	// the peer stamps its repairs as it applies them.
 	Repairs []Repair
 	// Reactivated lists death certificates awakened by obsolete items.
 	Reactivated []string
@@ -175,6 +181,44 @@ type Repair struct {
 // Transferred returns the total entries moved in either direction — the
 // network cost of the conversation.
 func (st ExchangeStats) Transferred() int { return st.EntriesSent + st.EntriesReceived }
+
+// NoteApplied counts one transmission that changed the replica at site:
+// EntriesApplied and AppliedBySite.
+func (st *ExchangeStats) NoteApplied(site timestamp.SiteID, key string) {
+	st.EntriesApplied++
+	if st.AppliedBySite == nil {
+		st.AppliedBySite = make(map[timestamp.SiteID][]string)
+	}
+	st.AppliedBySite[site] = append(st.AppliedBySite[site], key)
+}
+
+// NoteRepair is NoteApplied for a repair the initiator acts on: the key is
+// also listed in AppliedKeys for redistribution, and r kept in Repairs for
+// span stamping.
+func (st *ExchangeStats) NoteRepair(r Repair) {
+	st.NoteApplied(r.Site, r.Key)
+	st.AppliedKeys = append(st.AppliedKeys, r.Key)
+	st.Repairs = append(st.Repairs, r)
+}
+
+// Add folds o, the stats of one part of a conversation, into st.
+func (st *ExchangeStats) Add(o ExchangeStats) {
+	st.EntriesSent += o.EntriesSent
+	st.EntriesReceived += o.EntriesReceived
+	st.EntriesApplied += o.EntriesApplied
+	st.ChecksumsCompared += o.ChecksumsCompared
+	st.FullCompare = st.FullCompare || o.FullCompare
+	st.ShardsRepaired += o.ShardsRepaired
+	st.AppliedKeys = append(st.AppliedKeys, o.AppliedKeys...)
+	for site, keys := range o.AppliedBySite {
+		if st.AppliedBySite == nil {
+			st.AppliedBySite = make(map[timestamp.SiteID][]string)
+		}
+		st.AppliedBySite[site] = append(st.AppliedBySite[site], keys...)
+	}
+	st.Repairs = append(st.Repairs, o.Repairs...)
+	st.Reactivated = append(st.Reactivated, o.Reactivated...)
+}
 
 // countTransfer attributes one shipped entry to the right direction:
 // entries leaving the initiator are sent, entries arriving at it received.
@@ -246,13 +290,7 @@ func sendEntries(cfg ResolveConfig, entries []store.Entry, from, to, initiator *
 		st.countTransfer(from, initiator)
 		res := to.Apply(e)
 		if res.Changed() {
-			st.EntriesApplied++
-			st.AppliedKeys = append(st.AppliedKeys, e.Key)
-			if st.AppliedBySite == nil {
-				st.AppliedBySite = make(map[timestamp.SiteID][]string)
-			}
-			st.AppliedBySite[to.Site()] = append(st.AppliedBySite[to.Site()], e.Key)
-			st.Repairs = append(st.Repairs, Repair{
+			st.NoteRepair(Repair{
 				Site: to.Site(), Parent: from.Site(),
 				Key: e.Key, Stamp: e.Stamp,
 				Mech: mech, SenderHop: trace.HopUnknown,
@@ -268,19 +306,29 @@ func sendEntries(cfg ResolveConfig, entries []store.Entry, from, to, initiator *
 // dormant, and hands the awakened certificate straight back to the peer so
 // it starts spreading.
 func reactivateIfDormant(cfg ResolveConfig, holder, peer, initiator *store.Store, key string, st *ExchangeStats) {
-	cur, ok := holder.Get(key)
-	if !ok || !store.IsDormant(cur, holder.Now(), cfg.Tau1) {
-		return
-	}
-	re, ok := holder.Reactivate(key)
+	re, ok := ReactivateIfDormant(holder, key, cfg.Tau1)
 	if !ok {
 		return
 	}
 	st.Reactivated = append(st.Reactivated, key)
 	st.countTransfer(holder, initiator)
 	if peer.Apply(re).Changed() {
-		st.EntriesApplied++
+		st.NoteApplied(peer.Site(), key)
 	}
+}
+
+// ReactivateIfDormant is §2.2's answer to an obsolete item that holder just
+// rejected with its death certificate for key: when that certificate is
+// dormant (activation older than tau1 at holder's clock) its activation is
+// advanced to now, and the awakened certificate is returned for the caller
+// to ship back, so the item cannot resurrect at sites that already dropped
+// their copy. A live certificate is left alone: it is still spreading.
+func ReactivateIfDormant(holder *store.Store, key string, tau1 int64) (store.Entry, bool) {
+	cur, ok := holder.Get(key)
+	if !ok || !store.IsDormant(cur, holder.Now(), tau1) {
+		return store.Entry{}, false
+	}
+	return holder.Reactivate(key)
 }
 
 // resolvePeelBack exchanges updates newest-first in batches until the live

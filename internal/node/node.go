@@ -569,7 +569,7 @@ func hopAt(hops []trace.Hop, i int) trace.Hop {
 }
 
 // ApplyRepair applies one entry received through a remotely initiated
-// anti-entropy conversation (the transport server's sync requests),
+// anti-entropy conversation (the transport server's repair requests),
 // emitting EventApply when it changes this replica. from identifies the
 // initiating site, hop its provenance envelope for the entry, and mech the
 // anti-entropy sub-mechanism (MechAntiEntropy or MechPeelBack). Unlike
@@ -586,6 +586,29 @@ func (n *Node) ApplyRepair(e store.Entry, from timestamp.SiteID, hop trace.Hop, 
 		n.emit(Event{Kind: EventApply, Key: e.Key, Stamp: e.Stamp, Peer: src})
 	}
 	return res
+}
+
+// ApplyRepairs applies the entries of one remotely initiated anti-entropy
+// request through ApplyRepair. needed[i] reports whether entry i changed
+// this replica. When the node's Resolve config reactivates dormant
+// certificates, an obsolete entry that one of them rejects wakes it (§2.2,
+// core.ReactivateIfDormant at threshold tau1); awakened lists those
+// certificates for the response to carry back to the initiator.
+func (n *Node) ApplyRepairs(entries []store.Entry, hops []trace.Hop, from timestamp.SiteID, mech trace.Mechanism, tau1 int64) (needed []bool, awakened []store.Entry) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	needed = make([]bool, len(entries))
+	for i, e := range entries {
+		res := n.ApplyRepair(e, from, hopAt(hops, i), mech)
+		needed[i] = res.Changed()
+		if res == store.RejectedByDeath && n.cfg.Resolve.ReactivateDormant {
+			if re, ok := core.ReactivateIfDormant(n.store, e.Key, tau1); ok {
+				awakened = append(awakened, re)
+			}
+		}
+	}
+	return needed, awakened
 }
 
 // noteRepaired records spans and emits EventApply for repairs an
@@ -652,15 +675,34 @@ func (n *Node) fetch(ids []store.Entry, skip map[string]bool) []store.Entry {
 // reads values only for what a peer wants.
 func (n *Node) HotEntries() []store.Entry { return n.fetch(n.hotIDs(0), nil) }
 
-// HandleOffer is the receive side of OfferRumors. want[i] is exactly what
-// store.Apply of id i's entry would report as Changed(). The reply carries
-// this node's own hot rumors except those the offer covers — the offerer
-// holds an equal or newer version. The cover check is O(offer + hot): one
-// set over this node's hot keys, which costs nothing while it has none (a
-// quiet replica answering a 100 000-id offer from one that just caught up).
+// HandleOffer is the receive side of OfferRumors: answerOffer against this
+// node's own hot rumors.
 func (n *Node) HandleOffer(ids []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop) {
-	mine := n.hotIDs(0)
-	var covered map[string]bool // my hot keys, true once the offer covers my copy
+	return n.answerOffer(ids, n.hotIDs(0))
+}
+
+// HandleSyncOffer is the responder's side of round 0 of a wire
+// anti-entropy conversation (§1.3's recent-update lists, ids first):
+// answerOffer against the ids of this replica's own recent window — the
+// entries whose ordinary timestamp is younger than tau at now. Nothing is
+// applied; the initiator ships the wanted entries afterwards.
+func (n *Node) HandleSyncOffer(ids []store.Entry, now, tau int64) (want []bool, entries []store.Entry, hops []trace.Hop) {
+	var mine []store.Entry
+	if tau > 0 {
+		mine = n.store.RecentIDs(now, tau)
+	}
+	return n.answerOffer(ids, mine)
+}
+
+// answerOffer judges an offer of ids against this replica. want[i] is
+// exactly what store.Apply of id i's entry would report as Changed(). The
+// reply carries, in full, the entries named by mine (this node's own ids on
+// offer) except those the offer covers — the offerer holds an equal or newer
+// version. The cover check is O(offer + mine): one set over mine, which
+// costs nothing while it is empty (a quiet replica answering a 100 000-id
+// offer from one that just caught up).
+func (n *Node) answerOffer(ids, mine []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop) {
+	var covered map[string]bool // keys in mine, true once the offer covers my copy
 	if len(ids) > 0 && len(mine) > 0 {
 		covered = make(map[string]bool, len(mine))
 		for _, m := range mine {
@@ -671,7 +713,7 @@ func (n *Node) HandleOffer(ids []store.Entry) (want []bool, entries []store.Entr
 	for i, id := range ids {
 		var cov bool
 		want[i], cov = n.store.Wants(id)
-		if _, hot := covered[id.Key]; hot && cov {
+		if _, ok := covered[id.Key]; ok && cov {
 			covered[id.Key] = true
 		}
 	}

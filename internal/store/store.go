@@ -374,15 +374,7 @@ func (s *Store) DeathCertificates() []Entry {
 // of now, newest first — the paper's "recent update list" (§1.3). The
 // per-shard index suffixes are merged by timestamp.
 func (s *Store) RecentUpdates(now, tau int64) []Entry {
-	// Count first: the steady-state in-sync exchange has an empty window,
-	// and the per-shard scratch would be its only allocation.
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		total += sh.recentCount(now, tau)
-		sh.mu.RUnlock()
-	}
+	total := s.recentCount(now, tau)
 	if total == 0 {
 		return nil
 	}
@@ -398,6 +390,40 @@ func (s *Store) RecentUpdates(now, tau int64) []Entry {
 		return nil
 	}
 	return merged
+}
+
+// RecentIDs is RecentUpdates without the values: the identity of every
+// entry in the window (Key, Stamp and Activation, as ID returns it). It is
+// what an anti-entropy offer puts on the wire, where order carries no
+// meaning, so the shards' windows are appended shard by shard into one
+// slice rather than merged by timestamp, and no value is copied.
+func (s *Store) RecentIDs(now, tau int64) []Entry {
+	total := s.recentCount(now, tau)
+	if total == 0 {
+		return nil
+	}
+	ids := make([]Entry, 0, total)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		ids = sh.appendRecentIDs(ids, now, tau)
+		sh.mu.RUnlock()
+	}
+	return ids
+}
+
+// recentCount sizes the window before anything is collected: the
+// steady-state in-sync exchange has an empty one, and the collection
+// scratch would be its only allocation.
+func (s *Store) recentCount(now, tau int64) int {
+	total := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		total += sh.recentCount(now, tau)
+		sh.mu.RUnlock()
+	}
+	return total
 }
 
 // NewestFirst returns up to limit entries in reverse timestamp order

@@ -20,7 +20,7 @@ func codecRequests() []request {
 	return []request{
 		{},
 		{Kind: reqChecksum, Tau1: 42},
-		{Kind: reqSync, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
+		{Kind: reqSyncOffer, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
 		{Kind: reqPeelBack, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
 		{
 			Kind: reqMail,
@@ -285,6 +285,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	for _, resp := range offerResponses() {
 		f.Add(appendResponse(nil, &resp))
+	}
+	// And anti-entropy's round 0: recent-update ids out, want-bits plus
+	// entries back, and the checksum request carrying the wanted entries.
+	for _, fr := range syncOfferFrames() {
+		f.Add(appendRequest(nil, &fr.req))
+		f.Add(appendResponse(nil, &fr.resp))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})

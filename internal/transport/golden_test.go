@@ -37,10 +37,11 @@ func goldenFrames() map[reqKind]goldenFrame {
 			req:  request{Kind: reqRumorOffer, From: 2, Entries: []store.Entry{id}},
 			resp: response{Needed: []bool{false}, Entries: []store.Entry{cert}, Hops: []trace.Hop{hop}},
 		},
-		reqSync: {
-			req: request{Kind: reqSync, From: 2, Entries: []store.Entry{e}, Hops: []trace.Hop{hop},
+		reqSyncOffer: {
+			req: request{Kind: reqSyncOffer, From: 2, Entries: []store.Entry{id},
 				Checksum: 0xdeadbeefcafef00d, Now: 1 << 41, Tau: 20_000, Tau1: 3_600_000},
-			resp: response{Entries: []store.Entry{cert}, Checksum: 0x0123456789abcdef, Now: 1<<41 + 3, InSync: true},
+			resp: response{Needed: []bool{true}, Entries: []store.Entry{cert}, Hops: []trace.Hop{hop},
+				Checksum: 0x0123456789abcdef, Now: 1<<41 + 3},
 		},
 		reqFullSync: {
 			req:  request{Kind: reqFullSync, From: 2, Entries: []store.Entry{e, cert}, Now: 1 << 41, Tau1: 3_600_000},
@@ -73,8 +74,9 @@ func goldenFrames() map[reqKind]goldenFrame {
 }
 
 // goldenHex holds, per kind, the request and response payloads of
-// goldenFrames as earlier builds encoded them at wire version 5. The one
-// format must keep producing these bytes exactly.
+// goldenFrames as earlier builds encoded them at wire version 5 (the sync
+// row since round 0 became an offer of ids). The one format must keep
+// producing these bytes exactly.
 var goldenHex = map[reqKind][2]string{
 	reqMail: {
 		"01000000020000000000000000000000000000000000000000000000000000000001086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090001000000020000000301000000000000",
@@ -88,9 +90,9 @@ var goldenHex = map[reqKind][2]string{
 		"03000000020000000000000000000000000000000000000000000000000000000001086b2f3030303031370000000100000000000000000200000009000001000000000000000002000000090000000000000000",
 		"000000000000000000000000000000000000000000000000000001000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040100000002000000030100000000",
 	},
-	reqSync: {
-		"0400000002deadbeefcafef00d80808080808001c0b80280bab703000000000000000000000000000000000001086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090001000000020000000301000000000000",
-		"010123456789abcdef8680808080800100000000000000000000000000000000000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040000000000",
+	reqSyncOffer: {
+		"0b00000002deadbeefcafef00d80808080808001c0b80280bab703000000000000000000000000000000000001086b2f3030303031370000000100000000000000000200000009000001000000000000000002000000090000000000000000",
+		"000123456789abcdef868080808080010000000000000000000000000000000001010104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040100000002000000030100000000",
 	},
 	reqFullSync: {
 		"05000000020000000000000000808080808080010080bab703000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
@@ -125,10 +127,14 @@ const goldenErrHex = "0000000000000000000000000000000000000000000000000000000000
 // TestGoldenFrameBytes pins the payload bytes of every request kind and its
 // response, digest sections empty, to what earlier builds put on the wire:
 // a daemon on this build and one on an earlier build exchange identical
-// frames.
+// frames. The sync row is the ids-first round 0 under its own kind; the
+// retired kind 4 has no row.
 func TestGoldenFrameBytes(t *testing.T) {
 	frames := goldenFrames()
-	for k := reqMail; k <= reqMailBatch; k++ {
+	for k := reqMail; k <= reqSyncOffer; k++ {
+		if k.kindName() == "unknown" {
+			continue // retired
+		}
 		f, ok := frames[k]
 		want, wok := goldenHex[k]
 		if !ok || !wok {

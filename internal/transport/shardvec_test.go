@@ -118,8 +118,8 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 					t.Fatal("stores differ after anti-entropy")
 				}
 				// The applied key set on the local side must be exactly the
-				// keys local was missing; remote convergence plus ContentEqual
-				// pins the other direction.
+				// keys local was missing: AppliedKeys lists the initiator's
+				// own repairs, never the ones it shipped to the peer.
 				got := map[string]bool{}
 				for _, k := range st.AppliedKeys {
 					got[k] = true
@@ -127,6 +127,18 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 				want := sortedKeys(localMissing)
 				if gotKeys := sortedKeys(got); !equalStrings(gotKeys, want) {
 					t.Fatalf("applied %d keys %v\nwant %d keys %v", len(gotKeys), gotKeys, len(want), want)
+				}
+				// The applied key set on each side must be exactly the keys
+				// that side was missing.
+				for site, missing := range map[timestamp.SiteID]map[string]bool{1: localMissing, 2: remoteMissing} {
+					got := map[string]bool{}
+					for _, k := range st.AppliedBySite[site] {
+						got[k] = true
+					}
+					want := sortedKeys(missing)
+					if gotKeys := sortedKeys(got); !equalStrings(gotKeys, want) {
+						t.Fatalf("applied %d keys at site %d %v\nwant %d keys %v", len(gotKeys), site, gotKeys, len(want), want)
+					}
 				}
 				for k := range remoteMissing {
 					if _, ok := remote.Store().Lookup(k); !ok {
@@ -179,7 +191,7 @@ func equalStrings(a, b []string) bool {
 // enough to occupy every worker and checks the parallel repair is exact.
 func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 	sc := shardVecScenario{shared: 200, localOnly: 120, remoteOnly: 120, seed: 7}
-	local, remote, srv, localMissing, _ := buildShardVecPair(t, sc, 32, 32)
+	local, remote, srv, localMissing, remoteMissing := buildShardVecPair(t, sc, 32, 32)
 	defer srv.Close()
 	stats := &WireStats{}
 	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Stats: stats, ShardRepairWorkers: 8})
@@ -193,8 +205,8 @@ func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 	if !store.ContentEqual(local, remote.Store()) {
 		t.Fatal("stores differ after parallel shard repair")
 	}
-	if st.EntriesApplied != len(localMissing) {
-		t.Errorf("applied %d entries, want %d", st.EntriesApplied, len(localMissing))
+	if want := len(localMissing) + len(remoteMissing); st.EntriesApplied != want {
+		t.Errorf("applied %d entries, want %d", st.EntriesApplied, want)
 	}
 	snap := stats.Snapshot()
 	if snap.ShardVecExchanges != 1 || st.ShardsRepaired == 0 {

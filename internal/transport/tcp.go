@@ -21,24 +21,31 @@ import (
 
 // Wire protocol: persistent framed sessions (see frame.go) carrying many
 // request/response pairs per TCP connection. The anti-entropy exchange is
-// the §1.3/§1.5 incremental scheme: the caller ships its recent updates
-// and live checksum; on mismatch the two sides peel back through their
-// databases in reverse-timestamp batches, re-comparing checksums after
-// each batch, so a conversation ships O(δ) entries for δ differing keys.
-// A full database swap survives only as a capped last resort.
+// the §1.3/§1.5 incremental scheme, ids first: the caller offers the ids
+// of its recent updates with its live checksum, and gets back want-bits,
+// the peer's recent entries the offer does not cover, and the peer's
+// checksum; only wanted entries follow, on a checksum request. On mismatch
+// the two sides peel back through their databases in reverse-timestamp
+// batches, re-comparing checksums after each batch, so a conversation
+// ships O(δ) entries for δ differing keys. A full database swap survives
+// only as a capped last resort.
 type reqKind int
 
 const (
 	reqMail reqKind = iota + 1
 	reqPushRumors
-	reqRumorOffer    // hot-rumor ids out; want-bits + the peer's uncovered hot rumors back
-	reqSync          // recent updates + checksum (round 0)
+	reqRumorOffer // hot-rumor ids out; want-bits + the peer's uncovered hot rumors back
+	// Kind 4 carried round 0 as full recent entries, which the server
+	// applied. It is retired and answered "unknown request kind": a
+	// value-less id sent under it would read as a death certificate.
+	_
 	reqFullSync      // full live-database swap (capped last resort)
-	reqChecksum      // live checksum probe (§1.5 combined scheme)
+	reqChecksum      // live checksum probe (§1.5 combined scheme); applies any entries first
 	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
 	reqShardVector   // per-shard live-checksum vector swap
 	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum
 	reqMailBatch     // one outbox drain: many mail entries in one frame
+	reqSyncOffer     // round 0: recent-update ids + checksum out; want-bits + uncovered recent entries back
 )
 
 // kindName names a request kind for logs and metric labels.
@@ -50,7 +57,7 @@ func (k reqKind) kindName() string {
 		return "push-rumors"
 	case reqRumorOffer:
 		return "rumor-offer"
-	case reqSync:
+	case reqSyncOffer:
 		return "sync"
 	case reqFullSync:
 		return "full-sync"
@@ -75,7 +82,7 @@ type request struct {
 	Entries  []store.Entry
 	Checksum uint64
 	Now      int64
-	Tau      int64 // recent-update window (reqSync)
+	Tau      int64 // recent-update window (reqSyncOffer)
 	Tau1     int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
 	// (reqPeelBack): the server returns up to Limit entries strictly older
@@ -86,7 +93,7 @@ type request struct {
 	// Hops carries one provenance envelope per entry in Entries when the
 	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
-	// Digests piggybacks the sender's cluster-digest view on reqSync and
+	// Digests piggybacks the sender's cluster-digest view on reqSyncOffer and
 	// reqRumorOffer conversations (the observatory's epidemic channel).
 	// nil when the observatory is off: one zero byte on the wire.
 	Digests []cluster.Digest
@@ -392,20 +399,15 @@ func (s *Server) dispatch(req request) response {
 	case reqRumorOffer:
 		want, entries, hops := s.node.HandleOffer(req.Entries)
 		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
-	case reqSync:
+	case reqSyncOffer:
 		st := s.node.Store()
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechAntiEntropy)
-		}
 		now := maxInt64(st.Now(), req.Now)
-		var recent []store.Entry
-		if req.Tau > 0 {
-			recent = st.RecentUpdates(now, req.Tau)
-		}
+		want, recent, hops := s.node.HandleSyncOffer(req.Entries, now, req.Tau)
 		sum := st.ChecksumLive(now, req.Tau1)
 		return response{
+			Needed:   want,
 			Entries:  recent,
-			Hops:     s.node.Tracer().Envelopes(recent),
+			Hops:     hops,
 			Checksum: sum,
 			Now:      now,
 			InSync:   sum == req.Checksum,
@@ -413,12 +415,12 @@ func (s *Server) dispatch(req request) response {
 		}
 	case reqPeelBack:
 		st := s.node.Store()
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechPeelBack)
-		}
+		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechPeelBack, req.Tau1)
 		now := maxInt64(st.Now(), req.Now)
 		batch, next, more := st.PeelBatch(req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
+		batch = withAwakened(batch, awakened)
 		return response{
+			Needed:   needed,
 			Entries:  batch,
 			Hops:     s.node.Tracer().Envelopes(batch),
 			Checksum: st.ChecksumLive(now, req.Tau1),
@@ -428,12 +430,13 @@ func (s *Server) dispatch(req request) response {
 		}
 	case reqFullSync:
 		st := s.node.Store()
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechAntiEntropy)
-		}
+		// The snapshot is read after the apply, so it already carries every
+		// certificate the entries woke.
+		needed, _ := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechAntiEntropy, req.Tau1)
 		now := maxInt64(st.Now(), req.Now)
 		full := st.LiveSnapshot(now, req.Tau1)
 		return response{
+			Needed:   needed,
 			Entries:  full,
 			Hops:     s.node.Tracer().Envelopes(full),
 			Checksum: st.ChecksumLive(now, req.Tau1),
@@ -441,8 +444,18 @@ func (s *Server) dispatch(req request) response {
 			InSync:   true,
 		}
 	case reqChecksum:
+		// Entries, when present, are anti-entropy repairs the caller ships
+		// (an offer's wanted entries, certificates it woke): applied first,
+		// so the checksum answers for the replica they leave. Without them
+		// Now is zero and this is the plain probe.
 		st := s.node.Store()
-		return response{Checksum: st.ChecksumLive(st.Now(), req.Tau1)}
+		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechAntiEntropy, req.Tau1)
+		return response{
+			Needed:   needed,
+			Entries:  awakened,
+			Hops:     s.node.Tracer().Envelopes(awakened),
+			Checksum: st.ChecksumLive(maxInt64(st.Now(), req.Now), req.Tau1),
+		}
 	case reqShardVector:
 		st := s.node.Store()
 		now := maxInt64(st.Now(), req.Now)
@@ -458,12 +471,12 @@ func (s *Server) dispatch(req request) response {
 			return response{Err: fmt.Sprintf("shard %d/%d incomparable with local %d shards",
 				req.Shard, req.ShardCount, st.ShardCount())}
 		}
-		for i, e := range req.Entries {
-			s.node.ApplyRepair(e, req.From, hopAt(req.Hops, i), trace.MechPeelBack)
-		}
+		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechPeelBack, req.Tau1)
 		now := maxInt64(st.Now(), req.Now)
 		batch, next, more := st.PeelBatchShard(req.Shard, req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
+		batch = withAwakened(batch, awakened)
 		return response{
+			Needed:   needed,
 			Entries:  batch,
 			Hops:     s.node.Tracer().Envelopes(batch),
 			Checksum: st.ChecksumShard(req.Shard, now, req.Tau1),
@@ -486,6 +499,22 @@ func (s *Server) swapDigests(in []cluster.Digest) []cluster.Digest {
 	}
 	dir.Merge(in)
 	return dir.Share()
+}
+
+// withAwakened appends to a peel batch the certificates the request's
+// entries woke (node.ApplyRepairs) that the batch, read after the apply,
+// does not already carry.
+func withAwakened(batch, awakened []store.Entry) []store.Entry {
+next:
+	for _, re := range awakened {
+		for _, e := range batch {
+			if e.Key == re.Key {
+				continue next
+			}
+		}
+		batch = append(batch, re)
+	}
+	return batch
 }
 
 // hopAt returns hops[i], or the zero (no-envelope) Hop when the sender
@@ -792,27 +821,34 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 }
 
 // AntiEntropy implements node.Peer: the §1.3/§1.5 incremental exchange
-// over the wire. Round 0 swaps recent-update lists and compares live
-// checksums; on mismatch the two sides peel back through their databases
-// in reverse-timestamp batches, re-comparing checksums after every batch
-// and stopping as soon as they agree — O(δ) entries shipped for δ
-// differing keys. Only when MaxPeelRounds batches have not reconciled the
-// replicas does the conversation degrade to the full swap.
+// over the wire. Round 0 is an offer: the ids of the recent-update window
+// go out with the live checksum, and the reply carries a want-bit per id,
+// the peer's own recent entries the offer does not cover, and the peer's
+// checksum. Only when some bit is set do the wanted entries follow, on a
+// checksum request that re-reads the peer's checksum after applying them,
+// so a pair whose windows agree settles in one round trip and ships no
+// entry. On mismatch the two sides peel back through their databases in
+// reverse-timestamp batches, re-comparing checksums after every batch and
+// stopping as soon as they agree — O(δ) entries shipped for δ differing
+// keys. Only when MaxPeelRounds batches have not reconciled the replicas
+// does the conversation degrade to the full swap. Throughout, with
+// cfg.ReactivateDormant set, an obsolete entry that meets a dormant death
+// certificate on either side wakes it (§2.2), and the awakened certificate
+// crosses to the other side before the next compare.
 func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error) {
 	var st core.ExchangeStats
 	c := getWireCall()
 	defer putWireCall(c)
 
 	now := local.Now()
-	var recent []store.Entry
+	var ids []store.Entry
 	if cfg.Tau > 0 {
-		recent = local.RecentUpdates(now, cfg.Tau)
+		ids = local.RecentIDs(now, cfg.Tau)
 	}
 	c.req = request{
-		Kind:     reqSync,
+		Kind:     reqSyncOffer,
 		From:     local.Site(),
-		Entries:  recent,
-		Hops:     tr.Envelopes(recent),
+		Entries:  ids,
 		Checksum: local.ChecksumLive(now, cfg.Tau1),
 		Now:      now,
 		Tau:      cfg.Tau,
@@ -823,11 +859,18 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		return st, err
 	}
 	p.opts.Digests.Merge(c.resp.Digests)
-	st.EntriesSent += len(recent)
-	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)
 	now = maxInt64(now, c.resp.Now)
+	sum := c.resp.Checksum
+	ship := append(wantedEntries(local, ids, c.resp.Needed),
+		p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)...)
+	if len(ship) > 0 {
+		var err error
+		if sum, err = p.carry(c, cfg, local, tr, ship, now, &st); err != nil {
+			return st, err
+		}
+	}
 	st.ChecksumsCompared++
-	if local.ChecksumLive(now, cfg.Tau1) == c.resp.Checksum {
+	if local.ChecksumLive(now, cfg.Tau1) == sum {
 		p.finishExchange(c, &st)
 		return st, nil
 	}
@@ -876,15 +919,14 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 			Now:     now,
 			Tau1:    cfg.Tau1,
 		}
-		if err := p.call(c); err != nil {
+		sum, err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &st)
+		if err != nil {
 			return st, err
 		}
-		st.EntriesSent += len(mine)
-		p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, &st)
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More
 		now = maxInt64(now, c.resp.Now)
 		st.ChecksumsCompared++
-		if local.ChecksumLive(now, cfg.Tau1) == c.resp.Checksum {
+		if local.ChecksumLive(now, cfg.Tau1) == sum {
 			p.finishExchange(c, &st)
 			return st, nil
 		}
@@ -905,13 +947,83 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		Kind: reqFullSync, From: local.Site(), Entries: full,
 		Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
 	}
-	if err := p.call(c); err != nil {
+	if _, err := p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st); err != nil {
 		return st, err
 	}
-	st.EntriesSent += len(full)
-	p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)
 	p.finishExchange(c, &st)
 	return st, nil
+}
+
+// wantedEntries reads the full entries for the ids whose want-bit is set.
+func wantedEntries(local *store.Store, ids []store.Entry, want []bool) []store.Entry {
+	var out []store.Entry
+	for i, id := range ids {
+		if i < len(want) && want[i] {
+			if e, ok := local.Get(id.Key); ok {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// exchange sends c's request, whose Entries are this side's shipment, and
+// settles the reply. Certificates the reply woke here go straight back on
+// a carrier, and the peer's checksum after applying them is returned in
+// place of the reply's; c keeps the reply itself.
+func (p *TCPPeer) exchange(c *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, mech trace.Mechanism, st *core.ExchangeStats) (uint64, error) {
+	if err := p.call(c); err != nil {
+		return 0, err
+	}
+	if awake := p.settle(cfg, local, c, mech, st); len(awake) > 0 {
+		return p.carry(c, cfg, local, tr, awake, now, st)
+	}
+	return c.resp.Checksum, nil
+}
+
+// carry ships entries on a checksum request: the peer applies them as
+// anti-entropy repairs, then answers with its live checksum, which carry
+// returns. Certificates that applying them woke on the peer come back in
+// the answer and are applied here; any that the answer wakes here in turn
+// ride another carrier. Each key wakes at most once — its certificate is
+// live afterwards — so the loop ends. The round trips run on their own
+// call, whose bytes are added to agg.
+func (p *TCPPeer) carry(agg *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, entries []store.Entry, now int64, st *core.ExchangeStats) (uint64, error) {
+	k := getWireCall()
+	defer func() {
+		agg.bytesOut += k.bytesOut
+		agg.bytesIn += k.bytesIn
+		putWireCall(k)
+	}()
+	for {
+		k.req = request{
+			Kind: reqChecksum, From: local.Site(),
+			Entries: entries, Hops: tr.Envelopes(entries),
+			Now: now, Tau1: cfg.Tau1,
+		}
+		if err := p.call(k); err != nil {
+			return 0, err
+		}
+		if entries = p.settle(cfg, local, k, trace.MechAntiEntropy, st); len(entries) == 0 {
+			return k.resp.Checksum, nil
+		}
+	}
+}
+
+// settle books the round trip in c, whose request shipped this side's
+// entries: those the reply's Needed bits report applied at the peer
+// (counted only — redistribution and span stamping act on this side's own
+// repairs), then the reply's own entries, applied here. It returns the
+// dormant certificates the reply woke here, which the caller must ship
+// back.
+func (p *TCPPeer) settle(cfg core.ResolveConfig, local *store.Store, c *wireCall, mech trace.Mechanism, st *core.ExchangeStats) []store.Entry {
+	st.EntriesSent += len(c.req.Entries)
+	for i, e := range c.req.Entries {
+		if i < len(c.resp.Needed) && c.resp.Needed[i] {
+			st.NoteApplied(p.id, e.Key)
+		}
+	}
+	return p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, mech, st)
 }
 
 // shardRepair is the narrow path of an anti-entropy conversation:
@@ -965,7 +1077,7 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 		var (
 			next     atomic.Int64
 			degraded atomic.Bool
-			mu       sync.Mutex // guards st, agg, and the trace.Tracer handoff
+			mu       sync.Mutex // guards st, agg and firstErr
 			firstErr error
 			wg       sync.WaitGroup
 		)
@@ -1028,14 +1140,17 @@ const shardProbeBatch = 8
 
 // repairShard reconciles one diverged shard: both sides peel that shard's
 // slice of the timestamp index in reverse order, re-comparing the shard
-// checksum after every batch. Runs on a worker goroutine; all shared state
-// (stats, byte aggregation, tracer envelopes) is touched under mu.
+// checksum after every batch. Runs on a worker goroutine: it books into
+// its own stats and folds them and its byte counts into st and agg, the
+// state it shares, under mu when it returns.
 func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, shard int, now int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
 	c := getWireCall()
+	var own core.ExchangeStats
 	defer func() {
 		mu.Lock()
 		agg.bytesOut += c.bytesOut
 		agg.bytesIn += c.bytesIn
+		st.Add(own)
 		mu.Unlock()
 		putWireCall(c)
 	}()
@@ -1055,14 +1170,11 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 		if localMore {
 			mine, localBound, localMore = local.PeelBatchShard(shard, localBound, b, now, cfg.Tau1)
 		}
-		mu.Lock()
-		hops := tr.Envelopes(mine)
-		mu.Unlock()
 		c.req = request{
 			Kind:       reqPeelBackShard,
 			From:       local.Site(),
 			Entries:    mine,
-			Hops:       hops,
+			Hops:       tr.Envelopes(mine),
 			Bound:      remoteBound,
 			Limit:      b,
 			Now:        now,
@@ -1073,15 +1185,13 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 		if b *= 4; b > batch {
 			b = batch
 		}
-		if err := p.call(c); err != nil {
+		// A certificate woken here rides a carrier, whose checksum is the
+		// global one: the shard's is re-read next round.
+		if _, err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &own); err != nil {
 			return err
 		}
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More
-		mu.Lock()
-		st.EntriesSent += len(mine)
-		p.applyReceived(local, c.resp.Entries, c.resp.Hops, trace.MechPeelBack, st)
-		st.ChecksumsCompared++
-		mu.Unlock()
+		own.ChecksumsCompared++
 		if local.ChecksumShard(shard, now, cfg.Tau1) == c.resp.Checksum {
 			return nil
 		}
@@ -1103,26 +1213,30 @@ func (p *TCPPeer) finishExchange(c *wireCall, st *core.ExchangeStats) {
 // applyReceived merges entries the peer shipped into the local store,
 // attributing traffic and repairs to the exchange stats. hops are the
 // peer's provenance envelopes (nil when it does not trace); each applied
-// entry becomes a Repair so the caller can stamp causal hop spans.
-func (p *TCPPeer) applyReceived(local *store.Store, entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, st *core.ExchangeStats) {
+// entry becomes a Repair so the caller can stamp causal hop spans. With
+// cfg.ReactivateDormant set, an obsolete entry rejected by a dormant local
+// death certificate wakes it (§2.2); the awakened certificates are
+// returned for the caller to ship back.
+func (p *TCPPeer) applyReceived(cfg core.ResolveConfig, local *store.Store, entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, st *core.ExchangeStats) (awakened []store.Entry) {
 	for i, e := range entries {
 		st.EntriesReceived++
-		if local.Apply(e).Changed() {
-			st.EntriesApplied++
-			st.AppliedKeys = append(st.AppliedKeys, e.Key)
-			if st.AppliedBySite == nil {
-				st.AppliedBySite = make(map[timestamp.SiteID][]string)
-			}
-			st.AppliedBySite[local.Site()] = append(st.AppliedBySite[local.Site()], e.Key)
+		switch res := local.Apply(e); {
+		case res.Changed():
 			senderHop := trace.HopUnknown
 			if h := hopAt(hops, i); h.Valid {
 				senderHop = h.Count
 			}
-			st.Repairs = append(st.Repairs, core.Repair{
+			st.NoteRepair(core.Repair{
 				Site: local.Site(), Parent: p.id,
 				Key: e.Key, Stamp: e.Stamp,
 				Mech: mech, SenderHop: senderHop,
 			})
+		case res == store.RejectedByDeath && cfg.ReactivateDormant:
+			if re, ok := core.ReactivateIfDormant(local, e.Key, cfg.Tau1); ok {
+				st.Reactivated = append(st.Reactivated, e.Key)
+				awakened = append(awakened, re)
+			}
 		}
 	}
+	return awakened
 }
