@@ -28,7 +28,7 @@
 //	TRACE <key>          -> <one-line JSON object> (this replica's hop spans for key)
 //
 // Wire protocol: gossip rides one hand-rolled binary frame layout, opened
-// by a 4-byte hello that names wire version 5; a peer speaking any other
+// by a 4-byte hello that names wire version 6; a peer speaking any other
 // version is refused. -udp toggles the single-datagram fast path for
 // rumor pushes, which falls back to pooled TCP on loss or oversize
 // batches. Anti-entropy narrows a checksum mismatch to the diverged store

@@ -67,6 +67,10 @@ type ClusterConfig struct {
 	// TickPerCycle advances the simulated clock this much each cycle
 	// (default 1).
 	TickPerCycle int64
+	// ClockSkew, when set, offsets replica i's clock by ClockSkew[i] ticks
+	// from the shared simulated time (timestamp.SkewedClockAt); replicas
+	// past its end run on the shared time.
+	ClockSkew []int64
 	// Registry, when set, instruments every node into it: the per-site
 	// epidemic_* counters and gauges, plus a shared propagation tracker
 	// (one simulated tick = one second) whose t_last/t_avg/residue are
@@ -130,9 +134,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if c.digests != nil {
 			dir = c.digests[i]
 		}
+		siteClock := clock.ClockAt(site)
+		if i < len(cfg.ClockSkew) {
+			siteClock = clock.SkewedClockAt(site, cfg.ClockSkew[i])
+		}
 		n, err := node.New(node.Config{
 			Site:               site,
-			Clock:              clock.ClockAt(site),
+			Clock:              siteClock,
 			Rumor:              cfg.Rumor,
 			Resolve:            cfg.Resolve,
 			Redistribution:     cfg.Redistribution,

@@ -279,6 +279,61 @@ func TestClockSkewConvergesButMisorders(t *testing.T) {
 	}
 }
 
+// skewedCluster is three replicas whose clocks disagree: site 0 runs 500
+// ticks ahead of the shared time, site 1 500 behind, site 2 on time. key
+// is written through the fast site and spread everywhere, so the slow site
+// holds it at a stamp a kilotick ahead of its own clock.
+func skewedCluster(t *testing.T, key string) *Cluster {
+	t.Helper()
+	c := newTestCluster(t, func(cfg *ClusterConfig) {
+		cfg.N = 3
+		cfg.ClockSkew = []int64{+500, -500}
+	})
+	c.Node(0).Update(key, store.Value("from-fast"))
+	quiesce(t, c)
+	if got := c.CountWithValue(key, "from-fast"); got != c.N() {
+		t.Fatalf("first write reached %d/%d replicas", got, c.N())
+	}
+	c.Clock().Advance(100)
+	return c
+}
+
+// quiesce runs rumors out, then anti-entropy to consistency.
+func quiesce(t *testing.T, c *Cluster) {
+	t.Helper()
+	c.RunRumorToQuiescence(100)
+	if _, ok := c.RunAntiEntropyToConsistency(100); !ok {
+		t.Fatal("replicas never converged")
+	}
+}
+
+// Unlike TestClockSkewConvergesButMisorders' concurrent writes, a SET
+// through a slow-clocked site that already holds the key is causally
+// later: it must win everywhere, not be acknowledged and then lost to the
+// value it replaced.
+func TestSkewedSetAfterHeldFastSetWins(t *testing.T) {
+	c := skewedCluster(t, "k")
+	c.Node(1).Update("k", store.Value("from-slow"))
+	quiesce(t, c)
+	if got := c.CountWithValue("k", "from-slow"); got != c.N() {
+		t.Errorf("the later SET holds at %d/%d replicas", got, c.N())
+	}
+}
+
+// A DEL through the slow site of a key it holds from the fast site must
+// delete it everywhere; the held value must not resurrect.
+func TestSkewedDeleteAfterHeldFastSetHolds(t *testing.T) {
+	c := skewedCluster(t, "k")
+	c.Node(1).Delete("k")
+	quiesce(t, c)
+	for i := 0; i < 10; i++ {
+		c.StepAntiEntropy()
+	}
+	if got := c.CountDeleted("k"); got != c.N() {
+		t.Errorf("the DEL holds at %d/%d replicas: the key resurrected", got, c.N())
+	}
+}
+
 func TestClusterSpatialWiring(t *testing.T) {
 	nw, err := topology.Line(8)
 	if err != nil {

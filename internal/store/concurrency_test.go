@@ -14,7 +14,10 @@ import (
 func TestStoreConcurrentAccess(t *testing.T) {
 	src := timestamp.NewSimulated(1)
 	s := New(1, src.ClockAt(1))
-	producer := New(2, src.ClockAt(2))
+	// The producer's clock runs ahead, so s's own writes to the keys it
+	// applied are stamped past the held entries, from several goroutines
+	// at once.
+	producer := New(2, src.SkewedClockAt(2, 1000))
 
 	var entries []Entry
 	for i := 0; i < 50; i++ {
@@ -34,6 +37,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 					s.Apply(entries[(w*7+i)%len(entries)])
 				case 1:
 					s.Update(fmt.Sprintf("w%d", w), Value{byte(i)})
+					s.Update(fmt.Sprintf("k%02d", i%10), Value{byte(i)})
 				case 2:
 					s.Lookup("k00")
 					s.Checksum()
@@ -62,9 +66,13 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	if sum != s.Checksum() {
 		t.Error("checksum diverged from content")
 	}
-	if got := len(s.NewestFirst(0)); got != len(snap) {
+	newest := s.NewestFirst(0)
+	if got := len(newest); got != len(snap) {
 		t.Errorf("index has %d entries, store has %d", got, len(snap))
 	}
+	// Strictly descending: no two entries, lifted writes included, share a
+	// stamp.
+	assertReverseStamped(t, "after the storm", newest)
 }
 
 // assertReverseStamped fails the test if entries are not strictly

@@ -3,6 +3,7 @@ package store
 import (
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"epidemic/internal/timestamp"
 )
@@ -63,6 +64,7 @@ type Store struct {
 	clock  timestamp.Clock
 	mask   uint32
 	shards []shard
+	lifted atomic.Uint32 // stamps issued by stampPast
 }
 
 // New returns an empty store for the given site with DefaultShards lock
@@ -148,30 +150,43 @@ func (s *Store) Update(key string, value Value) Entry {
 	// explicit empty value is not a deletion.
 	v := make(Value, len(value))
 	copy(v, value)
-	ts := s.clock.Now()
-	e := Entry{Key: key, Value: v, Stamp: ts, Activation: ts}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	sh.put(e)
-	sh.mu.Unlock()
-	return e.clone()
+	return s.write(Entry{Key: key, Value: v})
 }
 
 // Delete replaces the item with a death certificate (§2) whose retention
 // sites are given by retention (may be nil). It returns the certificate.
 func (s *Store) Delete(key string, retention []timestamp.SiteID) Entry {
-	ts := s.clock.Now()
-	e := Entry{
-		Key:        key,
-		Stamp:      ts,
-		Activation: ts,
-		Retention:  append([]timestamp.SiteID(nil), retention...),
-	}
-	sh := s.shardFor(key)
+	return s.write(Entry{Key: key, Retention: append([]timestamp.SiteID(nil), retention...)})
+}
+
+// write stamps a local write and installs it. The stamp is the clock's,
+// unless the replica already holds key at a stamp no older — written by a
+// site whose clock runs ahead — in which case it is the first tick past
+// the held stamp. Either way the write supersedes what it replaces here
+// and at every replica that holds the same, instead of being lost to it.
+func (s *Store) write(e Entry) Entry {
+	sh := s.shardFor(e.Key)
 	sh.mu.Lock()
+	ts := s.clock.Now()
+	if held, ok := sh.entries[e.Key]; ok && !held.Stamp.Less(ts) {
+		ts = s.stampPast(held.Stamp)
+	}
+	e.Stamp, e.Activation = ts, ts
 	sh.put(e)
 	sh.mu.Unlock()
 	return e.clone()
+}
+
+// liftedSeq marks the Seq of a stamp issued by stampPast. A Clock's Seq
+// counts stamps within one reading of its time and never reaches the top
+// bit, so a lifted stamp cannot equal one the clock issues, and the
+// counter below the bit keeps lifted stamps apart from each other.
+const liftedSeq = 1 << 31
+
+// stampPast returns a stamp of this site one tick past held.
+func (s *Store) stampPast(held timestamp.T) timestamp.T {
+	n := s.lifted.Add(1)
+	return timestamp.T{Time: held.Time + 1, Site: s.site, Seq: liftedSeq | n&(liftedSeq-1)}
 }
 
 // Lookup returns the current value for key from a client's perspective:

@@ -147,6 +147,39 @@ func TestUpdateAfterDeleteReinstates(t *testing.T) {
 	}
 }
 
+// TestLocalWriteStampsPastHeldEntry: a local Update or Delete of a key held
+// at a stamp ahead of this site's clock is stamped by this site just past
+// the held stamp, so it supersedes the held entry wherever that lives. Two
+// such writes never share a stamp, with each other or with one the clock
+// issues later.
+func TestLocalWriteStampsPastHeldEntry(t *testing.T) {
+	src := timestamp.NewSimulated(1000)
+	fast, slow := New(1, src.SkewedClockAt(1, 500)), New(2, src.ClockAt(2))
+	for _, k := range []string{"a", "b"} {
+		slow.Apply(fast.Update(k, Value("fast")))
+	}
+	held, _ := slow.Get("a")
+	set := slow.Update("a", Value("slow"))
+	del := slow.Delete("b", nil)
+	for _, e := range []Entry{set, del} {
+		if !held.Stamp.Less(e.Stamp) || e.Stamp.Site != 2 || e.Activation != e.Stamp {
+			t.Errorf("%s stamped %v / %v over held %v", e.Key, e.Stamp, e.Activation, held.Stamp)
+		}
+		if got := fast.Apply(e); got != Applied {
+			t.Errorf("fast site's Apply(%s) = %v, want applied", e.Key, got)
+		}
+	}
+	if set.Stamp == del.Stamp {
+		t.Errorf("two lifted writes share stamp %v", set.Stamp)
+	}
+	src.Advance(501) // the slow clock now reads the lifted stamps' time
+	for _, k := range []string{"c", "d", "e"} {
+		if e := slow.Update(k, Value("v")); e.Stamp == set.Stamp || e.Stamp == del.Stamp {
+			t.Errorf("the clock reissued lifted stamp %v", e.Stamp)
+		}
+	}
+}
+
 func TestChecksumTracksContent(t *testing.T) {
 	a, b, _ := testPair(t)
 	if a.Checksum() != 0 {

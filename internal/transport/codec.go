@@ -13,18 +13,25 @@ import (
 
 // Hand-rolled binary codec for the exchange frames: the one wire format.
 // It writes the request/response structs field by field into a buffer the
-// session reuses across messages: fixed-width timestamps and checksums,
-// varints for counts and clock values, length-prefixed keys and values. A
-// steady-state in-sync exchange encodes and decodes without allocating.
+// session reuses across messages. Only hashes and floats are fixed width:
+// checksums, the shard vector and the digest floats. Everything else is a
+// varint — counts, clock values, site ids, sequence numbers, timestamps —
+// and keys and values are length-prefixed. A steady-state in-sync exchange
+// encodes and decodes without allocating.
+//
+// A timestamp.T is written relative to a reference time ref: the zigzag
+// varint of Time − ref, then Site and Seq as uvarints. A frame's Bound
+// uses ref 0. In an entries section an entry's Stamp uses the previous
+// entry's Stamp.Time (0 for the first), so a section of nearby stamps pays
+// a few bytes per stamp, and its Activation uses its own Stamp.Time, so a
+// live entry's activation, equal to its stamp, costs 3 bytes. The
+// subtraction and the addition both wrap in int64, so every Time
+// round-trips.
 //
 // No section is optional: requests end in the cluster-digest, shard and
 // mail-telemetry sections, responses in the first two, each a few zero
 // bytes when empty. The version byte in the connection hello (frame.go) is
 // the only gate.
-
-// stampWireLen is the fixed wire size of one timestamp.T: 8-byte Time,
-// 4-byte Site, 4-byte Seq, all big-endian.
-const stampWireLen = 16
 
 // --- append-style encoders ---
 
@@ -37,24 +44,28 @@ func appendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
 }
 
-func appendUint32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 func appendUint64(b []byte, v uint64) []byte {
 	return append(b,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendStamp(b []byte, t timestamp.T) []byte {
-	b = appendUint64(b, uint64(t.Time))
-	b = appendUint32(b, uint32(t.Site))
-	return appendUint32(b, t.Seq)
+// appendSite writes a site id as the uvarint of its 32 bits: small ids
+// cost one byte and every int32 round-trips.
+func appendSite(b []byte, s timestamp.SiteID) []byte {
+	return appendUvarint(b, uint64(uint32(s)))
+}
+
+// appendStamp writes t relative to ref (see the layout note above).
+func appendStamp(b []byte, t timestamp.T, ref int64) []byte {
+	b = appendVarint(b, t.Time-ref)
+	b = appendSite(b, t.Site)
+	return appendUvarint(b, uint64(t.Seq))
 }
 
 func appendEntries(b []byte, entries []store.Entry) []byte {
 	b = appendUvarint(b, uint64(len(entries)))
+	var ref int64
 	for i := range entries {
 		e := &entries[i]
 		b = appendUvarint(b, uint64(len(e.Key)))
@@ -67,21 +78,24 @@ func appendEntries(b []byte, entries []store.Entry) []byte {
 			b = appendUvarint(b, uint64(len(e.Value))+1)
 			b = append(b, e.Value...)
 		}
-		b = appendStamp(b, e.Stamp)
-		b = appendStamp(b, e.Activation)
+		b = appendStamp(b, e.Stamp, ref)
+		b = appendStamp(b, e.Activation, e.Stamp.Time)
+		ref = e.Stamp.Time
 		b = appendUvarint(b, uint64(len(e.Retention)))
 		for _, s := range e.Retention {
-			b = appendUint32(b, uint32(s))
+			b = appendSite(b, s)
 		}
 	}
 	return b
 }
 
+// appendHops writes each hop's parent site, its count zigzag-encoded (so
+// trace.HopUnknown costs one byte) and its valid byte.
 func appendHops(b []byte, hops []trace.Hop) []byte {
 	b = appendUvarint(b, uint64(len(hops)))
 	for _, h := range hops {
-		b = appendUint32(b, uint32(h.Parent))
-		b = appendUint32(b, uint32(h.Count))
+		b = appendSite(b, h.Parent)
+		b = appendVarint(b, int64(h.Count))
 		b = append(b, boolByte(h.Valid))
 	}
 	return b
@@ -115,7 +129,7 @@ func appendDigests(b []byte, digests []cluster.Digest) []byte {
 	b = appendUvarint(b, uint64(len(digests)))
 	for i := range digests {
 		d := &digests[i]
-		b = appendUint32(b, uint32(d.Site))
+		b = appendSite(b, timestamp.SiteID(d.Site))
 		b = appendVarint(b, d.Stamp)
 		b = appendVarint(b, d.StartedAt)
 		b = appendVarint(b, d.StoreKeys)
@@ -152,12 +166,12 @@ func appendVector(b []byte, vec []uint64) []byte {
 // the digest, shard and mail-telemetry sections trail every request.
 func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Kind))
-	b = appendUint32(b, uint32(req.From))
+	b = appendSite(b, req.From)
 	b = appendUint64(b, req.Checksum)
 	b = appendVarint(b, req.Now)
 	b = appendVarint(b, req.Tau)
 	b = appendVarint(b, req.Tau1)
-	b = appendStamp(b, req.Bound)
+	b = appendStamp(b, req.Bound, 0)
 	b = appendVarint(b, int64(req.Limit))
 	b = appendEntries(b, req.Entries)
 	b = appendHops(b, req.Hops)
@@ -190,7 +204,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	b = append(b, flags)
 	b = appendUint64(b, resp.Checksum)
 	b = appendVarint(b, resp.Now)
-	b = appendStamp(b, resp.Bound)
+	b = appendStamp(b, resp.Bound, 0)
 	// Needed is a packed bitset: length then ceil(n/8) bytes, LSB first.
 	b = appendUvarint(b, uint64(len(resp.Needed)))
 	var acc, n byte
@@ -251,6 +265,12 @@ func (r *wireReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	// Most varints in a frame are one byte: counts, site ids, sequence
+	// numbers, equal-stamp deltas.
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.buf[r.pos-1])
+	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		if n == 0 {
@@ -264,21 +284,10 @@ func (r *wireReader) uvarint() uint64 {
 	return v
 }
 
+// varint reads a zigzag-encoded signed value.
 func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
-		if n == 0 {
-			r.fail(ErrTruncatedFrame)
-		} else {
-			r.fail(ErrFrameGarbage)
-		}
-		return 0
-	}
-	r.pos += n
-	return v
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 // take returns the next n payload bytes without copying; the caller must
@@ -296,14 +305,6 @@ func (r *wireReader) take(n int) []byte {
 	return b
 }
 
-func (r *wireReader) uint32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
 func (r *wireReader) uint64() uint64 {
 	b := r.take(8)
 	if b == nil {
@@ -312,11 +313,37 @@ func (r *wireReader) uint64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (r *wireReader) stamp() timestamp.T {
+// uvarint32 reads a uvarint that must fit in 32 bits, as every site id and
+// sequence number does; a wider value is garbage.
+func (r *wireReader) uvarint32() uint32 {
+	v := r.uvarint()
+	if v > math.MaxUint32 {
+		r.fail(ErrFrameGarbage)
+		return 0
+	}
+	return uint32(v)
+}
+
+// varint32 reads a zigzag varint that must fit in an int32.
+func (r *wireReader) varint32() int32 {
+	v := r.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		r.fail(ErrFrameGarbage)
+		return 0
+	}
+	return int32(v)
+}
+
+func (r *wireReader) site() timestamp.SiteID {
+	return timestamp.SiteID(int32(r.uvarint32()))
+}
+
+// stamp reads a timestamp written relative to ref by appendStamp.
+func (r *wireReader) stamp(ref int64) timestamp.T {
 	return timestamp.T{
-		Time: int64(r.uint64()),
-		Site: timestamp.SiteID(r.uint32()),
-		Seq:  r.uint32(),
+		Time: ref + r.varint(),
+		Site: r.site(),
+		Seq:  r.uvarint32(),
 	}
 }
 
@@ -338,13 +365,19 @@ func (r *wireReader) count(minBytes int) int {
 // Minimum encoded sizes, used to bound collection counts before
 // allocating.
 const (
-	entryMinWire = 2*stampWireLen + 3 // key len + value len + stamps + retention len
-	hopWireLen   = 9
-	// digestMinWire: 4-byte site + 8-byte checksum + two 8-byte floats +
-	// 12 varints of at least one byte + two 17-byte summaries.
-	digestMinWire = 4 + 8 + 16 + 12 + 2*17
+	// stampMinWire: Time delta, Site and Seq, one byte each at least.
+	stampMinWire = 3
+	// entryMinWire: key length, value length, two stamps, retention count.
+	entryMinWire = 1 + 1 + 2*stampMinWire + 1
+	// hopMinWire: parent site, count, valid byte.
+	hopMinWire = 3
+	// siteMaxWire is a site id at full width (32 bits of uvarint).
+	siteMaxWire = 5
+	// digestMinWire: site + 8-byte checksum + two 8-byte floats + 12
+	// varints of at least one byte + two 17-byte summaries.
+	digestMinWire = 1 + 8 + 16 + 12 + 2*17
 	// digestMaxWire is the same record with every varint at full width.
-	digestMaxWire = 4 + 8 + 16 + 12*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+16)
+	digestMaxWire = siteMaxWire + 8 + 16 + 12*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+16)
 )
 
 func (r *wireReader) entries() []store.Entry {
@@ -353,6 +386,7 @@ func (r *wireReader) entries() []store.Entry {
 		return nil
 	}
 	out := make([]store.Entry, n)
+	var ref int64
 	for i := range out {
 		e := &out[i]
 		e.Key = string(r.take(int(r.uvarint())))
@@ -367,12 +401,13 @@ func (r *wireReader) entries() []store.Entry {
 				}
 			}
 		}
-		e.Stamp = r.stamp()
-		e.Activation = r.stamp()
-		if nr := r.count(4); nr > 0 {
+		e.Stamp = r.stamp(ref)
+		e.Activation = r.stamp(e.Stamp.Time)
+		ref = e.Stamp.Time
+		if nr := r.count(1); nr > 0 {
 			e.Retention = make([]timestamp.SiteID, nr)
 			for j := range e.Retention {
-				e.Retention[j] = timestamp.SiteID(r.uint32())
+				e.Retention[j] = r.site()
 			}
 		}
 		if r.err != nil {
@@ -383,15 +418,15 @@ func (r *wireReader) entries() []store.Entry {
 }
 
 func (r *wireReader) hops() []trace.Hop {
-	n := r.count(hopWireLen)
+	n := r.count(hopMinWire)
 	if r.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]trace.Hop, n)
 	for i := range out {
 		out[i] = trace.Hop{
-			Parent: timestamp.SiteID(r.uint32()),
-			Count:  int32(r.uint32()),
+			Parent: r.site(),
+			Count:  r.varint32(),
 			Valid:  r.byte() != 0,
 		}
 	}
@@ -433,7 +468,7 @@ func (r *wireReader) digests() []cluster.Digest {
 	out := make([]cluster.Digest, n)
 	for i := range out {
 		d := &out[i]
-		d.Site = int32(r.uint32())
+		d.Site = int32(r.site())
 		d.Stamp = r.varint()
 		d.StartedAt = r.varint()
 		d.StoreKeys = r.varint()
@@ -475,12 +510,12 @@ func (r *wireReader) finish() error {
 func decodeRequest(payload []byte, req *request) error {
 	r := wireReader{buf: payload}
 	req.Kind = reqKind(r.byte())
-	req.From = timestamp.SiteID(r.uint32())
+	req.From = r.site()
 	req.Checksum = r.uint64()
 	req.Now = r.varint()
 	req.Tau = r.varint()
 	req.Tau1 = r.varint()
-	req.Bound = r.stamp()
+	req.Bound = r.stamp(0)
 	req.Limit = int(r.varint())
 	req.Entries = r.entries()
 	req.Hops = r.hops()
@@ -502,7 +537,7 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.More = flags&respMore != 0
 	resp.Checksum = r.uint64()
 	resp.Now = r.varint()
-	resp.Bound = r.stamp()
+	resp.Bound = r.stamp(0)
 	// Needed packs 8 bools per byte, so its count check is its own.
 	nNeeded := int(r.uvarint())
 	if r.err == nil && (nNeeded < 0 || nNeeded > 8*r.remaining()) {
@@ -530,24 +565,45 @@ func decodeResponse(payload []byte, resp *response) error {
 
 // requestWireSize returns an upper bound on appendRequest's output for
 // req — the UDP fast path uses it to decide whether a push fits in one
-// datagram without encoding twice.
+// datagram without encoding twice. Sites, stamps and hops are sized
+// exactly, with the refs appendEntries uses, so the bound stays tight.
 func requestWireSize(req *request) int {
-	n := 1 + 4 + 8 + 3*binary.MaxVarintLen64 + stampWireLen + binary.MaxVarintLen64
+	n := 1 + siteLen(req.From) + 8 + 3*binary.MaxVarintLen64 + stampLen(req.Bound, 0) + binary.MaxVarintLen64
 	n += uvarintLen(uint64(len(req.Entries)))
+	var ref int64
 	for i := range req.Entries {
 		e := &req.Entries[i]
 		n += uvarintLen(uint64(len(e.Key))) + len(e.Key)
 		n += uvarintLen(uint64(len(e.Value))+1) + len(e.Value)
-		n += 2 * stampWireLen
-		n += uvarintLen(uint64(len(e.Retention))) + 4*len(e.Retention)
+		n += stampLen(e.Stamp, ref) + stampLen(e.Activation, e.Stamp.Time)
+		ref = e.Stamp.Time
+		n += uvarintLen(uint64(len(e.Retention)))
+		for _, s := range e.Retention {
+			n += siteLen(s)
+		}
 	}
-	n += uvarintLen(uint64(len(req.Hops))) + hopWireLen*len(req.Hops)
+	n += uvarintLen(uint64(len(req.Hops)))
+	for _, h := range req.Hops {
+		n += siteLen(h.Parent) + varintLen(int64(h.Count)) + 1
+	}
 	n += uvarintLen(uint64(len(req.Digests))) + digestMaxWire*len(req.Digests)
 	// Shard, ShardCount, MailQueuedNanos and MailCoalesced, then the vector.
 	n += 4*binary.MaxVarintLen64 + uvarintLen(uint64(len(req.Vector))) + 8*len(req.Vector)
 	return n
 }
 
+// stampLen is the length appendStamp writes for t against ref.
+func stampLen(t timestamp.T, ref int64) int {
+	return varintLen(t.Time-ref) + siteLen(t.Site) + uvarintLen(uint64(t.Seq))
+}
+
+func siteLen(s timestamp.SiteID) int { return uvarintLen(uint64(uint32(s))) }
+
 func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
+}
+
+// varintLen is the zigzag varint length of v.
+func varintLen(v int64) int {
+	return uvarintLen(uint64(v<<1) ^ uint64(v>>63))
 }

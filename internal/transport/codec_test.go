@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -45,6 +46,28 @@ func codecRequests() []request {
 				{},
 			},
 		},
+		// Extreme stamps: Time at both ends of int64, so every delta wraps;
+		// the widest Site and Seq; entries out of time order; activations
+		// older than their stamps.
+		{
+			Kind:  reqPushRumors,
+			From:  -1,
+			Bound: timestamp.T{Time: math.MinInt64, Site: -1, Seq: math.MaxUint32},
+			Entries: []store.Entry{
+				{Key: "max", Stamp: timestamp.T{Time: math.MaxInt64, Site: -1, Seq: math.MaxUint32},
+					Activation: timestamp.T{Time: math.MinInt64, Site: math.MaxInt32, Seq: math.MaxUint32}},
+				{Key: "min", Value: store.Value("v"), Stamp: timestamp.T{Time: math.MinInt64, Site: math.MinInt32},
+					Activation: timestamp.T{Time: math.MaxInt64, Site: -1}},
+				{Key: "older", Stamp: timestamp.T{Time: 1 << 40, Site: 2, Seq: 1},
+					Activation: timestamp.T{Time: 1<<40 - 9, Site: 1},
+					Retention:  []timestamp.SiteID{-1, math.MaxInt32, 0}},
+				{Key: "back", Stamp: timestamp.T{Time: -7, Site: 5}, Activation: timestamp.T{Time: -7, Site: 5}},
+			},
+			Hops: []trace.Hop{
+				{Parent: math.MinInt32, Count: math.MinInt32, Valid: true},
+				{Parent: math.MaxInt32, Count: math.MaxInt32},
+			},
+		},
 	}
 }
 
@@ -54,6 +77,7 @@ func codecResponses() []response {
 		{Err: "remote exploded"},
 		{InSync: true, Checksum: 12345, Now: 678},
 		{More: true, Bound: timestamp.T{Time: -3, Site: 7, Seq: 1}},
+		{More: true, Bound: timestamp.T{Time: math.MaxInt64, Site: -1, Seq: math.MaxUint32}},
 		{Needed: []bool{true}},
 		{Needed: []bool{true, false, true, false, true, false, true}},        // 7: partial byte
 		{Needed: []bool{false, true, false, true, false, true, false, true}}, // 8: exact byte
@@ -217,12 +241,12 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	// A request whose entry count claims 2^40 entries.
 	var b []byte
 	b = append(b, byte(reqPushRumors))
-	b = appendUint32(b, 1)
+	b = appendSite(b, 1)
 	b = appendUint64(b, 0)
 	b = appendVarint(b, 0) // Now
 	b = appendVarint(b, 0) // Tau
 	b = appendVarint(b, 0) // Tau1
-	b = appendStamp(b, timestamp.T{})
+	b = appendStamp(b, timestamp.T{}, 0)
 	b = appendVarint(b, 0)      // Limit
 	b = appendUvarint(b, 1<<40) // forged entry count
 	var got request
@@ -235,7 +259,7 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	rb = append(rb, 0) // flags
 	rb = appendUint64(rb, 0)
 	rb = appendVarint(rb, 0)
-	rb = appendStamp(rb, timestamp.T{})
+	rb = appendStamp(rb, timestamp.T{}, 0)
 	rb = appendUvarint(rb, 1<<40) // forged Needed count
 	var gotR response
 	if err := decodeResponse(rb, &gotR); !errors.Is(err, ErrTruncatedFrame) {
@@ -243,8 +267,54 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	}
 }
 
+// TestCodecWideSiteOrSeqRejected: a site id or sequence number wider than
+// 32 bits was never written by this codec, so the decoder calls it garbage
+// rather than truncating it.
+func TestCodecWideSiteOrSeqRejected(t *testing.T) {
+	raw := func(from, site, seq uint64) []byte {
+		b := []byte{byte(reqPushRumors)}
+		b = appendUvarint(b, from)
+		b = appendUint64(b, 0) // Checksum
+		b = append(b, 0, 0, 0) // Now, Tau, Tau1
+		b = appendVarint(b, 0) // Bound.Time
+		b = appendUvarint(b, site)
+		b = appendUvarint(b, seq)
+		// Limit, then empty entries, hops, digests, shard, shard count,
+		// vector and the two mail fields.
+		return append(b, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	const widest, wide = math.MaxUint32, math.MaxUint32 + 1
+	var got request
+	if err := decodeRequest(raw(widest, widest, widest), &got); err != nil {
+		t.Fatalf("32-bit site and seq refused: %v", err)
+	}
+	if got.From != -1 || got.Bound != (timestamp.T{Site: -1, Seq: math.MaxUint32}) {
+		t.Errorf("32-bit fields decoded as From %d, Bound %v", got.From, got.Bound)
+	}
+	for _, tc := range []struct {
+		name            string
+		from, site, seq uint64
+	}{
+		{"From", wide, 1, 1},
+		{"Bound.Site", 1, wide, 1},
+		{"Bound.Seq", 1, 1, wide},
+	} {
+		if err := decodeRequest(raw(tc.from, tc.site, tc.seq), &got); !errors.Is(err, ErrFrameGarbage) {
+			t.Errorf("33-bit %s: err = %v, want ErrFrameGarbage", tc.name, err)
+		}
+	}
+}
+
+// TestRequestWireSizeIsUpperBound runs every request table, the extreme
+// stamps of codecRequests included, through requestWireSize.
 func TestRequestWireSizeIsUpperBound(t *testing.T) {
-	for i, req := range codecRequests() {
+	all := append(codecRequests(), shardRequests()...)
+	all = append(all, mailRequests()...)
+	all = append(all, offerRequests()...)
+	for _, fr := range syncOfferFrames() {
+		all = append(all, fr.req)
+	}
+	for i, req := range all {
 		actual := len(appendRequest(nil, &req))
 		bound := requestWireSize(&req)
 		if actual > bound {
@@ -260,6 +330,9 @@ func TestRequestWireSizeIsUpperBound(t *testing.T) {
 // panic, and anything that decodes cleanly must re-encode and re-decode to
 // the same value (the codec is its own inverse on its image).
 func FuzzDecodeFrame(f *testing.F) {
+	// codecRequests and codecResponses include the extreme stamps: Time at
+	// both int64 ends, Site -1, Seq MaxUint32, entries out of time order
+	// and activations older than their stamps.
 	for _, req := range codecRequests() {
 		f.Add(appendRequest(nil, &req))
 	}

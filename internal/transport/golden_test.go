@@ -74,61 +74,61 @@ func goldenFrames() map[reqKind]goldenFrame {
 }
 
 // goldenHex holds, per kind, the request and response payloads of
-// goldenFrames as earlier builds encoded them at wire version 5 (the sync
-// row since round 0 became an offer of ids). The one format must keep
+// goldenFrames at wire version 6: varint-delta stamps and varint site ids.
+// Against version 5's fixed-width stamps the table is 42 % shorter; the
+// shard-vector pair and the peel-back-shard request shrink least (21–22 %)
+// because fixed-width hashes fill most of them. The one format must keep
 // producing these bytes exactly.
 var goldenHex = map[reqKind][2]string{
 	reqMail: {
-		"01000000020000000000000000000000000000000000000000000000000000000001086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090001000000020000000301000000000000",
-		"000000000000000000000000000000000000000000000000000000000000000000",
+		"010200000000000000000000000000000001086b2f30303030313703763180808080804002090002090001020601000000000000",
+		"0000000000000000000000000000000000000000",
 	},
 	reqPushRumors: {
-		"02000000020000000000000000000000000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
-		"00000000000000000000000000000000000000000000000000000201000000000000",
+		"020200000000000000000000000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c030202010400000000000000",
+		"000000000000000000000000000201000000000000",
 	},
 	reqRumorOffer: {
-		"03000000020000000000000000000000000000000000000000000000000000000001086b2f3030303031370000000100000000000000000200000009000001000000000000000002000000090000000000000000",
-		"000000000000000000000000000000000000000000000000000001000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040100000002000000030100000000",
+		"030200000000000000000000000000000001086b2f3030303031370080808080804002090002090000000000000000",
+		"0000000000000000000000000001000104676f6e65009a0103012c03020201040102060100000000",
 	},
 	reqSyncOffer: {
-		"0b00000002deadbeefcafef00d80808080808001c0b80280bab703000000000000000000000000000000000001086b2f3030303031370000000100000000000000000200000009000001000000000000000002000000090000000000000000",
-		"000123456789abcdef868080808080010000000000000000000000000000000001010104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040100000002000000030100000000",
+		"0b02deadbeefcafef00d80808080808001c0b80280bab7030000000001086b2f3030303031370080808080804002090002090000000000000000",
+		"000123456789abcdef8680808080800100000001010104676f6e65009a0103012c03020201040102060100000000",
 	},
 	reqFullSync: {
-		"05000000020000000000000000808080808080010080bab703000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
-		"01000000000000002a80808080808001000000000000000000000000000000000001086b2f3030303031370376310000010000000000000000020000000900000100000000000000000200000009000000000000",
+		"05020000000000000000808080808080010080bab7030000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c030202010400000000000000",
+		"01000000000000002a808080808080010000000001086b2f3030303031370376318080808080400209000209000000000000",
 	},
 	reqChecksum: {
-		"06000000000000000000000000000080bab70300000000000000000000000000000000000000000000000000",
-		"00feedfacecafebeef000000000000000000000000000000000000000000000000",
+		"06000000000000000000000080bab703000000000000000000000000",
+		"00feedfacecafebeef0000000000000000000000",
 	},
 	reqPeelBack: {
-		"07000000020000000000000000808080808080010080bab703000000fffffffffb000000010000000480010104676f6e6500000000000000004d00000003000000010000000000000063000000030000000202000000010000000400000000000000",
-		"02000000000000000780808080808001000000fffffffffb00000001000000040001086b2f3030303031370376310000010000000000000000020000000900000100000000000000000200000009000000000000",
+		"07020000000000000000808080808080010080bab703f6ffffffff3f010480010104676f6e65009a0103012c030202010400000000000000",
+		"02000000000000000780808080808001f6ffffffff3f01040001086b2f3030303031370376318080808080400209000209000000000000",
 	},
 	reqShardVector: {
-		"08000000020000000000000000808080808080010080bab703000000000000000000000000000000000000000000000300000000000000010000000000000000ffffffffffffffff0000",
-		"000000000000000009808080808080010000000000000000000000000000000000000000000603000000000000000100000000000000020000000000000003",
+		"08020000000000000000808080808080010080bab7030000000000000000000300000000000000010000000000000000ffffffffffffffff0000",
+		"0000000000000000098080808080800100000000000000000603000000000000000100000000000000020000000000000003",
 	},
 	reqPeelBackShard: {
-		"09000000020000000000000000808080808080010080bab703000000fffffffffb0000000100000004100000001a20000000",
-		"00000000000000000b80808080808001000000fffffffffb0000000100000004000104676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040000000000",
+		"09020000000000000000808080808080010080bab703f6ffffffff3f0104100000001a20000000",
+		"00000000000000000b80808080808001f6ffffffff3f0104000104676f6e65009a0103012c03020201040000000000",
 	},
 	reqMailBatch: {
-		"0a000000020000000000000000000000000000000000000000000000000000000002086b2f30303030313703763100000100000000000000000200000009000001000000000000000002000000090004676f6e6500000000000000004d0000000300000001000000000000006300000003000000020200000001000000040200000002000000030100000000000000000000000000c08db70106",
-		"00000000000000000000000000000000000000000000000000000203000000000000",
+		"0a0200000000000000000000000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c03020201040202060100000000000000c08db70106",
+		"000000000000000000000000000203000000000000",
 	},
 }
 
-// goldenErrHex is a response carrying a remote error, as earlier builds
-// encoded it.
-const goldenErrHex = "000000000000000000000000000000000000000000000000000000000017756e6b6e6f776e2072657175657374206b696e64203939000000"
+// goldenErrHex is a response carrying a remote error.
+const goldenErrHex = "0000000000000000000000000000000017756e6b6e6f776e2072657175657374206b696e64203939000000"
 
 // TestGoldenFrameBytes pins the payload bytes of every request kind and its
-// response, digest sections empty, to what earlier builds put on the wire:
-// a daemon on this build and one on an earlier build exchange identical
-// frames. The sync row is the ids-first round 0 under its own kind; the
-// retired kind 4 has no row.
+// response, digest sections empty, so any change to the layout shows up
+// here and must come with a new wire version. The retired kind 4 has no
+// row.
 func TestGoldenFrameBytes(t *testing.T) {
 	frames := goldenFrames()
 	for k := reqMail; k <= reqSyncOffer; k++ {

@@ -103,12 +103,12 @@ func TestCodecMailTruncationEveryPrefix(t *testing.T) {
 func TestCodecMailBatchForgedEntryCount(t *testing.T) {
 	var b []byte
 	b = append(b, byte(reqMailBatch))
-	b = appendUint32(b, 1)
+	b = appendSite(b, 1)
 	b = appendUint64(b, 0)
 	b = appendVarint(b, 0) // Now
 	b = appendVarint(b, 0) // Tau
 	b = appendVarint(b, 0) // Tau1
-	b = appendStamp(b, timestamp.T{})
+	b = appendStamp(b, timestamp.T{}, 0)
 	b = appendVarint(b, 0)      // Limit
 	b = appendUvarint(b, 1<<40) // forged entry count
 	var got request

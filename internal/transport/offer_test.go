@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -34,15 +35,30 @@ func offerResponses() []response {
 }
 
 // TestOfferIDByteBudget pins what an id costs on the wire against a full
-// entry: the 8-byte keys and 64-byte values of the benchmark stream.
+// entry, at the benchmark stream's shape: 8-byte keys, 64-byte values and
+// wall-clock-nanosecond stamps from one site. The first id of a section
+// carries its stamp's whole time, key + 17 B; each later id, 1 ms older
+// than the one before, carries a 3-byte delta, key + 11 B. Either way the
+// activation, equal to the stamp, costs 3 B.
 func TestOfferIDByteBudget(t *testing.T) {
-	full := store.Entry{Key: "k/000017", Value: make(store.Value, 64), Stamp: timestamp.T{Time: 1}, Activation: timestamp.T{Time: 1}}
-	id := store.Entry{Key: full.Key, Stamp: full.Stamp, Activation: full.Activation}
-	size := func(e store.Entry) int { return len(appendEntries(nil, []store.Entry{e})) - 1 }
-	if got := size(id); got != len(id.Key)+entryMinWire {
-		t.Errorf("id of a %d-byte key costs %d bytes, want key + %d", len(id.Key), got, entryMinWire)
+	t0 := time.Date(2026, 10, 15, 12, 0, 0, 0, time.UTC).UnixNano()
+	ids := make([]store.Entry, 4)
+	for i := range ids {
+		st := timestamp.T{Time: t0 - int64(i)*int64(time.Millisecond), Site: 3}
+		ids[i] = store.Entry{Key: fmt.Sprintf("k/%06d", 17+i), Stamp: st, Activation: st}
 	}
-	if got := size(full) - size(id); got != 64 {
+	size := func(es []store.Entry) int { return len(appendEntries(nil, es)) - 1 } // less the count byte
+	if got := size(ids[:1]); got != len(ids[0].Key)+17 {
+		t.Errorf("first id of an %d-byte key costs %d bytes, want key + 17", len(ids[0].Key), got)
+	}
+	for n := 2; n <= len(ids); n++ {
+		if got := size(ids[:n]) - size(ids[:n-1]); got != len(ids[n-1].Key)+11 {
+			t.Errorf("id %d, 1 ms after the one before, costs %d bytes, want key + 11", n-1, got)
+		}
+	}
+	full := ids[0]
+	full.Value = make(store.Value, 64)
+	if got := size([]store.Entry{full}) - size(ids[:1]); got != 64 {
 		t.Errorf("a full entry costs %d bytes more than its id, want its 64-byte value", got)
 	}
 }
@@ -53,23 +69,27 @@ func TestOfferIDByteBudget(t *testing.T) {
 func TestOfferForgedIDCount(t *testing.T) {
 	req := offerRequests()[1]
 	good := appendRequest(nil, &req)
-	var b []byte
-	b = append(b, byte(reqRumorOffer))
-	b = appendUint32(b, 4)
-	b = appendUint64(b, 0)
-	b = appendVarint(b, 0) // Now
-	b = appendVarint(b, 0) // Tau
-	b = appendVarint(b, 0) // Tau1
-	b = appendStamp(b, timestamp.T{})
-	b = appendVarint(b, 0) // Limit
-	prefix := len(b)
-	if good[prefix] != 2 {
-		t.Fatalf("offer layout moved: byte %d is %d, want the id count 2", prefix, good[prefix])
+	// The same offer with no ids encodes the same prefix; the first byte
+	// that differs is the id count.
+	empty := req
+	empty.Entries = nil
+	bare := appendRequest(nil, &empty)
+	prefix := 0
+	for prefix < len(bare) && bare[prefix] == good[prefix] {
+		prefix++
 	}
-	forged := append(appendUvarint(b, 3), good[prefix+1:]...) // claims 3 ids, carries 2
-	var got request
-	if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
-		t.Errorf("forged id count: err = %v, want ErrTruncatedFrame", err)
+	if prefix == len(bare) || bare[prefix] != 0 || good[prefix] != 2 {
+		t.Fatalf("no id count found: byte %d of the offer, want 0 without ids and 2 with", prefix)
+	}
+	rest := good[prefix+1:]
+	// One more id than it carries, and one more than the rest of the frame
+	// could hold at entryMinWire bytes each.
+	for _, claim := range []uint64{3, uint64(len(rest)/entryMinWire) + 1} {
+		forged := append(appendUvarint(good[:prefix:prefix], claim), rest...)
+		var got request
+		if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
+			t.Errorf("offer claiming %d ids: err = %v, want ErrTruncatedFrame", claim, err)
+		}
 	}
 }
 

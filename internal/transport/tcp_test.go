@@ -371,7 +371,8 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, version := range []byte{1, 4, 6} {
+	// 5 is the fixed-width layout the previous build speaks.
+	for _, version := range []byte{1, 4, 5, 7} {
 		stream := append([]byte{'E', 'P', 'G', version}, mailFrame("old")...)
 		if got := refusedStream(t, srv.Addr(), stream); !bytes.Equal(got, []byte{wireVersion}) {
 			t.Errorf("v%d hello: server sent % x, want only its version byte", version, got)
@@ -381,17 +382,19 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 		t.Fatal("server served a request behind a refused hello")
 	}
 
-	// A server that answers with an older version, as a v4-capped build
-	// did, is refused by the client.
-	old := fakeServer(t, func(conn net.Conn) {
-		defer conn.Close()
-		acceptHello(conn, 4)
-		_, _ = io.Copy(io.Discard, conn)
-	})
-	peer := NewTCPPeerWith(1, old, PeerOptions{Timeout: time.Second})
-	defer peer.Close()
-	if err := peer.Mail(store.Entry{Key: "k"}, trace.Hop{}); !errors.Is(err, ErrFrameGarbage) {
-		t.Errorf("mail to a v4 server: err = %v, want ErrFrameGarbage", err)
+	// A server that answers with an older version — 4 as a v4-capped build
+	// did, 5 as the previous build does — is refused by the client.
+	for _, version := range []byte{4, 5} {
+		old := fakeServer(t, func(conn net.Conn) {
+			defer conn.Close()
+			acceptHello(conn, version)
+			_, _ = io.Copy(io.Discard, conn)
+		})
+		peer := NewTCPPeerWith(1, old, PeerOptions{Timeout: time.Second})
+		if err := peer.Mail(store.Entry{Key: "k"}, trace.Hop{}); !errors.Is(err, ErrFrameGarbage) {
+			t.Errorf("mail to a v%d server: err = %v, want ErrFrameGarbage", version, err)
+		}
+		peer.Close()
 	}
 
 	live := NewTCPPeer(1, srv.Addr())

@@ -28,10 +28,15 @@ import (
 // Datagram layout (both directions):
 //
 //	[0..1]  magic 'E','U'
-//	[2]     protocol version (1)
+//	[2]     protocol version (2)
 //	[3]     type: 0 request, 1 response
 //	[4..11] MsgID, big-endian
 //	[12..]  body: the request/response encoding TCP frames carry (codec.go)
+//
+// The version byte moves with the body layout: 2 carries the varint-stamp
+// bodies of wire version 6. A datagram of any other version is dropped
+// unanswered, so the sender times out and falls back to TCP, where the
+// hello refuses the mismatch.
 //
 // Retried pushes are idempotent merges, but a retry whose first copy was
 // applied (response lost) reports needed=false for entries the peer did in
@@ -39,7 +44,7 @@ import (
 // harmless to the rumor counters.
 
 const (
-	udpVersion      = 1
+	udpVersion      = 2
 	udpTypeRequest  = 0
 	udpTypeResponse = 1
 	udpHeaderLen    = 12

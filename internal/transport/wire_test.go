@@ -266,6 +266,53 @@ func TestUDPRejectsNonPushKinds(t *testing.T) {
 	}
 }
 
+// TestUDPDropsOtherVersions: a push datagram whose header names version 1,
+// the previous build's fixed-width bodies, is dropped unanswered and
+// applies nothing, while the same push at udpVersion is answered and
+// applied. The server handles datagrams in order, so the first answer back
+// must be the second push's.
+func TestUDPDropsOtherVersions(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	n := wireNode(t, 2, src)
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	push := func(version, msgID byte, key string) []byte {
+		req := request{Kind: reqPushRumors, From: 1, Entries: []store.Entry{
+			{Key: key, Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}},
+		}}
+		return appendRequest([]byte{'E', 'U', version, udpTypeRequest, 0, 0, 0, 0, 0, 0, 0, msgID}, &req)
+	}
+	for _, dgram := range [][]byte{push(1, 1, "old"), push(udpVersion, 2, "new")} {
+		if _, err := conn.Write(dgram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, udpReadBuf)
+	got, err := conn.Read(buf)
+	if err != nil {
+		t.Fatalf("no answer to the current-version push: %v", err)
+	}
+	if got < udpHeaderLen || buf[2] != udpVersion || buf[udpHeaderLen-1] != 2 {
+		t.Fatalf("first answer = % x, want the version-%d push's", buf[:min(got, udpHeaderLen)], udpVersion)
+	}
+	if _, ok := n.Lookup("old"); ok {
+		t.Error("a version-1 datagram was applied")
+	}
+	if _, ok := n.Lookup("new"); !ok {
+		t.Error("the current-version push was not applied")
+	}
+}
+
 // TestServeUDPDisabled checks DisableUDP leaves no datagram listener and
 // pushes still arrive over TCP.
 func TestServeUDPDisabled(t *testing.T) {
