@@ -1,7 +1,7 @@
 GO ?= go
 
 # BENCH_OUT numbers the machine-readable bench report; bump per PR.
-# BENCH_4 is the outbound-engine report: direct-mail fan-out serial vs
+# BENCH_4 is the outbound-engine report: direct-mail fan-out through the
 # outbox, the rumor-apply lock ablation, and a re-run of the wire rows.
 BENCH_OUT ?= BENCH_4.json
 BENCH_BASELINE ?= docs/bench-seed.txt
@@ -12,8 +12,8 @@ SCRATCH ?= .scratch
 # and a -cpu sweep so sharded-vs-mutex ratios are comparable across runs.
 STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -benchmem ./internal/store
 # WIRE_BENCH / CODEC_BENCH pin the transport benchmarks to fixed iteration
-# counts so UDP-vs-TCP and pooled-vs-dial ratios are stable run to run (the
-# 1x suite pass skips them — see bench).
+# counts so UDP-vs-TCP ratios and pooled allocation counts are stable run
+# to run (the 1x suite pass skips them — see bench).
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
 # DEEP_BENCH is the deep-divergence family: delta old entries buried under
@@ -21,10 +21,11 @@ CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/tra
 # the global baseline walks the whole index per op by design.
 DEEP_BENCH = -run '^$$' -bench BenchmarkDeepDivergence -benchtime=3x -benchmem .
 # FANOUT_BENCH / APPLY_BENCH pin the outbound-engine benchmarks: direct
-# mail to 1ms-latency peers, serial vs worker-pool outbox, and the
-# rumor-apply batched-vs-per-entry lock ablation. Iterations are fixed so
-# the serial/outbox ratio is stable run to run (the 1x suite pass covers
-# fan-out; the apply ablation lives in ./internal/node).
+# mail through a started node's worker-pool outbox to 8-128 peers at 1ms
+# latency (one 50ms straggler in the slowpeer row), and the rumor-apply
+# batched-vs-per-entry lock ablation. Iterations are fixed so the rows
+# are stable run to run (the 1x suite pass covers fan-out; the apply
+# ablation lives in ./internal/node).
 FANOUT_BENCH = -run '^$$' -bench BenchmarkDirectMailFanout -benchtime=5x -benchmem .
 APPLY_BENCH = -run '^$$' -bench BenchmarkApplyRumors -benchtime=5000x -benchmem ./internal/node
 
@@ -40,7 +41,9 @@ test:
 	$(GO) test ./...
 
 # check is the pre-merge gate: static analysis, a fast race pass over the
-# sharded store (the most concurrency-sensitive package), the race
+# sharded store (the most concurrency-sensitive package), a targeted race
+# pass over the mail path (outbox queues and workers, mail batches on the
+# wire, the slow-peer isolation test, redistribution by mail), the race
 # detector over the whole module (daemons included), and the
 # observability and cluster-observatory smoke tests.
 check:
@@ -108,18 +111,19 @@ bench:
 bench-store:
 	$(GO) test $(STORE_BENCH)
 
-# bench-transport measures the wire protocol in isolation: pooled vs
-# dial-per-request exchanges, UDP-vs-TCP rumor pushes, the O(δ) peel-back
-# mismatch benchmark, and the raw codec encode/round-trip
-# microbenchmarks, with allocation counts.
+# bench-transport measures the wire protocol in isolation: pooled
+# exchanges, UDP-vs-TCP rumor pushes, the O(δ) peel-back mismatch
+# benchmark, and the raw codec encode/round-trip microbenchmarks, with
+# allocation counts.
 bench-transport:
 	$(GO) test $(WIRE_BENCH)
 	$(GO) test $(CODEC_BENCH)
 	$(GO) test $(DEEP_BENCH)
 
-# bench-node is this PR's report: the direct-mail fan-out comparison, the
-# rumor-apply lock ablation, and a re-run of the wire exchange/rumor rows
-# so $(BENCH_OUT) carries fresh transport numbers from the same machine.
+# bench-node is the outbound-engine report: the outbox's direct-mail
+# fan-out rows, the rumor-apply lock ablation, and a re-run of the wire
+# exchange/rumor rows so $(BENCH_OUT) carries fresh transport numbers from
+# the same machine.
 bench-node:
 	@mkdir -p $(SCRATCH)
 	$(GO) test $(FANOUT_BENCH) | tee $(SCRATCH)/bench_node.txt

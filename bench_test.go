@@ -630,12 +630,6 @@ func benchWireExchange(b *testing.B, opts epidemic.TCPPeerOptions) {
 	}
 }
 
-// BenchmarkExchangeDialPerRequest is the pre-pool wire protocol: every
-// request dials and exchanges the hello before its one frame.
-func BenchmarkExchangeDialPerRequest(b *testing.B) {
-	benchWireExchange(b, epidemic.TCPPeerOptions{PoolSize: -1})
-}
-
 // BenchmarkExchangePooled reuses one persistent framed session per request.
 func BenchmarkExchangePooled(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{})
@@ -888,9 +882,8 @@ func BenchmarkDeepDivergenceShardVec(b *testing.B) { benchDeepDivergenceGrid(b, 
 func BenchmarkDeepDivergenceGlobal(b *testing.B) { benchDeepDivergenceGrid(b, false) }
 
 // latencyPeer models a remote mailbox reached over a link with fixed
-// request latency: every Mail and every MailBatch costs one round trip.
-// Only the mail surface matters to the fan-out bench; the gossip methods
-// are inert.
+// request latency: every MailBatch costs one round trip. Only the mail
+// surface matters to the fan-out bench; the gossip methods are inert.
 type latencyPeer struct {
 	id    epidemic.SiteID
 	delay time.Duration
@@ -913,12 +906,6 @@ func (p *latencyPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []t
 
 func (p *latencyPeer) Checksum(tau1 int64) (uint64, error) { return 0, nil }
 
-func (p *latencyPeer) Mail(e store.Entry, hop trace.Hop) error {
-	time.Sleep(p.delay)
-	p.mails.Add(1)
-	return nil
-}
-
 func (p *latencyPeer) MailBatch(mb epidemic.MailBatch) error {
 	time.Sleep(p.delay)
 	p.mails.Add(int64(len(mb.Entries)))
@@ -926,17 +913,16 @@ func (p *latencyPeer) MailBatch(mb epidemic.MailBatch) error {
 }
 
 // benchDirectMailFanout times one direct-mailed Update reaching `peers`
-// mailboxes a fixed 1ms link apart. workers < 0 is the pre-engine serial
-// path (Update itself walks every peer); workers > 0 is the async outbox,
-// where the timed region covers the enqueue plus a flush so the engine
-// gets no credit for work it merely deferred. slow makes one peer a 50ms
-// straggler.
-func benchDirectMailFanout(b *testing.B, peers, workers int, slow bool) {
+// mailboxes a fixed 1ms link apart through a started node's outbox: eight
+// workers drain the peer queues. The timed region covers the enqueue plus
+// a flush, so the engine gets no credit for work it merely deferred. slow
+// makes one peer a 50ms straggler.
+func benchDirectMailFanout(b *testing.B, peers int, slow bool) {
 	n, err := epidemic.NewNode(epidemic.NodeConfig{
 		Site:               1,
 		DirectMailOnUpdate: true,
 		Outbox: epidemic.OutboxConfig{
-			Workers:      workers,
+			Workers:      8,
 			QueuePerPeer: 1 << 20, // never drop: the bench measures fan-out, not shedding
 			FlushTimeout: time.Minute,
 		},
@@ -944,6 +930,7 @@ func benchDirectMailFanout(b *testing.B, peers, workers int, slow bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	n.Start()
 	defer n.Stop()
 	ps := make([]epidemic.Peer, peers)
 	for i := range ps {
@@ -957,10 +944,8 @@ func benchDirectMailFanout(b *testing.B, peers, workers int, slow bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.Update(fmt.Sprintf("fanout-%d", i), epidemic.Value("v"))
-		if workers > 0 {
-			if !n.FlushMail(time.Minute) {
-				b.Fatal("flush timed out")
-			}
+		if !n.FlushMail(time.Minute) {
+			b.Fatal("flush timed out")
 		}
 	}
 	b.StopTimer()
@@ -971,24 +956,17 @@ func benchDirectMailFanout(b *testing.B, peers, workers int, slow bool) {
 	b.ReportMetric(float64(mails)/float64(b.N), "mails/op")
 }
 
-// BenchmarkDirectMailFanout compares serial direct mail against the async
-// outbox engine across fan-out widths, plus a one-straggler variant. The
-// serial path pays links sequentially (peers x 1ms per op); the outbox
-// drains queues from a worker pool, so the same op costs roughly
-// peers/workers link delays.
+// BenchmarkDirectMailFanout measures the outbox engine across fan-out
+// widths, plus a one-straggler variant. The worker pool drains peer queues
+// in parallel, so one op costs roughly peers/workers link delays, where
+// walking the peers in turn would cost peers x 1ms.
 func BenchmarkDirectMailFanout(b *testing.B) {
 	for _, peers := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("serial_p%d", peers), func(b *testing.B) {
-			benchDirectMailFanout(b, peers, -1, false)
-		})
 		b.Run(fmt.Sprintf("outbox_p%d", peers), func(b *testing.B) {
-			benchDirectMailFanout(b, peers, 8, false)
+			benchDirectMailFanout(b, peers, false)
 		})
 	}
-	b.Run("serial_p32_slowpeer", func(b *testing.B) {
-		benchDirectMailFanout(b, 32, -1, true)
-	})
 	b.Run("outbox_p32_slowpeer", func(b *testing.B) {
-		benchDirectMailFanout(b, 32, 8, true)
+		benchDirectMailFanout(b, 32, true)
 	})
 }

@@ -32,7 +32,7 @@ type daemonConfig struct {
 	// (debug|info|warn|error); logFormat selects text or json.
 	logLevel, logFormat string
 	// poolSize bounds the persistent gossip connections kept per peer
-	// (negative disables reuse); peelBatch sets the peel-back batch size
+	// (0 = default); peelBatch sets the peel-back batch size
 	// (0 = default); exchangeTimeout is the per-request deadline on
 	// outbound gossip.
 	poolSize        int
@@ -47,12 +47,9 @@ type daemonConfig struct {
 	// shardRepairWorkers bounds how many diverged shards one anti-entropy
 	// exchange repairs concurrently (0 = default).
 	shardRepairWorkers int
-	// outboxWorkers sizes the asynchronous outbound mail engine's worker
-	// pool (0 = default, negative = serial direct mail); outboxQueue
-	// bounds each per-peer send queue before drop-oldest kicks in
-	// (0 = default).
-	outboxWorkers int
-	outboxQueue   int
+	// outboxQueue bounds each per-peer send queue of the outbound mail
+	// engine before drop-oldest kicks in (0 = default).
+	outboxQueue int
 	// traceRing enables hop-provenance tracing when > 0: the node retains
 	// that many spans for the TRACE verb and /trace admin route.
 	traceRing int
@@ -193,7 +190,7 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 			ReactivateDormant: true,
 		},
 		DirectMailOnUpdate: cfg.mail,
-		Outbox:             epidemic.OutboxConfig{Workers: cfg.outboxWorkers, QueuePerPeer: cfg.outboxQueue},
+		Outbox:             epidemic.OutboxConfig{QueuePerPeer: cfg.outboxQueue},
 		Redistribution:     epidemic.RedistributeRumor,
 		Tau1:               cfg.tau1.Nanoseconds(),
 		Tau2:               cfg.tau2.Nanoseconds(),
@@ -227,6 +224,16 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		_ = srv.Close()
 		return nil, fmt.Errorf("client listen %s: %w", cfg.client, err)
 	}
+	// Started before the first Update (the announcement below, then every
+	// client SET/DEL), so mail fans out from the node's workers and never
+	// on the writer's goroutine.
+	n.Start()
+	fail := func(err error) (*daemon, error) {
+		n.Stop()
+		_ = srv.Close()
+		_ = cln.Close()
+		return nil, err
+	}
 
 	// Announce this replica in the replicated membership directory and
 	// keep the peer set synchronised with it: new replicas that announce
@@ -237,9 +244,7 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		advertise = srv.Addr()
 	}
 	if _, err := epidemic.Announce(n, advertise); err != nil {
-		_ = srv.Close()
-		_ = cln.Close()
-		return nil, err
+		return fail(err)
 	}
 
 	d := &daemon{
@@ -269,18 +274,14 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	if cfg.flightDir != "" {
 		flight, err := epidemic.NewFlightRecorder(cfg.flightDir, cfg.flightMax)
 		if err != nil {
-			_ = srv.Close()
-			_ = cln.Close()
-			return nil, err
+			return fail(err)
 		}
 		d.flight = flight
 		d.addFlightSections()
 	}
 	if cfg.admin != "" {
 		if err := d.startAdmin(cfg.admin); err != nil {
-			_ = srv.Close()
-			_ = cln.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	if digests != nil {
@@ -300,7 +301,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	go d.syncLoop(cfg.aePer)
 	go serveClients(cln, n, d.clientEnv())
-	n.Start()
 	return d, nil
 }
 

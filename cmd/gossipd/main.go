@@ -38,11 +38,11 @@
 // push/retry/fallback counters.
 //
 // Outbound mail: direct-mailed updates ride an asynchronous per-peer
-// send-queue engine — SET/DEL return after an enqueue, workers fan out to
-// all peers in parallel, and back-to-back writes to one key coalesce to
-// the newest stamp. -outbox-workers sizes the pool (negative restores
-// serial mail), -outbox-queue bounds each peer's queue (overflow drops
-// the oldest entry, the paper's lossy-mail queue in §1.2). A whole drain
+// send-queue engine — SET/DEL return after an enqueue, the node's mail
+// workers (started with the node, before the first SET is served) fan out
+// to all peers in parallel, and back-to-back writes to one key coalesce to
+// the newest stamp. -outbox-queue bounds each peer's queue (overflow drops
+// the oldest entry, the paper's lossy-mail queue in §1.2). Every drain
 // ships to its peer as one batched frame. The epidemic_outbox_* metrics
 // and the STATSJSON outbox_* fields expose enqueues, coalesced
 // supersessions, drops, batches, and current depth.
@@ -123,13 +123,12 @@ func main() {
 	flag.StringVar(&cfg.admin, "admin", "", "admin HTTP address serving /metrics, /healthz, /events and /debug/pprof (empty = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn or error (empty = no logging)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text or json")
-	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (negative = dial per request)")
+	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (0 = default)")
 	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
 	flag.BoolVar(&cfg.udp, "udp", true, "UDP fast path for single-datagram rumor pushes (falls back to TCP)")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
 	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged shards repaired concurrently per exchange (0 = default)")
-	flag.IntVar(&cfg.outboxWorkers, "outbox-workers", 0, "async outbound-mail worker pool size (0 = default, negative = serial direct mail)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "hop-provenance spans retained for TRACE and /trace (0 = tracing disabled)")
 	flag.IntVar(&cfg.mutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events for /debug/pprof/mutex (0 = off)")

@@ -89,21 +89,20 @@ type (
 	NodeConfig = node.Config
 	// NodeStats counts a node's protocol activity.
 	NodeStats = node.Stats
-	// Peer is a remote replica as seen from one node.
+	// Peer is a remote replica as seen from one node: anti-entropy, rumor
+	// offers and pushes, the checksum probe, and MailBatch, the one way
+	// direct mail is delivered.
 	Peer = node.Peer
 	// LocalPeer is an in-process Peer with failure injection.
 	LocalPeer = node.LocalPeer
-	// OutboxConfig tunes the asynchronous outbound mail engine
-	// (NodeConfig.Outbox): worker count, per-peer queue bound, retry
-	// backoff, and the shutdown flush timeout. Workers < 0 restores
-	// serial direct mail.
+	// OutboxConfig tunes the outbound mail engine every direct mail leaves
+	// through (NodeConfig.Outbox): worker count, per-peer queue bound,
+	// retry backoff, and the shutdown flush timeout. The workers run once
+	// Node.Start does; an unstarted node drains each enqueue on the caller.
 	OutboxConfig = node.OutboxConfig
 	// MailBatch is one outbound-queue drain: coalesced entries for a
 	// single peer, shipped in one frame.
 	MailBatch = node.MailBatch
-	// BatchMailer is the optional Peer extension for delivering a whole
-	// MailBatch in one call (TCPPeer implements it).
-	BatchMailer = node.BatchMailer
 
 	// Cluster is an in-memory cluster on a simulated clock.
 	Cluster = sim.Cluster

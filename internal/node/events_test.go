@@ -133,7 +133,7 @@ func TestMailFailureEvent(t *testing.T) {
 	ep := &erroringPeer{id: 3}
 	a.SetPeers([]Peer{ep})
 	a.Update("k2", store.Value("v"))
-	a.FlushMail(0) // wait for the drain; the failed batch is dropped, not retried
+	a.FlushMail(0) // the failed batch was dropped on Update, not retried
 	if got := rec.byKind(EventMailFailed); len(got) != 1 || got[0].Peer != 3 || got[0].Count != 1 {
 		t.Fatalf("mail failure events = %+v", got)
 	}
@@ -167,13 +167,13 @@ func TestUpdateAndApplyEvents(t *testing.T) {
 	}
 
 	// Mail delivery that changes the recipient: EventApply there.
-	b.HandleMail(e, trace.Hop{})
+	b.HandleMailBatch(MailBatch{Entries: []store.Entry{e}})
 	ap := recB.byKind(EventApply)
 	if len(ap) != 1 || ap[0].Key != "k1" || ap[0].Stamp != e.Stamp {
 		t.Fatalf("apply events after mail = %+v", ap)
 	}
 	// Redelivery changes nothing, so no second apply.
-	b.HandleMail(e, trace.Hop{})
+	b.HandleMailBatch(MailBatch{Entries: []store.Entry{e}})
 	if got := recB.byKind(EventApply); len(got) != 1 {
 		t.Fatalf("duplicate mail fired an apply: %+v", got)
 	}
@@ -258,11 +258,10 @@ func TestEmitNotUnderNodeLock(t *testing.T) {
 		Site: 1, Clock: src.ClockAt(1), Seed: 1,
 		Tau1: 5, Tau2: 5,
 		DirectMailOnUpdate: true,
-		// Serial mail keeps this a single-goroutine test: with the async
-		// engine a worker's emit could TryLock while the main goroutine
-		// legitimately holds n.mu, a false positive. The serial path and
-		// the workers' noteMailResult share the same no-locks-held emit.
-		Outbox:  OutboxConfig{Workers: -1},
+		// The node stays unstarted, so mail drains on this goroutine and
+		// the test stays single-goroutine: a started node's worker could
+		// TryLock while the main goroutine legitimately holds n.mu, a false
+		// positive. Both drains share noteMailResult's no-locks-held emit.
 		OnEvent: probe,
 	})
 	if err != nil {
@@ -283,7 +282,7 @@ func TestEmitNotUnderNodeLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := b.Store().Update("mailed", store.Value("v"))
-	a.HandleMail(e, trace.Hop{}) // apply via mail
+	a.HandleMailBatch(MailBatch{Entries: []store.Entry{e}}) // apply via mail
 	e2 := b.Store().Update("rumored", store.Value("v"))
 	a.HandleRumors([]store.Entry{e2}, nil) // apply via rumor push
 	a.ApplyRepair(b.Store().Update("fixed", store.Value("v")), 2, trace.Hop{}, trace.MechAntiEntropy)
@@ -358,6 +357,4 @@ func (p *erroringPeer) OfferRumors([]store.Entry) ([]bool, []store.Entry, []trac
 	return nil, nil, nil, ErrPeerDown
 }
 func (p *erroringPeer) Checksum(int64) (uint64, error) { return 0, ErrPeerDown }
-func (p *erroringPeer) Mail(store.Entry, trace.Hop) error {
-	return ErrPeerDown
-}
+func (p *erroringPeer) MailBatch(MailBatch) error      { return ErrPeerDown }

@@ -133,30 +133,35 @@ func (p *LocalPeer) Checksum(tau1 int64) (uint64, error) {
 	return st.ChecksumLive(st.Now(), tau1), nil
 }
 
-// Mail implements Peer. Lost mail returns nil: PostMail's failure mode is
-// silent ("messages may be discarded when queues overflow").
-func (p *LocalPeer) Mail(e store.Entry, hop trace.Hop) error {
+// MailBatch implements Peer. Each entry is lost independently — the loss
+// RNG is drawn once per entry, in order — and the survivors reach the
+// target in one HandleMailBatch. Lost mail returns nil: PostMail's failure
+// mode is silent ("messages may be discarded when queues overflow").
+func (p *LocalPeer) MailBatch(b MailBatch) error {
 	p.mu.Lock()
-	drop := p.down || (p.mailLoss > 0 && p.rng.Float64() < p.mailLoss)
-	p.mu.Unlock()
-	if drop {
+	if p.down {
+		p.mu.Unlock()
 		return nil
 	}
-	p.target.HandleMail(e, hop)
-	return nil
-}
-
-// MailBatch implements BatchMailer. Each entry is delivered or lost
-// independently through the per-entry path, so loss injection keeps the
-// same semantics whether the sender batches or not.
-func (p *LocalPeer) MailBatch(b MailBatch) error {
-	for i, e := range b.Entries {
-		_ = p.Mail(e, hopAt(b.Hops, i)) // lost mail is a silent nil
+	if p.mailLoss > 0 {
+		kept := MailBatch{QueuedNanos: b.QueuedNanos, Coalesced: b.Coalesced}
+		for i, e := range b.Entries {
+			if p.rng.Float64() < p.mailLoss {
+				continue
+			}
+			kept.Entries = append(kept.Entries, e)
+			if b.Hops != nil {
+				kept.Hops = append(kept.Hops, hopAt(b.Hops, i))
+			}
+		}
+		b = kept
+	}
+	p.mu.Unlock()
+	if len(b.Entries) > 0 {
+		p.target.HandleMailBatch(b)
 	}
 	return nil
 }
-
-var _ BatchMailer = (*LocalPeer)(nil)
 
 func (p *LocalPeer) isDown() bool {
 	p.mu.Lock()

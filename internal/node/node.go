@@ -55,9 +55,10 @@ type Peer interface {
 	// clock with the given dormancy threshold — the agreement probe of
 	// §1.5's combined peel-back / rumor scheme.
 	Checksum(tau1 int64) (uint64, error)
-	// Mail posts one entry to the peer's mailbox (PostMail of §1.2). hop is
-	// the sender's provenance envelope (zero when tracing is disabled).
-	Mail(e store.Entry, hop trace.Hop) error
+	// MailBatch posts one outbox drain to the peer's mailbox (PostMail of
+	// §1.2) in one delivery. A non-nil error means the whole batch was
+	// lost; a silently lost entry returns nil, as PostMail's would.
+	MailBatch(b MailBatch) error
 }
 
 // Config configures a Node. Zero values get sensible defaults from
@@ -74,11 +75,11 @@ type Config struct {
 	// DirectMailOnUpdate mails each locally accepted update to all peers
 	// immediately (§1.2). Rumor mongering makes this optional.
 	DirectMailOnUpdate bool
-	// Outbox tunes the asynchronous outbound mail engine that direct mail
-	// and RedistributeMail ride: Update/Delete enqueue in O(1) and a
-	// worker pool fans out in parallel. The zero value enables it with
-	// defaults; Workers < 0 disables it (serial blocking mail on the
-	// caller's goroutine, the deterministic mode the simulator uses).
+	// Outbox tunes the outbound mail engine, the one path direct mail and
+	// RedistributeMail leave by. Once Start runs, Update/Delete enqueue in
+	// O(1) and a worker pool fans out in parallel; before it, each enqueue
+	// is drained on the caller's goroutine. The zero value selects the
+	// defaults.
 	Outbox OutboxConfig
 	// Redistribution is the action taken when anti-entropy repairs a
 	// missing update at either party (§1.5).
@@ -129,7 +130,7 @@ type Node struct {
 	store  *store.Store
 	log    *slog.Logger
 	tracer *trace.Tracer // nil when tracing is disabled
-	outbox *outbox       // nil when Config.Outbox.Workers < 0 (serial mail)
+	outbox *outbox
 
 	// rounds counts protocol rounds (rumor + anti-entropy) for span
 	// stamping; atomic because daemons and handlers read it concurrently.
@@ -183,11 +184,10 @@ type Stats struct {
 	Redistributed int `json:"redistributed"`
 	// CertificatesExpired counts death certificates dropped by GC.
 	CertificatesExpired int `json:"certificates_expired"`
-	// Outbox engine counters (all zero when the engine is disabled):
-	// entries enqueued to peer send queues, enqueues absorbed by
-	// newest-stamp-wins coalescing, entries dropped (queue overflow,
-	// departed peers, shutdown), batches drained onto the wire, and the
-	// current queue depth across all peers.
+	// Outbox engine counters: entries enqueued to peer send queues,
+	// enqueues absorbed by newest-stamp-wins coalescing, entries dropped
+	// (queue overflow, departed peers, shutdown), batches drained onto the
+	// wire, and the current queue depth across all peers.
 	OutboxEnqueued  int `json:"outbox_enqueued"`
 	OutboxCoalesced int `json:"outbox_coalesced"`
 	OutboxDropped   int `json:"outbox_dropped"`
@@ -242,9 +242,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.TraceRing > 0 {
 		n.tracer = trace.NewTracer(cfg.Site, cfg.TraceRing)
 	}
-	if ocfg := cfg.Outbox.withDefaults(); ocfg.Workers > 0 {
-		n.outbox = newOutbox(ocfg, n)
-	}
+	n.outbox = newOutbox(cfg.Outbox.withDefaults(), n)
 	if cfg.OnEvent != nil {
 		n.onEvent.Store(&cfg.OnEvent)
 	}
@@ -307,9 +305,7 @@ func (n *Node) SetPeers(peers []Peer) {
 	copy(n.peers, peers)
 	n.peerCum = nil
 	n.mu.Unlock()
-	if n.outbox != nil {
-		n.outbox.setPeers(peers)
-	}
+	n.outbox.setPeers(peers)
 }
 
 // SetPeersWeighted replaces the peer set with the given relative selection
@@ -335,9 +331,7 @@ func (n *Node) SetPeersWeighted(peers []Peer, weights []float64) error {
 	copy(n.peers, peers)
 	n.peerCum = cum
 	n.mu.Unlock()
-	if n.outbox != nil {
-		n.outbox.setPeers(peers)
-	}
+	n.outbox.setPeers(peers)
 	return nil
 }
 
@@ -355,13 +349,12 @@ func (n *Node) Stats() Stats {
 	n.mu.Lock()
 	s := n.stats
 	n.mu.Unlock()
-	if ox := n.outbox; ox != nil {
-		s.OutboxEnqueued = int(ox.enqueued.Load())
-		s.OutboxCoalesced = int(ox.coalesced.Load())
-		s.OutboxDropped = int(ox.dropped.Load())
-		s.OutboxBatches = int(ox.batches.Load())
-		s.OutboxDepth = ox.depth()
-	}
+	ox := n.outbox
+	s.OutboxEnqueued = int(ox.enqueued.Load())
+	s.OutboxCoalesced = int(ox.coalesced.Load())
+	s.OutboxDropped = int(ox.dropped.Load())
+	s.OutboxBatches = int(ox.batches.Load())
+	s.OutboxDepth = ox.depth()
 	return s
 }
 
@@ -393,9 +386,9 @@ func (n *Node) Delete(key string) store.Entry {
 // Lookup reads the current value at this replica.
 func (n *Node) Lookup(key string) (store.Value, bool) { return n.store.Lookup(key) }
 
-// distribute makes a fresh local entry hot and optionally direct-mails it.
-// With the outbox engine on, the mail cost is an O(1) enqueue per peer —
-// the caller never waits on the network (§1.2's queued mail).
+// distribute makes a fresh local entry hot and optionally direct-mails it
+// through the outbox (§1.2's queued mail): on a started node an O(1)
+// enqueue per peer, so the caller never waits on the network.
 func (n *Node) distribute(e store.Entry) {
 	n.mu.Lock()
 	n.stats.UpdatesAccepted++
@@ -403,94 +396,48 @@ func (n *Node) distribute(e store.Entry) {
 	if n.activity != nil {
 		n.activity.Touch(e.Key)
 	}
-	var peers []Peer
-	if n.outbox == nil && n.cfg.DirectMailOnUpdate {
-		peers = append([]Peer(nil), n.peers...)
-	}
 	n.mu.Unlock()
 	n.tracer.RecordLocal(e.Key, e.Stamp, n.rounds.Load())
 	n.emit(Event{Kind: EventUpdate, Key: e.Key, Stamp: e.Stamp})
 
-	if !n.cfg.DirectMailOnUpdate {
-		return
+	if n.cfg.DirectMailOnUpdate {
+		n.outbox.enqueue(e, n.tracer.Envelope(e.Key, e.Stamp))
 	}
-	env := n.tracer.Envelope(e.Key, e.Stamp)
-	if n.outbox != nil {
-		n.outbox.enqueue(e, env)
-		return
-	}
-	n.mailSerial(peers, e, env)
 }
 
-// mailSerial is the engine-disabled mail path: post to every peer on the
-// caller's goroutine. Must be called without n.mu held.
-func (n *Node) mailSerial(peers []Peer, e store.Entry, env trace.Hop) {
-	sent, failed := 0, 0
-	for _, p := range peers {
-		if err := p.Mail(e, env); err != nil {
-			failed++
-			n.log.Warn("direct mail failed", "peer", int(p.ID()), "key", e.Key, "err", err)
-			n.emit(Event{Kind: EventMailFailed, Peer: p.ID(), Count: 1})
-			continue
-		}
-		sent++
-	}
-	n.mu.Lock()
-	n.stats.MailSent += sent
-	n.stats.MailFailed += failed
-	n.mu.Unlock()
-}
-
-// noteMailResult records the outcome of one outbox drain: sent/failed
-// counters plus one EventMailFailed per failed peer batch (Count carries
-// the entries lost with it). Called from outbox workers without any locks
+// noteMailResult records the outcome of one outbox drain of entries to
+// peer: sent/failed counters plus, for a failed batch, one EventMailFailed
+// whose Count carries the entries lost with it. Called without any locks
 // held.
-func (n *Node) noteMailResult(peer timestamp.SiteID, sent, failed int, err error) {
+func (n *Node) noteMailResult(peer timestamp.SiteID, entries int, err error) {
 	n.mu.Lock()
-	n.stats.MailSent += sent
-	n.stats.MailFailed += failed
+	if err != nil {
+		n.stats.MailFailed += entries
+	} else {
+		n.stats.MailSent += entries
+	}
 	n.mu.Unlock()
-	if failed > 0 {
-		n.log.Warn("direct mail batch failed", "peer", int(peer), "entries", failed, "err", err)
-		n.emit(Event{Kind: EventMailFailed, Peer: peer, Count: failed})
+	if err != nil {
+		n.log.Warn("direct mail batch failed", "peer", int(peer), "entries", entries, "err", err)
+		n.emit(Event{Kind: EventMailFailed, Peer: peer, Count: entries})
 	}
 }
 
 // FlushMail blocks until the outbound mail engine has drained every queue
 // and finished every in-flight send, or timeout elapses (<= 0 selects the
-// configured FlushTimeout). It reports whether the drain completed. With
-// the engine disabled (serial mail) there is nothing to wait for and it
-// returns true immediately.
+// configured FlushTimeout). It reports whether the drain completed. On an
+// unstarted node every enqueue was drained by its caller, so there is
+// nothing to wait for.
 func (n *Node) FlushMail(timeout time.Duration) bool {
-	if n.outbox == nil {
-		return true
-	}
 	return n.outbox.flush(timeout)
 }
 
-// HandleMail is the receive side of PostMail: apply the update; a fresh
-// update also becomes a hot rumor here. hop is the sender's provenance
-// envelope (zero when the sender does not trace).
-func (n *Node) HandleMail(e store.Entry, hop trace.Hop) {
-	res := n.store.Apply(e)
-	if res.Changed() {
-		n.mu.Lock()
-		n.hot.Add(e.Key, e.Stamp)
-		if n.activity != nil {
-			n.activity.Touch(e.Key)
-		}
-		n.mu.Unlock()
-		n.tracer.RecordApply(e.Key, e.Stamp, hop.Sender(), hop,
-			trace.MechDirectMail, n.store.Now(), n.rounds.Load())
-		n.emit(Event{Kind: EventApply, Key: e.Key, Stamp: e.Stamp})
-	}
-}
-
-// HandleMailBatch is the receive side of a batched mail frame: every entry
-// is applied exactly like HandleMail (fresh updates become hot rumors),
-// with the whole batch sharing one lock acquisition for the hot-list and
-// activity bookkeeping. needed[i] reports whether entry i changed this
-// replica. The batch's sender-side telemetry feeds the mail stats.
+// HandleMailBatch is the receive side of PostMail: every entry is applied,
+// a fresh update also becomes a hot rumor here, and the whole batch shares
+// one lock acquisition for the hot-list and activity bookkeeping. Hops
+// carries the senders' provenance envelopes (nil when the sender does not
+// trace). needed[i] reports whether entry i changed this replica. The
+// batch's sender-side telemetry feeds the mail stats.
 func (n *Node) HandleMailBatch(b MailBatch) []bool {
 	needed := n.applyRumors(b.Entries, b.Hops, trace.MechDirectMail)
 	n.mu.Lock()
@@ -573,7 +520,7 @@ func hopAt(hops []trace.Hop, i int) trace.Hop {
 // emitting EventApply when it changes this replica. from identifies the
 // initiating site, hop its provenance envelope for the entry, and mech the
 // anti-entropy sub-mechanism (MechAntiEntropy or MechPeelBack). Unlike
-// HandleMail the entry does not become a hot rumor: redistribution of
+// mail the entry does not become a hot rumor: redistribution of
 // repaired updates is the initiator's policy decision (§1.5).
 func (n *Node) ApplyRepair(e store.Entry, from timestamp.SiteID, hop trace.Hop, mech trace.Mechanism) store.ApplyResult {
 	res := n.store.Apply(e)
@@ -865,10 +812,10 @@ func (n *Node) StepAntiEntropy() error {
 
 // redistributeRepaired applies §1.5's redistribution policy: an update the
 // exchange moved becomes a hot rumor again (or is re-mailed). Bookkeeping
-// happens under n.mu but network sends never do: RedistributeMail entries
-// are collected under the lock and posted after it is released (through
-// the outbox when the engine is on), so a slow peer cannot wedge every
-// Stats/Update/pickPeer caller behind a redistribution in progress.
+// happens under n.mu but mail never leaves under it: RedistributeMail
+// entries are collected under the lock and enqueued to the outbox after it
+// is released, so a slow peer cannot wedge every Stats/Update/pickPeer
+// caller behind a redistribution in progress.
 func (n *Node) redistributeRepaired(st core.ExchangeStats) {
 	keys := st.RepairedKeys()
 	if len(keys) == 0 {
@@ -879,7 +826,6 @@ func (n *Node) redistributeRepaired(st core.ExchangeStats) {
 		env   trace.Hop
 	}
 	var outgoing []mailing
-	var peers []Peer
 	// After the exchange both replicas hold every repaired entry, so this
 	// node can redistribute all of them regardless of direction.
 	n.mu.Lock()
@@ -898,16 +844,9 @@ func (n *Node) redistributeRepaired(st core.ExchangeStats) {
 		n.stats.Redistributed++
 		done = append(done, key)
 	}
-	if len(outgoing) > 0 && n.outbox == nil {
-		peers = append([]Peer(nil), n.peers...)
-	}
 	n.mu.Unlock()
 	for _, m := range outgoing {
-		if n.outbox != nil {
-			n.outbox.enqueue(m.entry, m.env)
-			continue
-		}
-		n.mailSerial(peers, m.entry, m.env)
+		n.outbox.enqueue(m.entry, m.env)
 	}
 	if len(done) > 0 {
 		n.emit(Event{Kind: EventRedistribute, Keys: done, Count: len(done)})
@@ -928,8 +867,11 @@ func (n *Node) StepGC() int {
 	return dropped
 }
 
-// Start launches the background daemons configured with non-zero periods.
+// Start launches the outbox's mail workers and the background daemons
+// configured with non-zero periods. Until it runs, mail is drained on the
+// goroutine that enqueued it.
 func (n *Node) Start() {
+	n.outbox.start()
 	if n.cfg.AntiEntropyEvery > 0 {
 		n.wg.Add(1)
 		go n.loop(n.cfg.AntiEntropyEvery, func() {
@@ -984,11 +926,9 @@ func (n *Node) Stop() {
 		(n.cfg.SnapshotPath != "" && n.cfg.SnapshotEvery > 0) {
 		<-n.done
 	}
-	if n.outbox != nil {
-		// Graceful flush: drain queued mail within the configured budget,
-		// then drop what a backed-off peer still holds and stop the workers.
-		n.outbox.stop()
-	}
+	// Graceful flush: drain queued mail within the configured budget, then
+	// drop what a backed-off peer still holds and stop the workers.
+	n.outbox.stop()
 	if n.cfg.SnapshotPath != "" {
 		_ = n.SaveSnapshot("") // best-effort final snapshot
 	}

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,7 +75,7 @@ func TestUpdateLookupLocal(t *testing.T) {
 func TestDirectMailDelivers(t *testing.T) {
 	a, b, _ := twoNodes(t, func(c *Config) { c.DirectMailOnUpdate = true })
 	a.Update("k", store.Value("v"))
-	if !a.FlushMail(0) { // Update only enqueues; wait for the outbox drain
+	if !a.FlushMail(0) { // the unstarted node drained on Update: nothing left
 		t.Fatal("outbox flush timed out")
 	}
 	if v, ok := b.Lookup("k"); !ok || string(v) != "v" {
@@ -85,6 +87,44 @@ func TestDirectMailDelivers(t *testing.T) {
 	// The mailed update is hot at the recipient too.
 	if len(b.HotEntries()) != 1 {
 		t.Fatal("mailed update should be hot at recipient")
+	}
+}
+
+// TestOutboxUnstartedUpdateMailsOnCaller: an unstarted node has no mail workers,
+// so Update itself drains the outbox — every peer holds the update when it
+// returns, and no goroutine was started to get it there.
+func TestOutboxUnstartedUpdateMailsOnCaller(t *testing.T) {
+	src := timestamp.NewSimulated(1)
+	mk := func(site timestamp.SiteID, mail bool) *Node {
+		n, err := New(Config{Site: site, Clock: src.ClockAt(site), DirectMailOnUpdate: mail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	a := mk(1, true)
+	targets := []*Node{mk(2, false), mk(3, false), mk(4, false)}
+	var peers []Peer
+	for i, b := range targets {
+		peers = append(peers, NewLocalPeer(b, int64(i)))
+	}
+	a.SetPeers(peers)
+
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		key := fmt.Sprintf("k%d", i)
+		a.Update(key, store.Value("v"))
+		for _, b := range targets {
+			if _, ok := b.Lookup(key); !ok {
+				t.Fatalf("site %d lacks %s when Update returned", b.Site(), key)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d: an unstarted node's mail must not leave the caller", before, after)
+	}
+	if s := a.Stats(); s.MailSent != 30 || s.OutboxBatches != 30 || s.OutboxDepth != 0 {
+		t.Errorf("mail sent %d in %d batches, depth %d; want 30, 30, 0", s.MailSent, s.OutboxBatches, s.OutboxDepth)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestStaleRumorNeverOffered(t *testing.T) {
 func TestHandleOfferAgreesWithHandleRumors(t *testing.T) {
 	a, b, src := twoNodes(t, nil)
 	shared := a.Update("shared", store.Value("s"))
-	b.HandleMail(shared, hopAt(nil, 0)) // hot at both, same stamp
+	b.HandleMailBatch(MailBatch{Entries: []store.Entry{shared}}) // hot at both, same stamp
 	src.Advance(1)
 	onlyA := a.Update("only-a", store.Value("a"))
 	b.Update("only-b", store.Value("b"))

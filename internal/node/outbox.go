@@ -13,21 +13,22 @@ import (
 // The outbound gossip engine. The paper's direct mail (§1.2) is a queued,
 // nearly-reliable message — "the originating site sends the update to all
 // other sites", with mail understood to be queued and possibly delayed —
-// so Update/Delete must not block on N network round trips. The outbox
-// gives every peer a bounded send queue with newest-stamp-wins coalescing
-// per key, drained by a small worker pool that fans out to all peers in
-// parallel and ships each drain as one batched frame when the peer's wire
-// supports it. A failing peer backs off exponentially and its queue drops
-// oldest on overflow, the paper's "messages may be discarded when queues
-// overflow" made literal.
+// and the outbox is the only way mail leaves a node. Every peer has a
+// bounded send queue with newest-stamp-wins coalescing per key; each drain
+// ships as one MailBatch. A started node drains from a small worker pool
+// that fans out to all peers in parallel, so Update/Delete never block on
+// N network round trips; a failing peer backs off exponentially and its
+// queue drops oldest on overflow, the paper's "messages may be discarded
+// when queues overflow" made literal. An unstarted node (the simulator,
+// Step-driven tests) has no workers: the caller drains every queue it
+// filled, in SetPeers order, before its enqueue returns, so simulated
+// cycles stay deterministic and mail is delivered at Update time.
 
-// OutboxConfig tunes the asynchronous outbound mail engine. Zero values
-// select the defaults noted per field.
+// OutboxConfig tunes the outbound mail engine. Zero values select the
+// defaults noted per field.
 type OutboxConfig struct {
-	// Workers bounds the goroutines draining peer queues (default 8).
-	// Negative disables the engine entirely: mail is posted serially on
-	// the caller's goroutine — the pre-engine behaviour, kept for
-	// deterministic simulation and comparison benchmarks.
+	// Workers bounds the goroutines that drain peer queues once the node
+	// is started (default 8).
 	Workers int
 	// QueuePerPeer bounds the coalesced entries queued per peer (default
 	// 256). On overflow the oldest queued entry is dropped.
@@ -46,16 +47,13 @@ type OutboxConfig struct {
 const (
 	defaultOutboxWorkers = 8
 	defaultOutboxQueue   = 256
-)
-
-const (
-	defaultRetryBackoff = 50 * time.Millisecond
-	defaultMaxBackoff   = 5 * time.Second
-	defaultFlushTimeout = 2 * time.Second
+	defaultRetryBackoff  = 50 * time.Millisecond
+	defaultMaxBackoff    = 5 * time.Second
+	defaultFlushTimeout  = 2 * time.Second
 )
 
 func (c OutboxConfig) withDefaults() OutboxConfig {
-	if c.Workers == 0 {
+	if c.Workers <= 0 {
 		c.Workers = defaultOutboxWorkers
 	}
 	if c.QueuePerPeer <= 0 {
@@ -75,7 +73,8 @@ func (c OutboxConfig) withDefaults() OutboxConfig {
 
 // MailBatch is one coalesced drain of a peer's send queue: the entries
 // (one per key, newest version wins) with their provenance envelopes, plus
-// the engine telemetry the codec-v5 wire section carries to the receiver.
+// the engine telemetry the wire's mail-batch section carries to the
+// receiver.
 type MailBatch struct {
 	Entries []store.Entry
 	// Hops carries one provenance envelope per entry, or nil when the
@@ -87,14 +86,6 @@ type MailBatch struct {
 	// queued: enqueues that replaced (or lost to) an already-queued
 	// version of the same key instead of crossing the wire twice.
 	Coalesced int
-}
-
-// BatchMailer is an optional Peer capability: posting a whole mail batch
-// in one round trip. The outbox type-asserts for it on every drain and
-// falls back to per-entry Mail calls otherwise, so implementing it is
-// purely an optimisation.
-type BatchMailer interface {
-	MailBatch(b MailBatch) error
 }
 
 // outEntry is one queued mail: the entry, its envelope, and when it was
@@ -115,6 +106,7 @@ type peerQueue struct {
 
 	coalesced int  // supersessions since the last drain
 	scheduled bool // on the run queue, or being drained by a worker
+	retired   bool // its site left the peer set; never scheduled again
 
 	backoff      time.Duration // current failure backoff (0 = healthy)
 	backoffUntil time.Time
@@ -126,7 +118,7 @@ func newPeerQueue(p Peer) *peerQueue {
 }
 
 // outbox is the engine: per-peer queues, a run queue of peers with work,
-// and the worker pool that drains them.
+// and — once started — the worker pool that drains them.
 type outbox struct {
 	cfg  OutboxConfig
 	node *Node
@@ -138,18 +130,18 @@ type outbox struct {
 	batches   atomic.Int64
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on run-queue growth and drain progress
-	queues   map[timestamp.SiteID]*peerQueue
-	runq     []*peerQueue
-	pending  int // entries queued across all peers
-	inflight int // workers currently mid-send
-	started  bool
+	cond     *sync.Cond   // broadcast on run-queue growth and drain progress
+	queues   []*peerQueue // one per peer, in SetPeers order
+	runq     []*peerQueue // queues awaiting a worker (started engines only)
+	pending  int          // entries queued across all peers
+	inflight int          // batches currently mid-send
+	started  bool         // workers drain; otherwise each enqueue drains itself
 	stopped  bool
 	wg       sync.WaitGroup
 }
 
 func newOutbox(cfg OutboxConfig, n *Node) *outbox {
-	ox := &outbox{cfg: cfg, node: n, queues: make(map[timestamp.SiteID]*peerQueue)}
+	ox := &outbox{cfg: cfg, node: n}
 	ox.cond = sync.NewCond(&ox.mu)
 	return ox
 }
@@ -157,23 +149,30 @@ func newOutbox(cfg OutboxConfig, n *Node) *outbox {
 // setPeers rebuilds the queue set for a new peer list. Queues of surviving
 // sites keep their pending mail (the peer object may have been replaced by
 // a membership sync; mail follows the site, not the connection); queues of
-// departed sites are discarded, their entries counted as dropped.
+// departed sites are retired and emptied, their entries counted as dropped.
 func (ox *outbox) setPeers(peers []Peer) {
 	ox.mu.Lock()
 	defer ox.mu.Unlock()
-	next := make(map[timestamp.SiteID]*peerQueue, len(peers))
-	for _, p := range peers {
-		if q, ok := ox.queues[p.ID()]; ok {
-			q.peer = p
-			next[p.ID()] = q
-			delete(ox.queues, p.ID())
-			continue
-		}
-		next[p.ID()] = newPeerQueue(p)
+	old := make(map[timestamp.SiteID]*peerQueue, len(ox.queues))
+	for _, q := range ox.queues {
+		old[q.peer.ID()] = q
 	}
-	for _, q := range ox.queues { // departed sites
+	next := make([]*peerQueue, 0, len(peers))
+	for _, p := range peers {
+		q, ok := old[p.ID()]
+		if ok {
+			q.peer = p
+			delete(old, p.ID())
+		} else {
+			q = newPeerQueue(p)
+		}
+		next = append(next, q)
+	}
+	for _, q := range old { // departed sites
+		q.retired = true
 		ox.pending -= len(q.keys)
 		ox.dropped.Add(int64(len(q.keys)))
+		q.keys, q.byKey = nil, make(map[string]outEntry)
 	}
 	ox.queues = next
 	ox.cond.Broadcast() // pending may have reached zero for Flush waiters
@@ -181,15 +180,16 @@ func (ox *outbox) setPeers(peers []Peer) {
 
 // enqueue queues one entry to every peer, coalescing per key: a version
 // already queued for a peer is replaced in place when e is newer (and
-// keeps its queue position), absorbed when older. O(peers) map work, no
-// network — this is the whole cost Update/Delete pay for distribution.
+// keeps its queue position), absorbed when older. On a started engine that
+// is O(peers) map work and no network — the whole cost Update/Delete pay
+// for distribution. On an unstarted one the caller then drains every
+// queue itself, in SetPeers order.
 func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 	ox.mu.Lock()
+	defer ox.mu.Unlock()
 	if ox.stopped {
-		ox.mu.Unlock()
 		return
 	}
-	ox.startWorkersLocked()
 	now := time.Now()
 	for _, q := range ox.queues {
 		if old, ok := q.byKey[e.Key]; ok {
@@ -211,9 +211,15 @@ func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 		q.byKey[e.Key] = outEntry{entry: e, hop: hop, enq: now}
 		ox.pending++
 		ox.enqueued.Add(1)
-		ox.scheduleLocked(q, now)
+		if ox.started {
+			ox.scheduleLocked(q, now)
+		}
 	}
-	ox.mu.Unlock()
+	if !ox.started {
+		for _, q := range ox.queues {
+			ox.sendLocked(q)
+		}
+	}
 }
 
 // scheduleLocked puts q on the run queue unless it is already there (or
@@ -238,20 +244,30 @@ func (ox *outbox) scheduleLocked(q *peerQueue, now time.Time) {
 func (ox *outbox) backoffExpired(q *peerQueue) {
 	ox.mu.Lock()
 	q.timerArmed = false
-	if !ox.stopped && len(q.keys) > 0 && ox.queues[q.peer.ID()] == q {
+	if !ox.stopped && !q.retired && len(q.keys) > 0 {
 		ox.scheduleLocked(q, time.Now())
 	}
 	ox.mu.Unlock()
 }
 
-func (ox *outbox) startWorkersLocked() {
-	if ox.started {
+// start launches the worker pool (Node.Start); from then on enqueues only
+// schedule, and whatever is still queued is scheduled now.
+func (ox *outbox) start() {
+	ox.mu.Lock()
+	defer ox.mu.Unlock()
+	if ox.started || ox.stopped {
 		return
 	}
 	ox.started = true
 	for i := 0; i < ox.cfg.Workers; i++ {
 		ox.wg.Add(1)
 		go ox.worker()
+	}
+	now := time.Now()
+	for _, q := range ox.queues {
+		if len(q.keys) > 0 {
+			ox.scheduleLocked(q, now)
+		}
 	}
 }
 
@@ -287,6 +303,30 @@ func (q *peerQueue) drainLocked(now time.Time) MailBatch {
 	return b
 }
 
+// sendLocked drains q into one MailBatch and posts it to q's peer,
+// releasing ox.mu for the round trip. It reports whether there was
+// anything to send, and the send's error. A failed batch is dropped, every
+// entry counted as failed: mail is lossy (§1.2) and anti-entropy repairs.
+func (ox *outbox) sendLocked(q *peerQueue) (sent bool, err error) {
+	batch := q.drainLocked(time.Now())
+	if len(batch.Entries) == 0 {
+		return false, nil
+	}
+	ox.pending -= len(batch.Entries)
+	ox.inflight++
+	peer := q.peer // setPeers may swap q.peer once the lock is released
+	ox.mu.Unlock()
+
+	err = peer.MailBatch(batch)
+	ox.batches.Add(1)
+	ox.node.noteMailResult(peer.ID(), len(batch.Entries), err)
+
+	ox.mu.Lock()
+	ox.inflight--
+	ox.cond.Broadcast() // progress for Flush waiters
+	return true, err
+}
+
 func (ox *outbox) worker() {
 	defer ox.wg.Done()
 	ox.mu.Lock()
@@ -300,26 +340,11 @@ func (ox *outbox) worker() {
 		}
 		q := ox.runq[0]
 		ox.runq = ox.runq[1:]
-		now := time.Now()
-		batch := q.drainLocked(now)
-		ox.pending -= len(batch.Entries)
-		if len(batch.Entries) == 0 {
-			q.scheduled = false
+		sent, err := ox.sendLocked(q)
+		q.scheduled = false
+		if !sent {
 			continue
 		}
-		ox.inflight++
-		peer := q.peer // setPeers may swap q.peer once the lock is released
-		ox.mu.Unlock()
-
-		sent, failed, err := sendBatch(peer, batch)
-		ox.batches.Add(1)
-		ox.node.noteMailResult(peer.ID(), sent, failed, err)
-
-		ox.mu.Lock()
-		ox.inflight--
-		// A replaced queue (membership change mid-send) is abandoned: its
-		// successor schedules itself on the next enqueue.
-		current := ox.queues[peer.ID()] == q
 		if err != nil {
 			if q.backoff == 0 {
 				q.backoff = ox.cfg.RetryBackoff
@@ -327,43 +352,15 @@ func (ox *outbox) worker() {
 				q.backoff = ox.cfg.MaxBackoff
 			}
 			q.backoffUntil = time.Now().Add(q.backoff)
-			q.scheduled = false
-			if current && len(q.keys) > 0 {
-				ox.scheduleLocked(q, time.Now()) // arms the backoff timer
-			}
 		} else {
 			q.backoff = 0
-			if current && len(q.keys) > 0 {
-				ox.runq = append(ox.runq, q) // stay scheduled, more arrived
-			} else {
-				q.scheduled = false
-			}
 		}
-		ox.cond.Broadcast() // progress for Flush waiters
-	}
-}
-
-// sendBatch ships one batch to one peer: a single round trip when the
-// peer batches, per-entry Mail otherwise. Attribution is all-or-nothing
-// for batching peers — a failed frame counts every entry as failed.
-func sendBatch(p Peer, b MailBatch) (sent, failed int, err error) {
-	if bm, ok := p.(BatchMailer); ok {
-		if err := bm.MailBatch(b); err != nil {
-			return 0, len(b.Entries), err
+		// More arrived mid-send: back on the run queue, or onto a backoff
+		// timer after a failure. A retired queue is abandoned.
+		if !q.retired && len(q.keys) > 0 {
+			ox.scheduleLocked(q, time.Now())
 		}
-		return len(b.Entries), 0, nil
 	}
-	for i, e := range b.Entries {
-		if merr := p.Mail(e, hopAt(b.Hops, i)); merr != nil {
-			failed++
-			if err == nil {
-				err = merr
-			}
-			continue
-		}
-		sent++
-	}
-	return sent, failed, err
 }
 
 // flush blocks until every queue has drained and every in-flight send has
@@ -394,16 +391,7 @@ func (ox *outbox) flush(timeout time.Duration) bool {
 // queued when the flush budget runs out (a peer mid-backoff) are dropped,
 // exactly like the paper's overflowing mail queues at shutdown.
 func (ox *outbox) stop() {
-	ox.mu.Lock()
-	if ox.stopped {
-		ox.mu.Unlock()
-		return
-	}
-	started := ox.started
-	ox.mu.Unlock()
-	if started {
-		ox.flush(ox.cfg.FlushTimeout)
-	}
+	ox.flush(ox.cfg.FlushTimeout)
 	ox.mu.Lock()
 	ox.stopped = true
 	for _, q := range ox.queues {

@@ -36,7 +36,7 @@ func applyRumorsPerEntryLock(n *Node, entries []store.Entry, mech trace.Mechanis
 // concurrent-reader load the per-entry locking used to serialize against.
 func benchApplyNode(b *testing.B) (*Node, func()) {
 	b.Helper()
-	n, err := New(Config{Site: 1, Outbox: OutboxConfig{Workers: -1}})
+	n, err := New(Config{Site: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

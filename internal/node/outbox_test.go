@@ -16,19 +16,30 @@ func mkEntry(key string, t int64) store.Entry {
 	return store.Entry{Key: key, Value: store.Value("v"), Stamp: timestamp.T{Time: t, Site: 1}}
 }
 
-// idleOutbox builds an engine with zero workers: enqueues accumulate and
-// nothing drains, so queue state can be inspected deterministically.
-// (node.New never builds one of these — withDefaults maps 0 to the default
-// pool — but newOutbox takes the config as given.)
+// idleOutbox builds a started engine with zero workers: enqueues
+// accumulate and nothing drains, so queue state can be inspected
+// deterministically. (node.New never builds one of these — withDefaults
+// maps 0 to the default pool — but newOutbox takes the config as given.)
 func idleOutbox(t *testing.T, queuePerPeer int, peers ...Peer) *outbox {
 	t.Helper()
-	n, err := New(Config{Site: 1, Outbox: OutboxConfig{Workers: -1}})
+	n, err := New(Config{Site: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ox := newOutbox(OutboxConfig{Workers: 0, QueuePerPeer: queuePerPeer}, n)
 	ox.setPeers(peers)
+	ox.start()
 	return ox
+}
+
+// queueOf returns the engine's queue for site, nil when it has none.
+func queueOf(ox *outbox, site timestamp.SiteID) *peerQueue {
+	for _, q := range ox.queues {
+		if q.peer.ID() == site {
+			return q
+		}
+	}
+	return nil
 }
 
 func TestOutboxCoalesceNewestStampWins(t *testing.T) {
@@ -40,7 +51,7 @@ func TestOutboxCoalesceNewestStampWins(t *testing.T) {
 	ox.enqueue(mkEntry("a", 20), trace.Hop{}) // newer version supersedes in place
 	ox.enqueue(mkEntry("a", 5), trace.Hop{})  // older version is absorbed
 
-	q := ox.queues[2]
+	q := queueOf(ox, 2)
 	if len(q.keys) != 2 || q.keys[0] != "a" || q.keys[1] != "b" {
 		t.Fatalf("keys = %v, want [a b] (coalescing keeps queue position)", q.keys)
 	}
@@ -71,7 +82,7 @@ func TestOutboxDropOldestOnOverflow(t *testing.T) {
 	ox.enqueue(mkEntry("b", 2), trace.Hop{})
 	ox.enqueue(mkEntry("c", 3), trace.Hop{}) // overflows: a (oldest) is dropped
 
-	q := ox.queues[2]
+	q := queueOf(ox, 2)
 	if len(q.keys) != 2 || q.keys[0] != "b" || q.keys[1] != "c" {
 		t.Fatalf("keys = %v, want [b c]", q.keys)
 	}
@@ -99,7 +110,7 @@ func TestOutboxSetPeersDropsDepartedKeepsSurvivors(t *testing.T) {
 	if ox.pending != 2 {
 		t.Errorf("pending = %d, want 2 (survivor keeps its mail)", ox.pending)
 	}
-	q := ox.queues[2]
+	q := queueOf(ox, 2)
 	if q == nil || q.peer != Peer(p2b) {
 		t.Fatal("surviving queue did not adopt the replacement peer object")
 	}
@@ -138,6 +149,7 @@ func TestOutboxBatchesQueueBuiltWhileSending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Start()
 	defer n.Stop()
 	p := &gatedBatchPeer{
 		countingPeer: countingPeer{id: 2},
@@ -204,6 +216,7 @@ func TestOutboxBackoffAndFlushTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Start()
 	defer n.Stop()
 	n.SetPeers([]Peer{&erroringPeer{id: 2}})
 
@@ -233,28 +246,27 @@ func TestOutboxBackoffAndFlushTimeout(t *testing.T) {
 	}
 }
 
-// blockingMailPeer wedges every Mail call until the test releases it —
-// the pathological slow peer of the Stats-under-lock regression.
+// blockingMailPeer wedges every MailBatch call until the test releases
+// it — the pathological slow peer of the Stats-under-lock regression.
 type blockingMailPeer struct {
 	countingPeer
 	release chan struct{}
 }
 
-func (p *blockingMailPeer) Mail(store.Entry, trace.Hop) error {
+func (p *blockingMailPeer) MailBatch(MailBatch) error {
 	<-p.release
 	return nil
 }
 
 // TestRedistributeMailDoesNotBlockStats pins the fix for a lock-ordering
-// bug: redistributeRepaired used to hold n.mu across every peer Mail call,
-// so one wedged peer made Stats (and Update, and pickPeer) hang. Serial
-// mode (Workers < 0) exercises the same collect-then-send path the outbox
-// case gets for free.
+// bug: redistributeRepaired used to hold n.mu across every peer send, so
+// one wedged peer made Stats (and Update, and pickPeer) hang. The node is
+// unstarted, so the remail drains on the redistributing goroutine itself:
+// neither n.mu nor the outbox lock may be held across the send.
 func TestRedistributeMailDoesNotBlockStats(t *testing.T) {
 	a, err := New(Config{
 		Site:           1,
 		Redistribution: core.RedistributeMail,
-		Outbox:         OutboxConfig{Workers: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

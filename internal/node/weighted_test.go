@@ -34,7 +34,7 @@ func (p *countingPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []
 
 func (p *countingPeer) Checksum(int64) (uint64, error) { return 0, nil }
 
-func (p *countingPeer) Mail(store.Entry, trace.Hop) error { return nil }
+func (p *countingPeer) MailBatch(MailBatch) error { return nil }
 
 func TestSetPeersWeightedValidation(t *testing.T) {
 	n, err := New(Config{Site: 1})

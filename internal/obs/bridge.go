@@ -133,7 +133,7 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 		func(s node.Stats) int { return s.OutboxCoalesced })
 	counter(MetricOutboxDropped, "Outbox entries dropped (queue overflow, departed peers, shutdown).",
 		func(s node.Stats) int { return s.OutboxDropped })
-	counter(MetricOutboxBatches, "Outbox drains posted to peers (batched or per-entry).",
+	counter(MetricOutboxBatches, "Outbox drains posted to peers, one mail batch each.",
 		func(s node.Stats) int { return s.OutboxBatches })
 	counter(MetricMailBatchesReceived, "Batched mail frames applied by this replica.",
 		func(s node.Stats) int { return s.MailBatchesReceived })

@@ -36,12 +36,10 @@ type ClusterConfig struct {
 	RetentionCount     int
 	DirectMailOnUpdate bool
 	// MailLoss is the probability that any direct-mailed update is lost.
-	MailLoss float64
-	// OutboxWorkers, when > 0, runs every node's asynchronous outbound
-	// mail engine with that many workers; tests must then FlushMail
-	// before asserting on delivery. 0 (the default) keeps mail serial so
+	// The nodes are never started, so each one's outbox drains on the
+	// goroutine that enqueued: mail is delivered before Update returns and
 	// cycles stay deterministic under the simulated clock.
-	OutboxWorkers int
+	MailLoss float64
 	// Network, when set, places the replicas on a topology (it must have
 	// exactly N sites) and weights every node's peer selection by the
 	// spatial distribution SpatialForm with exponent SpatialA (§3) —
@@ -124,10 +122,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			c.digests[i] = cluster.NewDirectory(int32(i), 0)
 		}
 	}
-	outboxWorkers := cfg.OutboxWorkers
-	if outboxWorkers <= 0 {
-		outboxWorkers = -1 // serial mail: deterministic simulated cycles
-	}
 	for i := 0; i < cfg.N; i++ {
 		site := timestamp.SiteID(i)
 		var dir *cluster.Directory
@@ -148,7 +142,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Tau2:               cfg.Tau2,
 			RetentionCount:     cfg.RetentionCount,
 			DirectMailOnUpdate: cfg.DirectMailOnUpdate,
-			Outbox:             node.OutboxConfig{Workers: outboxWorkers},
 			StoreShards:        cfg.StoreShards,
 			TraceRing:          cfg.TraceRing,
 			Digests:            dir,
@@ -299,9 +292,10 @@ func (c *Cluster) SetPartition(site int, down bool) {
 	}
 }
 
-// FlushMail drains every node's outbound mail engine, reporting whether
-// all drains completed. A no-op (true) for the default serial
-// configuration (OutboxWorkers == 0).
+// FlushMail waits for every node's outbound mail engine to drain,
+// reporting whether all drains completed. The cluster's nodes drain on
+// enqueue, so it returns true at once unless mail is still in flight on
+// another goroutine.
 func (c *Cluster) FlushMail() bool {
 	ok := true
 	for _, n := range c.nodes {

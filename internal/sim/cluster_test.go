@@ -148,25 +148,21 @@ func TestDirectMailWithLossThenRepair(t *testing.T) {
 }
 
 func TestAsyncOutboxDirectMailConverges(t *testing.T) {
-	// With OutboxWorkers > 0 every node mails through the async engine:
-	// Update returns after an enqueue, so the test must FlushMail before
-	// counting deliveries. LocalPeer batches deliver per-entry, so loss
-	// and trace semantics are unchanged.
+	// Every node mails through its outbox. The cluster never starts its
+	// nodes, so each Update drains the queues it filled before returning:
+	// every replica holds the key at once, and nothing is left to flush.
 	c := newTestCluster(t, func(cfg *ClusterConfig) {
 		cfg.DirectMailOnUpdate = true
-		cfg.OutboxWorkers = 4
 	})
 	for i := 0; i < 4; i++ {
-		c.Node(i).Update(fmt.Sprintf("k%d", i), store.Value("v"))
+		key := fmt.Sprintf("k%d", i)
+		c.Node(i).Update(key, store.Value("v"))
+		if got := c.CountWithValue(key, "v"); got != c.N() {
+			t.Errorf("%s: %d/%d nodes when Update returned", key, got, c.N())
+		}
 	}
 	if !c.FlushMail() {
 		t.Fatal("outbox flush timed out")
-	}
-	for i := 0; i < 4; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if got := c.CountWithValue(key, "v"); got != c.N() {
-			t.Errorf("%s: %d/%d nodes after flush", key, got, c.N())
-		}
 	}
 	stats := c.TotalStats()
 	if stats.OutboxEnqueued == 0 {

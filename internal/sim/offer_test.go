@@ -86,7 +86,7 @@ func TestRumorRoundAfterMailShipsNoPayload(t *testing.T) {
 	c.Clock().Advance(1) // the delete must carry a later stamp than the write it cancels
 	c.Node(4).Delete("k07")
 	if !c.Consistent() {
-		t.Fatal("serial mail did not reach every site")
+		t.Fatal("mail drained at Update did not reach every site")
 	}
 	if !c.AnyHot() {
 		t.Fatal("mailed updates should be hot everywhere")

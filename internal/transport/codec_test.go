@@ -24,7 +24,7 @@ func codecRequests() []request {
 		{Kind: reqSyncOffer, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
 		{Kind: reqPeelBack, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
 		{
-			Kind: reqMail,
+			Kind: 1, // the retired per-entry mail kind: the codec still carries it
 			Entries: []store.Entry{
 				{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1, Seq: 1}},
 			},
@@ -169,7 +169,7 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 // wire: a nil value (deleted) and an empty value (present, zero bytes)
 // must survive a round trip as themselves.
 func TestCodecValueNilVsEmpty(t *testing.T) {
-	req := request{Kind: reqMail, Entries: []store.Entry{
+	req := request{Kind: reqMailBatch, Entries: []store.Entry{
 		{Key: "dead", Value: nil, Stamp: timestamp.T{Time: 1, Site: 1}},
 		{Key: "empty", Value: store.Value{}, Stamp: timestamp.T{Time: 2, Site: 1}},
 	}}

@@ -13,7 +13,6 @@ import (
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
-	"epidemic/internal/obs/trace"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
 )
@@ -92,7 +91,7 @@ func TestOutgoingFrameRespectsLimit(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	s := newSession(client, 16) // absurdly small per-frame cap
-	big := request{Kind: reqMail, Entries: []store.Entry{{Key: "k", Value: store.Value(make([]byte, 1024))}}}
+	big := request{Kind: reqMailBatch, Entries: []store.Entry{{Key: "k", Value: store.Value(make([]byte, 1024))}}}
 	if err := s.writeRequest(&big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("writeRequest err = %v, want ErrFrameTooLarge", err)
 	}
@@ -174,7 +173,7 @@ func TestServerSurvivesTruncatedAndOversizeFrames(t *testing.T) {
 	// The server still serves real traffic afterwards.
 	peer := NewTCPPeer(1, srv.Addr())
 	defer peer.Close()
-	if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
+	if err := mailOne(peer, store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}); err != nil {
 		t.Fatalf("server wedged after fault injection: %v", err)
 	}
 }
@@ -214,7 +213,7 @@ func TestPoolRedialsAfterRemoteRestart(t *testing.T) {
 	stats := &WireStats{}
 	peer := NewTCPPeerWith(1, addr, PeerOptions{Timeout: time.Second, Stats: stats})
 	defer peer.Close()
-	if err := peer.Mail(store.Entry{Key: "a", Value: store.Value("1"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
+	if err := mailOne(peer, store.Entry{Key: "a", Value: store.Value("1"), Stamp: timestamp.T{Time: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -229,7 +228,7 @@ func TestPoolRedialsAfterRemoteRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	if err := peer.Mail(store.Entry{Key: "b", Value: store.Value("2"), Stamp: timestamp.T{Time: 2}}, trace.Hop{}); err != nil {
+	if err := mailOne(peer, store.Entry{Key: "b", Value: store.Value("2"), Stamp: timestamp.T{Time: 2}}); err != nil {
 		t.Fatalf("mail through restarted remote: %v", err)
 	}
 	if snap := stats.Snapshot(); snap.Redials == 0 {
@@ -447,11 +446,11 @@ func TestPoolStressConcurrentExchanges(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					err = peer.Mail(store.Entry{
+					err = mailOne(peer, store.Entry{
 						Key:   fmt.Sprintf("g%d-%d", g, i),
 						Value: store.Value("v"),
 						Stamp: timestamp.T{Time: int64(g*1000 + i), Site: 1},
-					}, trace.Hop{})
+					})
 				case 1:
 					_, _, _, err = peer.OfferRumors(nil)
 				default:

@@ -25,10 +25,6 @@ func goldenFrames() map[reqKind]goldenFrame {
 	hop := trace.Hop{Parent: 2, Count: 3, Valid: true}
 	bound := timestamp.T{Time: 1<<40 - 5, Site: 1, Seq: 4}
 	return map[reqKind]goldenFrame{
-		reqMail: {
-			req:  request{Kind: reqMail, From: 2, Entries: []store.Entry{e}, Hops: []trace.Hop{hop}},
-			resp: response{},
-		},
 		reqPushRumors: {
 			req:  request{Kind: reqPushRumors, From: 2, Entries: []store.Entry{e, cert}},
 			resp: response{Needed: []bool{true, false}},
@@ -80,10 +76,6 @@ func goldenFrames() map[reqKind]goldenFrame {
 // because fixed-width hashes fill most of them. The one format must keep
 // producing these bytes exactly.
 var goldenHex = map[reqKind][2]string{
-	reqMail: {
-		"010200000000000000000000000000000001086b2f30303030313703763180808080804002090002090001020601000000000000",
-		"0000000000000000000000000000000000000000",
-	},
 	reqPushRumors: {
 		"020200000000000000000000000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c030202010400000000000000",
 		"000000000000000000000000000201000000000000",
@@ -127,11 +119,11 @@ const goldenErrHex = "0000000000000000000000000000000017756e6b6e6f776e2072657175
 
 // TestGoldenFrameBytes pins the payload bytes of every request kind and its
 // response, digest sections empty, so any change to the layout shows up
-// here and must come with a new wire version. The retired kind 4 has no
-// row.
+// here and must come with a new wire version. The retired kinds 1 and 4
+// have no row.
 func TestGoldenFrameBytes(t *testing.T) {
 	frames := goldenFrames()
-	for k := reqMail; k <= reqSyncOffer; k++ {
+	for k := reqKind(1); k <= reqSyncOffer; k++ {
 		if k.kindName() == "unknown" {
 			continue // retired
 		}

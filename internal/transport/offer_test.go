@@ -108,7 +108,7 @@ func TestOfferParityLocalAndTCP(t *testing.T) {
 	}
 	a, b := mk(1), mk(2)
 	shared := a.Update("shared", store.Value("s"))
-	b.HandleMail(shared, hopAt(nil, 0))
+	b.HandleMailBatch(node.MailBatch{Entries: []store.Entry{shared}})
 	a.Update("only-a", store.Value("a"))
 	b.Update("only-b", store.Value("b"))
 	a.Update("raced", store.Value("old"))
@@ -116,7 +116,7 @@ func TestOfferParityLocalAndTCP(t *testing.T) {
 	b.Update("raced", store.Value("new"))
 	b.Delete("gone")
 	cert := a.Delete("cert")
-	b.HandleMail(cert, hopAt(nil, 0))
+	b.HandleMailBatch(node.MailBatch{Entries: []store.Entry{cert}})
 	src.Advance(5)
 	if _, ok := a.Store().Reactivate("cert"); !ok { // same stamp, newer activation
 		t.Fatal("no certificate to reactivate")

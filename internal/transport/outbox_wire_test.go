@@ -14,8 +14,9 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// outboxNode builds a node with the async outbound engine enabled and a
-// short flush budget, serving gossip on an ephemeral port.
+// outboxNode builds a started node — its outbox drains on worker
+// goroutines — with a short flush budget, serving gossip on an ephemeral
+// port.
 func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (*node.Node, *Server) {
 	t.Helper()
 	n, err := node.New(node.Config{
@@ -28,6 +29,7 @@ func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.Start()
 	t.Cleanup(n.Stop)
 	srv, err := Serve(n, "127.0.0.1:0")
 	if err != nil {

@@ -230,7 +230,7 @@ func (w *WireStats) noteExchange(entriesSent, entriesReceived int, bytesOut, byt
 type pool struct {
 	addr    string
 	timeout time.Duration // dial timeout and per-request deadline
-	size    int           // max idle sessions retained (< 0: no reuse)
+	size    int           // max idle sessions retained
 	stats   *WireStats
 
 	mu     sync.Mutex
@@ -277,11 +277,11 @@ func (p *pool) dial(redial bool) (*session, bool, error) {
 }
 
 // put returns a healthy session to the idle set, or closes it when the
-// pool is full, closed, or reuse is disabled.
+// pool is full or closed.
 func (p *pool) put(s *session) {
 	s.setDeadline(time.Time{})
 	p.mu.Lock()
-	if !p.closed && p.size >= 0 && len(p.idle) < max(p.size, 1) {
+	if !p.closed && len(p.idle) < p.size {
 		p.idle = append(p.idle, s)
 		p.mu.Unlock()
 		return

@@ -327,10 +327,11 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 	}
 }
 
-// TestRetiredSyncKindIsRefused: kind 4 carried round 0 as full entries,
-// which a server applied. A value-less id read that way is a death
-// certificate, so the kind is retired: a frame of it gets the unknown-kind
-// error and changes nothing.
+// TestRetiredSyncKindIsRefused: retired request kinds get the unknown-kind
+// error and change nothing. Kind 1 carried one mailed entry per round trip;
+// every mail now rides a mail batch. Kind 4 carried round 0 as full
+// entries, which a server applied; a value-less id read that way is a death
+// certificate.
 func TestRetiredSyncKindIsRefused(t *testing.T) {
 	src, nodes, addrs := servedPair(t)
 	n := nodes[0]
@@ -340,15 +341,21 @@ func TestRetiredSyncKindIsRefused(t *testing.T) {
 
 	peer := NewTCPPeer(1, addrs[0])
 	defer peer.Close()
-	c := getWireCall()
-	defer putWireCall(c)
-	c.req = request{Kind: 4, From: 2, Now: src.Read(), Tau: parityTau, Tau1: parityTau1,
-		Entries: []store.Entry{{Key: "k", Stamp: newer, Activation: newer}}}
-	err := peer.call(c)
-	if !errors.Is(err, errRemote) || !strings.Contains(err.Error(), "unknown request kind 4") {
-		t.Fatalf("kind 4: err = %v, want the unknown-kind error", err)
-	}
-	if got, ok := n.Store().Get("k"); !ok || !got.Equal(live) {
-		t.Fatalf("kind 4 changed k to %+v", got)
+	for _, req := range []request{
+		{Kind: 1, From: 2, Entries: []store.Entry{{Key: "k", Value: store.Value("mailed"), Stamp: newer, Activation: newer}}},
+		{Kind: 4, From: 2, Now: src.Read(), Tau: parityTau, Tau1: parityTau1,
+			Entries: []store.Entry{{Key: "k", Stamp: newer, Activation: newer}}},
+	} {
+		c := getWireCall()
+		c.req = req
+		err := peer.call(c)
+		putWireCall(c)
+		want := fmt.Sprintf("unknown request kind %d", req.Kind)
+		if !errors.Is(err, errRemote) || !strings.Contains(err.Error(), want) {
+			t.Errorf("kind %d: err = %v, want %q", req.Kind, err, want)
+		}
+		if got, ok := n.Store().Get("k"); !ok || !got.Equal(live) {
+			t.Errorf("kind %d changed k to %+v", req.Kind, got)
+		}
 	}
 }

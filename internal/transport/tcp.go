@@ -32,7 +32,10 @@ import (
 type reqKind int
 
 const (
-	reqMail reqKind = iota + 1
+	// Kind 1 carried one mailed entry per round trip. Every mail now
+	// leaves through the outbox as a reqMailBatch, so it is retired and
+	// answered "unknown request kind".
+	_ reqKind = iota + 1
 	reqPushRumors
 	reqRumorOffer // hot-rumor ids out; want-bits + the peer's uncovered hot rumors back
 	// Kind 4 carried round 0 as full recent entries, which the server
@@ -51,8 +54,6 @@ const (
 // kindName names a request kind for logs and metric labels.
 func (k reqKind) kindName() string {
 	switch k {
-	case reqMail:
-		return "mail"
 	case reqPushRumors:
 		return "push-rumors"
 	case reqRumorOffer:
@@ -382,11 +383,6 @@ func clampPeelLimit(limit int) int {
 
 func (s *Server) dispatch(req request) response {
 	switch req.Kind {
-	case reqMail:
-		for i, e := range req.Entries {
-			s.node.HandleMail(e, hopAt(req.Hops, i))
-		}
-		return response{}
 	case reqMailBatch:
 		return response{Needed: s.node.HandleMailBatch(node.MailBatch{
 			Entries:     req.Entries,
@@ -542,9 +538,7 @@ type PeerOptions struct {
 	// traffic flows.
 	Timeout time.Duration
 	// PoolSize bounds the idle persistent sessions retained per peer
-	// (default 2). Negative disables reuse entirely: every request dials
-	// and closes its own connection (the pre-pool behaviour, kept for
-	// comparison benchmarks).
+	// (default 2); requests beyond it dial and close their own.
 	PoolSize int
 	// MaxPeelRounds caps the peel-back batches per anti-entropy
 	// conversation before falling back to a full database swap (default
@@ -592,7 +586,7 @@ func (o PeerOptions) withDefaults() PeerOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = defaultPeerTimeout
 	}
-	if o.PoolSize == 0 {
+	if o.PoolSize <= 0 {
 		o.PoolSize = defaultPoolSize
 	}
 	if o.MaxPeelRounds <= 0 {
@@ -683,14 +677,12 @@ func (p *TCPPeer) fastPath() *udpClient {
 	return p.udp
 }
 
-// wireCall bundles one request/response pair plus the scratch a single-
-// entry mail needs, pooled so steady-state calls allocate nothing.
+// wireCall bundles one request/response pair plus shard-vector scratch,
+// pooled so steady-state calls allocate nothing.
 type wireCall struct {
 	req               request
 	resp              response
 	bytesOut, bytesIn int64
-	entryBuf          [1]store.Entry
-	hopBuf            [1]trace.Hop
 	vecBuf            []uint64 // shard-vector scratch (reqShardVector)
 }
 
@@ -705,8 +697,6 @@ func putWireCall(c *wireCall) {
 	c.req = request{}
 	c.resp = response{}
 	c.bytesOut, c.bytesIn = 0, 0
-	c.entryBuf[0] = store.Entry{}
-	c.hopBuf[0] = trace.Hop{}
 	c.vecBuf = c.vecBuf[:0]
 	wireCallPool.Put(c)
 }
@@ -735,23 +725,9 @@ func (p *TCPPeer) call(c *wireCall) error {
 	return nil
 }
 
-// Mail implements node.Peer. The entry and its envelope ride the pooled
-// call's scratch arrays, so untraced mail allocates nothing client-side.
-func (p *TCPPeer) Mail(e store.Entry, hop trace.Hop) error {
-	c := getWireCall()
-	defer putWireCall(c)
-	c.entryBuf[0] = e
-	c.req = request{Kind: reqMail, Entries: c.entryBuf[:1]}
-	if hop.Valid {
-		c.hopBuf[0] = hop
-		c.req.Hops = c.hopBuf[:1]
-	}
-	return p.call(c)
-}
-
-// MailBatch implements node.BatchMailer: every outbox drain, a single
-// entry included, rides one reqMailBatch frame, so the batch telemetry
-// describes all mail.
+// MailBatch implements node.Peer: every outbox drain, a single entry
+// included, rides one reqMailBatch frame, so the batch telemetry describes
+// all mail.
 func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	if len(b.Entries) == 0 {
 		return nil

@@ -12,7 +12,6 @@ import (
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
-	"epidemic/internal/obs/trace"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
 )
@@ -55,10 +54,16 @@ func TestTCPPeerID(t *testing.T) {
 	}
 }
 
+// mailOne posts e to peer as a one-entry mail batch, the smallest outbox
+// drain.
+func mailOne(peer node.Peer, e store.Entry) error {
+	return peer.MailBatch(node.MailBatch{Entries: []store.Entry{e}})
+}
+
 func TestTCPMail(t *testing.T) {
 	a, b := tcpPair(t)
 	e := a.Update("k", store.Value("v"))
-	if err := a.Peers()[0].Mail(e, trace.Hop{}); err != nil {
+	if err := mailOne(a.Peers()[0], e); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := b.Lookup("k"); !ok || string(v) != "v" {
@@ -167,7 +172,7 @@ func TestTCPPeerUnreachable(t *testing.T) {
 	a, _ := tcpPair(t)
 	// Nothing listens here; a short timeout keeps the test fast.
 	dead := NewTCPPeerWith(3, "127.0.0.1:1", PeerOptions{Timeout: 200 * time.Millisecond})
-	if err := dead.Mail(store.Entry{Key: "k"}, trace.Hop{}); err == nil {
+	if err := mailOne(dead, store.Entry{Key: "k"}); err == nil {
 		t.Error("mail to dead peer succeeded")
 	}
 	if _, _, _, err := dead.OfferRumors(nil); err == nil {
@@ -319,7 +324,7 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 	// The server must survive; a real request still works.
 	peer := NewTCPPeer(1, srv.Addr())
 	defer peer.Close()
-	if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
+	if err := mailOne(peer, store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}); err != nil {
 		t.Fatalf("server wedged after garbage: %v", err)
 	}
 	if _, ok := n.Lookup("k"); !ok {
@@ -327,9 +332,9 @@ func TestServerRejectsGarbageBytes(t *testing.T) {
 	}
 }
 
-// mailFrame is a framed mail request for key, header included.
+// mailFrame is a framed one-entry mail batch for key, header included.
 func mailFrame(key string) []byte {
-	frame := appendRequest(make([]byte, frameHeaderLen), &request{Kind: reqMail, Entries: []store.Entry{
+	frame := appendRequest(make([]byte, frameHeaderLen), &request{Kind: reqMailBatch, Entries: []store.Entry{
 		{Key: key, Value: store.Value("v"), Stamp: timestamp.T{Time: 1}},
 	}})
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderLen))
@@ -391,7 +396,7 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 			_, _ = io.Copy(io.Discard, conn)
 		})
 		peer := NewTCPPeerWith(1, old, PeerOptions{Timeout: time.Second})
-		if err := peer.Mail(store.Entry{Key: "k"}, trace.Hop{}); !errors.Is(err, ErrFrameGarbage) {
+		if err := mailOne(peer, store.Entry{Key: "k"}); !errors.Is(err, ErrFrameGarbage) {
 			t.Errorf("mail to a v%d server: err = %v, want ErrFrameGarbage", version, err)
 		}
 		peer.Close()
@@ -399,7 +404,7 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 
 	live := NewTCPPeer(1, srv.Addr())
 	defer live.Close()
-	if err := live.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}, trace.Hop{}); err != nil {
+	if err := mailOne(live, store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1}}); err != nil {
 		t.Fatalf("server wedged after refused hellos: %v", err)
 	}
 }
@@ -428,8 +433,7 @@ func TestMistypedCodecFailsEveryRequest(t *testing.T) {
 	local := store.New(1, src.ClockAt(1))
 	local.Apply(e)
 	calls := map[string]func() error{
-		"mail":       func() error { return peer.Mail(e, trace.Hop{}) },
-		"mail-batch": func() error { return peer.MailBatch(node.MailBatch{Entries: []store.Entry{e}}) },
+		"mail-batch": func() error { return mailOne(peer, e) },
 		"push":       func() error { _, err := peer.PushRumors([]store.Entry{e}, nil); return err },
 		"offer":      func() error { _, _, _, err := peer.OfferRumors(nil); return err },
 		"checksum":   func() error { _, err := peer.Checksum(0); return err },

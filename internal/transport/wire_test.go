@@ -8,7 +8,6 @@ import (
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
-	"epidemic/internal/obs/trace"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
 )
@@ -99,7 +98,7 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 			stats := &WireStats{}
 			peer := NewTCPPeerWith(1, srv.Addr(), PeerOptions{Codec: tc.client, Stats: stats})
 			defer peer.Close()
-			if err := peer.Mail(store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}}, trace.Hop{}); err != nil {
+			if err := mailOne(peer, store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 2}}); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := n.Lookup("k"); !ok {
