@@ -40,13 +40,15 @@ test:
 	$(GO) vet ./...
 	$(GO) test ./...
 
-# check is the pre-merge gate: static analysis, a fast race pass over the
-# sharded store (the most concurrency-sensitive package), a targeted race
-# pass over the mail path (outbox queues and workers, mail batches on the
-# wire, the slow-peer isolation test, redistribution by mail), the race
+# check is the pre-merge gate: gofmt drift (the offending files are listed),
+# static analysis, a fast race pass over the sharded store (the most
+# concurrency-sensitive package), a targeted race pass over the mail path
+# (outbox queues and workers, mail batches on the wire, the slow-peer
+# isolation test, redistribution by mail, who hot-lists mail), the race
 # detector over the whole module (daemons included), and the
 # observability and cluster-observatory smoke tests.
 check:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(MAKE) bench-adapter
 	$(GO) test -race -count=1 ./internal/store/...

@@ -101,7 +101,7 @@ type (
 	// Node.Start does; an unstarted node drains each enqueue on the caller.
 	OutboxConfig = node.OutboxConfig
 	// MailBatch is one outbound-queue drain: coalesced entries for a
-	// single peer, shipped in one frame.
+	// single peer, shipped in one frame and stamped with the sending site.
 	MailBatch = node.MailBatch
 
 	// Cluster is an in-memory cluster on a simulated clock.

@@ -144,7 +144,7 @@ func (p *LocalPeer) MailBatch(b MailBatch) error {
 		return nil
 	}
 	if p.mailLoss > 0 {
-		kept := MailBatch{QueuedNanos: b.QueuedNanos, Coalesced: b.Coalesced}
+		kept := MailBatch{From: b.From, QueuedNanos: b.QueuedNanos, Coalesced: b.Coalesced}
 		for i, e := range b.Entries {
 			if p.rng.Float64() < p.mailLoss {
 				continue

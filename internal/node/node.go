@@ -73,7 +73,12 @@ type Config struct {
 	// Resolve selects the anti-entropy conversation parameters.
 	Resolve core.ResolveConfig
 	// DirectMailOnUpdate mails each locally accepted update to all peers
-	// immediately (§1.2). Rumor mongering makes this optional.
+	// immediately (§1.2). Rumor mongering makes this optional. With it on,
+	// a mailed update is not also a rumor: it becomes hot only where mail
+	// cannot vouch for its delivery — at the origin when its batch fails,
+	// is dropped on overflow or finds no peer, and at a receiver that does
+	// not count the sender among its peers (see HandleMailBatch). Mail lost
+	// silently is left to anti-entropy.
 	DirectMailOnUpdate bool
 	// Outbox tunes the outbound mail engine, the one path direct mail and
 	// RedistributeMail leave by. Once Start runs, Update/Delete enqueue in
@@ -142,6 +147,8 @@ type Node struct {
 	activity *store.ActivityList // lazily built for §1.5's combined scheme
 	peers    []Peer
 	peerCum  []float64 // cumulative selection weights; nil = uniform
+
+	started atomic.Bool // Start ran; Stop then waits for done
 
 	stop chan struct{}
 	done chan struct{}
@@ -386,13 +393,19 @@ func (n *Node) Delete(key string) store.Entry {
 // Lookup reads the current value at this replica.
 func (n *Node) Lookup(key string) (store.Value, bool) { return n.store.Lookup(key) }
 
-// distribute makes a fresh local entry hot and optionally direct-mails it
-// through the outbox (§1.2's queued mail): on a started node an O(1)
-// enqueue per peer, so the caller never waits on the network.
+// distribute starts spreading a fresh local entry: without direct mail it
+// becomes a hot rumor (§1.4); with it, it is mailed through the outbox
+// (§1.2's queued mail — on a started node an O(1) enqueue per peer, so the
+// caller never waits on the network) and is not hot here. The outbox
+// re-hots it if its mail cannot be vouched for: the batch failed, it was
+// dropped on overflow, or the node has no peer to mail.
 func (n *Node) distribute(e store.Entry) {
+	mail := n.cfg.DirectMailOnUpdate
 	n.mu.Lock()
 	n.stats.UpdatesAccepted++
-	n.hot.Add(e.Key, e.Stamp)
+	if !mail {
+		n.hot.Add(e.Key, e.Stamp)
+	}
 	if n.activity != nil {
 		n.activity.Touch(e.Key)
 	}
@@ -400,27 +413,42 @@ func (n *Node) distribute(e store.Entry) {
 	n.tracer.RecordLocal(e.Key, e.Stamp, n.rounds.Load())
 	n.emit(Event{Kind: EventUpdate, Key: e.Key, Stamp: e.Stamp})
 
-	if n.cfg.DirectMailOnUpdate {
+	if mail {
 		n.outbox.enqueue(e, n.tracer.Envelope(e.Key, e.Stamp))
 	}
 }
 
 // noteMailResult records the outcome of one outbox drain of entries to
 // peer: sent/failed counters plus, for a failed batch, one EventMailFailed
-// whose Count carries the entries lost with it. Called without any locks
-// held.
-func (n *Node) noteMailResult(peer timestamp.SiteID, entries int, err error) {
+// whose Count carries the entries lost with it. A failed batch's entries
+// become hot rumors here: rumor mongering carries what mail could not.
+// Called without any locks held.
+func (n *Node) noteMailResult(peer timestamp.SiteID, entries []store.Entry, err error) {
 	n.mu.Lock()
 	if err != nil {
-		n.stats.MailFailed += entries
+		n.stats.MailFailed += len(entries)
 	} else {
-		n.stats.MailSent += entries
+		n.stats.MailSent += len(entries)
 	}
 	n.mu.Unlock()
 	if err != nil {
-		n.log.Warn("direct mail batch failed", "peer", int(peer), "entries", entries, "err", err)
-		n.emit(Event{Kind: EventMailFailed, Peer: peer, Count: entries})
+		n.rehot(entries)
+		n.log.Warn("direct mail batch failed", "peer", int(peer), "entries", len(entries), "err", err)
+		n.emit(Event{Kind: EventMailFailed, Peer: peer, Count: len(entries)})
 	}
+}
+
+// rehot makes entries whose mail could not be vouched for hot rumors at
+// this site. Called without any locks held.
+func (n *Node) rehot(entries []store.Entry) {
+	if len(entries) == 0 {
+		return
+	}
+	n.mu.Lock()
+	for _, e := range entries {
+		n.hot.Add(e.Key, e.Stamp)
+	}
+	n.mu.Unlock()
 }
 
 // FlushMail blocks until the outbound mail engine has drained every queue
@@ -433,20 +461,30 @@ func (n *Node) FlushMail(timeout time.Duration) bool {
 }
 
 // HandleMailBatch is the receive side of PostMail: every entry is applied,
-// a fresh update also becomes a hot rumor here, and the whole batch shares
-// one lock acquisition for the hot-list and activity bookkeeping. Hops
-// carries the senders' provenance envelopes (nil when the sender does not
-// trace). needed[i] reports whether entry i changed this replica. The
-// batch's sender-side telemetry feeds the mail stats.
+// and the whole batch shares one lock acquisition for the hot-list and
+// activity bookkeeping. A fresh update becomes a hot rumor here only when
+// b.From is not one of this node's peers: the sender's view of the site set
+// is then not this node's (§1.2's source "does not have accurate knowledge
+// of S"), so mail alone may not have reached everyone. Mail from a known
+// peer went to every site that peer knows, so rumoring it again would be
+// redundant. Hops carries the senders' provenance envelopes (nil when the
+// sender does not trace). needed[i] reports whether entry i changed this
+// replica. The batch's sender-side telemetry feeds the mail stats.
 func (n *Node) HandleMailBatch(b MailBatch) []bool {
-	needed := n.applyRumors(b.Entries, b.Hops, trace.MechDirectMail)
 	n.mu.Lock()
+	known := false
+	for _, p := range n.peers {
+		if p.ID() == b.From {
+			known = true
+			break
+		}
+	}
 	n.stats.MailBatchesReceived++
 	if b.QueuedNanos > n.stats.MailMaxQueuedNanos {
 		n.stats.MailMaxQueuedNanos = b.QueuedNanos
 	}
 	n.mu.Unlock()
-	return needed
+	return n.applyRumors(b.Entries, b.Hops, trace.MechDirectMail, !known)
 }
 
 // HandleRumors is the receive side of PushRumors: apply each entry, report
@@ -454,7 +492,7 @@ func (n *Node) HandleMailBatch(b MailBatch) []bool {
 // recipient ... adds all new updates to its infective list", §1.4). hops
 // carries one envelope per entry or nil.
 func (n *Node) HandleRumors(entries []store.Entry, hops []trace.Hop) []bool {
-	return n.applyRumors(entries, hops, trace.MechRumorPush)
+	return n.applyRumors(entries, hops, trace.MechRumorPush, true)
 }
 
 // appliedRumor defers span and event emission until n.mu is released. It
@@ -468,7 +506,9 @@ type appliedRumor struct {
 	at    int64
 }
 
-func (n *Node) applyRumors(entries []store.Entry, hops []trace.Hop, mech trace.Mechanism) []bool {
+// applyRumors applies entries arriving by mech, making the fresh ones hot
+// rumors when hot is set.
+func (n *Node) applyRumors(entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, hot bool) []bool {
 	needed := make([]bool, len(entries))
 	// Typical batches fit the stack buffer; only oversized pushes pay a
 	// heap allocation for the deferral list.
@@ -490,7 +530,9 @@ func (n *Node) applyRumors(entries []store.Entry, hops []trace.Hop, mech trace.M
 		// concurrent Update and Stats call.
 		n.mu.Lock()
 		for i := range applied {
-			n.hot.Add(applied[i].key, applied[i].stamp)
+			if hot {
+				n.hot.Add(applied[i].key, applied[i].stamp)
+			}
 			if n.activity != nil {
 				n.activity.Touch(applied[i].key)
 			}
@@ -751,7 +793,7 @@ func (n *Node) StepRumor() error {
 		n.mu.Unlock()
 	}
 	if mode != core.Push {
-		n.applyRumors(entries, hops, trace.MechRumorPull)
+		n.applyRumors(entries, hops, trace.MechRumorPull, true)
 		n.mu.Lock()
 		n.stats.EntriesReceived += len(entries)
 		n.mu.Unlock()
@@ -871,6 +913,7 @@ func (n *Node) StepGC() int {
 // configured with non-zero periods. Until it runs, mail is drained on the
 // goroutine that enqueued it.
 func (n *Node) Start() {
+	n.started.Store(true)
 	n.outbox.start()
 	if n.cfg.AntiEntropyEvery > 0 {
 		n.wg.Add(1)
@@ -917,13 +960,12 @@ func (n *Node) loop(every time.Duration, step func()) {
 	}
 }
 
-// Stop terminates the daemons and waits for them to exit. It is safe to
-// call Stop on a node that was never started only if Start was not called;
-// Stop must be called at most once.
+// Stop terminates the daemons, waits for them to exit, drains the outbox
+// and writes a final snapshot. It may be called on a node that was never
+// started; it must be called at most once.
 func (n *Node) Stop() {
 	close(n.stop)
-	if n.cfg.AntiEntropyEvery > 0 || n.cfg.RumorEvery > 0 ||
-		(n.cfg.SnapshotPath != "" && n.cfg.SnapshotEvery > 0) {
+	if n.started.Load() {
 		<-n.done
 	}
 	// Graceful flush: drain queued mail within the configured budget, then

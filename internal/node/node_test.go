@@ -84,9 +84,30 @@ func TestDirectMailDelivers(t *testing.T) {
 	if a.Stats().MailSent != 1 {
 		t.Fatalf("MailSent = %d", a.Stats().MailSent)
 	}
-	// The mailed update is hot at the recipient too.
-	if len(b.HotEntries()) != 1 {
-		t.Fatal("mailed update should be hot at recipient")
+	// Mail from a known peer is vouched for: the update is a rumor at
+	// neither end.
+	if len(a.HotEntries()) != 0 || len(b.HotEntries()) != 0 {
+		t.Fatalf("hot at origin %d, at recipient %d; want 0 and 0", len(a.HotEntries()), len(b.HotEntries()))
+	}
+}
+
+// TestStopUnstartedNodeWithDaemonPeriods: Stop on a node that was never
+// started returns even when daemon periods are configured — no daemon ran,
+// so there is nothing to wait for.
+func TestStopUnstartedNodeWithDaemonPeriods(t *testing.T) {
+	n, err := New(Config{Site: 1, AntiEntropyEvery: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		n.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Stop on an unstarted node still blocked after 2s")
 	}
 }
 

@@ -19,10 +19,14 @@ import (
 // that fans out to all peers in parallel, so Update/Delete never block on
 // N network round trips; a failing peer backs off exponentially and its
 // queue drops oldest on overflow, the paper's "messages may be discarded
-// when queues overflow" made literal. An unstarted node (the simulator,
-// Step-driven tests) has no workers: the caller drains every queue it
-// filled, in SetPeers order, before its enqueue returns, so simulated
-// cycles stay deterministic and mail is delivered at Update time.
+// when queues overflow" made literal. Mail the engine cannot vouch for —
+// a failed batch, an overflow drop, an entry with no peer to go to — is
+// handed back to the node as hot rumors, so rumor mongering carries it;
+// entries dropped because their peer departed or the node shut down are
+// not. An unstarted node (the simulator, Step-driven tests) has no
+// workers: the caller drains every queue it filled, in SetPeers order,
+// before its enqueue returns, so simulated cycles stay deterministic and
+// mail is delivered at Update time.
 
 // OutboxConfig tunes the outbound mail engine. Zero values select the
 // defaults noted per field.
@@ -76,6 +80,11 @@ func (c OutboxConfig) withDefaults() OutboxConfig {
 // the engine telemetry the wire's mail-batch section carries to the
 // receiver.
 type MailBatch struct {
+	// From is the sending site, stamped by the outbox when the batch
+	// drains. A receiver that does not count From among its peers cannot
+	// vouch that mail reached everyone and hot-lists the entries
+	// (Node.HandleMailBatch).
+	From    timestamp.SiteID
 	Entries []store.Entry
 	// Hops carries one provenance envelope per entry, or nil when the
 	// sender does not trace.
@@ -183,12 +192,18 @@ func (ox *outbox) setPeers(peers []Peer) {
 // keeps its queue position), absorbed when older. On a started engine that
 // is O(peers) map work and no network — the whole cost Update/Delete pay
 // for distribution. On an unstarted one the caller then drains every
-// queue itself, in SetPeers order.
+// queue itself, in SetPeers order. An entry that reaches no queue (the
+// node has no peers) and every entry dropped on overflow is re-hotted at
+// the node once ox.mu is released.
 func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 	ox.mu.Lock()
-	defer ox.mu.Unlock()
 	if ox.stopped {
+		ox.mu.Unlock()
 		return
+	}
+	var lost []store.Entry
+	if len(ox.queues) == 0 {
+		lost = append(lost, e)
 	}
 	now := time.Now()
 	for _, q := range ox.queues {
@@ -202,6 +217,7 @@ func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 		}
 		if len(q.keys) >= ox.cfg.QueuePerPeer {
 			oldest := q.keys[0]
+			lost = append(lost, q.byKey[oldest].entry)
 			q.keys = q.keys[1:]
 			delete(q.byKey, oldest)
 			ox.pending--
@@ -220,6 +236,8 @@ func (ox *outbox) enqueue(e store.Entry, hop trace.Hop) {
 			ox.sendLocked(q)
 		}
 	}
+	ox.mu.Unlock()
+	ox.node.rehot(lost)
 }
 
 // scheduleLocked puts q on the run queue unless it is already there (or
@@ -303,15 +321,17 @@ func (q *peerQueue) drainLocked(now time.Time) MailBatch {
 	return b
 }
 
-// sendLocked drains q into one MailBatch and posts it to q's peer,
-// releasing ox.mu for the round trip. It reports whether there was
-// anything to send, and the send's error. A failed batch is dropped, every
-// entry counted as failed: mail is lossy (§1.2) and anti-entropy repairs.
+// sendLocked drains q into one MailBatch stamped with the node's site and
+// posts it to q's peer, releasing ox.mu for the round trip. It reports
+// whether there was anything to send, and the send's error. A failed batch
+// is dropped, every entry counted as failed and re-hotted: mail is lossy
+// (§1.2) and rumor mongering, backed by anti-entropy, carries it instead.
 func (ox *outbox) sendLocked(q *peerQueue) (sent bool, err error) {
 	batch := q.drainLocked(time.Now())
 	if len(batch.Entries) == 0 {
 		return false, nil
 	}
+	batch.From = ox.node.cfg.Site
 	ox.pending -= len(batch.Entries)
 	ox.inflight++
 	peer := q.peer // setPeers may swap q.peer once the lock is released
@@ -319,7 +339,7 @@ func (ox *outbox) sendLocked(q *peerQueue) (sent bool, err error) {
 
 	err = peer.MailBatch(batch)
 	ox.batches.Add(1)
-	ox.node.noteMailResult(peer.ID(), len(batch.Entries), err)
+	ox.node.noteMailResult(peer.ID(), batch.Entries, err)
 
 	ox.mu.Lock()
 	ox.inflight--

@@ -85,7 +85,7 @@ func BenchmarkApplyRumors(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fill(entries, i)
-			n.applyRumors(entries, nil, trace.MechRumorPush)
+			n.applyRumors(entries, nil, trace.MechRumorPush, true)
 		}
 		b.ReportMetric(1, "locks/op")
 	})

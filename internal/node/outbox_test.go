@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,18 @@ func TestOutboxDropOldestOnOverflow(t *testing.T) {
 	if ox.pending != 2 {
 		t.Errorf("pending = %d, want 2", ox.pending)
 	}
+	// The dropped mail can no longer be vouched for: a is a rumor at the
+	// origin now, and only a.
+	if got := hotKeys(ox.node); got != "[a]" {
+		t.Errorf("hot after overflow = %s, want [a]", got)
+	}
+}
+
+// hotKeys lists the keys on n's hot list.
+func hotKeys(n *Node) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return fmt.Sprint(n.hot.Keys())
 }
 
 func TestOutboxSetPeersDropsDepartedKeepsSurvivors(t *testing.T) {
@@ -116,6 +129,9 @@ func TestOutboxSetPeersDropsDepartedKeepsSurvivors(t *testing.T) {
 	}
 	if len(q.keys) != 2 {
 		t.Errorf("survivor queue has %d keys, want 2", len(q.keys))
+	}
+	if got := hotKeys(ox.node); got != "[]" {
+		t.Errorf("hot after a departed peer's drop = %s, want none", got)
 	}
 }
 
@@ -301,5 +317,112 @@ func TestRedistributeMailDoesNotBlockStats(t *testing.T) {
 	<-done
 	if s := a.Stats(); s.Redistributed != 1 || s.MailSent != 1 {
 		t.Errorf("redistributed %d, mail sent %d; want 1 and 1", s.Redistributed, s.MailSent)
+	}
+}
+
+// meshed builds sites 1..n, each holding every other as a LocalPeer, with
+// direct mail on at every site.
+func meshed(t *testing.T, n int) []*Node {
+	t.Helper()
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nd, err := New(Config{Site: timestamp.SiteID(i + 1), DirectMailOnUpdate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = nd
+	}
+	for i, nd := range nodes {
+		var peers []Peer
+		for j, other := range nodes {
+			if j != i {
+				peers = append(peers, NewLocalPeer(other, int64(i*n+j)))
+			}
+		}
+		nd.SetPeers(peers)
+	}
+	return nodes
+}
+
+// TestMailBatchHotOnlyWhereMailIsNotVouchedFor: with direct mail on, an
+// update is a hot rumor only at a site that cannot vouch that mail
+// delivered it everywhere.
+func TestMailBatchHotOnlyWhereMailIsNotVouchedFor(t *testing.T) {
+	mailNode := func(t *testing.T, cfg Config) *Node {
+		t.Helper()
+		cfg.Site = 1
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// receiver returns site 2 with site 1 as its only peer, plus an entry
+	// written at site 1.
+	receiver := func(t *testing.T) (*Node, store.Entry) {
+		t.Helper()
+		nodes := meshed(t, 2)
+		e := nodes[0].Store().Update("k", store.Value("v"))
+		return nodes[1], e
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T) []*Node // every returned node is checked for k
+		hot  bool
+	}{
+		{"fan-out delivered: no site", func(t *testing.T) []*Node {
+			nodes := meshed(t, 4)
+			nodes[0].Update("k", store.Value("v"))
+			return nodes
+		}, false},
+		{"failed batch: origin", func(t *testing.T) []*Node {
+			n := mailNode(t, Config{DirectMailOnUpdate: true})
+			n.SetPeers([]Peer{&erroringPeer{id: 2}})
+			n.Update("k", store.Value("v"))
+			return []*Node{n}
+		}, true},
+		{"no peers: origin", func(t *testing.T) []*Node {
+			n := mailNode(t, Config{DirectMailOnUpdate: true})
+			n.Update("k", store.Value("v"))
+			return []*Node{n}
+		}, true},
+		{"failed re-mail: redistributor", func(t *testing.T) []*Node {
+			n := mailNode(t, Config{Redistribution: core.RedistributeMail})
+			n.SetPeers([]Peer{&erroringPeer{id: 2}})
+			n.Store().Update("k", store.Value("v"))
+			n.redistributeRepaired(core.ExchangeStats{AppliedKeys: []string{"k"}})
+			return []*Node{n}
+		}, true},
+		{"mail from a peer: receiver", func(t *testing.T) []*Node {
+			b, e := receiver(t)
+			b.HandleMailBatch(MailBatch{From: 1, Entries: []store.Entry{e}})
+			return []*Node{b}
+		}, false},
+		{"mail from an unknown sender: receiver", func(t *testing.T) []*Node {
+			b, e := receiver(t)
+			b.HandleMailBatch(MailBatch{From: 9, Entries: []store.Entry{e}})
+			return []*Node{b}
+		}, true},
+		{"rumor push from a peer: receiver", func(t *testing.T) []*Node {
+			b, e := receiver(t)
+			b.HandleRumors([]store.Entry{e}, nil)
+			return []*Node{b}
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range tc.run(t) {
+				if _, ok := n.Lookup("k"); !ok {
+					t.Fatalf("site %d does not hold k", n.Site())
+				}
+				want := "[]"
+				if tc.hot {
+					want = "[k]"
+				}
+				if got := hotKeys(n); got != want {
+					t.Errorf("site %d hot = %s, want %s", n.Site(), got, want)
+				}
+			}
+		})
 	}
 }

@@ -109,10 +109,10 @@ func (r *Registry) Generation() uint64 { return r.gen.Load() }
 // ("counter", "gauge", or "histogram" — func-backed series report the
 // type they were registered under with Value set).
 type SeriesView struct {
-	ID     string // name + canonical label rendering, unique per registry
-	Name   string
-	Type   string
-	Labels []Label
+	ID        string // name + canonical label rendering, unique per registry
+	Name      string
+	Type      string
+	Labels    []Label
 	Counter   *Counter
 	Gauge     *Gauge
 	Value     func() float64

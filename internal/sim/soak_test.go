@@ -90,3 +90,52 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestSilentMailLossRepairedByAntiEntropy: mail lost without a trace —
+// LocalPeer's loss, and mail to a partitioned site, both return nil — is
+// never re-hotted, since no origin learns of it and every receiver knows
+// the sender. Only anti-entropy finds it, so a cluster that missed a
+// partition's worth of writes converges at anti-entropy's pace; it must
+// still converge within a fixed cycle budget on every seed.
+func TestSilentMailLossRepairedByAntiEntropy(t *testing.T) {
+	const (
+		n, cut, writes = 12, 5, 40
+		seeds          = 20
+		aeEvery        = 5  // one anti-entropy cycle per this many rumor cycles
+		budget         = 20 // rumor cycles
+	)
+	total, worst := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		c := newTestCluster(t, func(cfg *ClusterConfig) {
+			cfg.N = n
+			cfg.DirectMailOnUpdate = true
+			cfg.MailLoss = 0.3
+			cfg.Redistribution = core.RedistributeRumor
+			cfg.Seed = seed
+		})
+		rng := rand.New(rand.NewSource(seed))
+		c.SetPartition(cut, true)
+		for i := 0; i < writes; i++ {
+			site := rng.Intn(n - 1)
+			if site >= cut {
+				site++
+			}
+			c.Node(site).Update(fmt.Sprintf("k%02d", rng.Intn(30)), store.Value(fmt.Sprintf("v%d", i)))
+		}
+		c.SetPartition(cut, false)
+		cycles := 0
+		for !c.Consistent() {
+			if cycles == budget {
+				t.Fatalf("seed %d: replicas still differ after %d cycles", seed, budget)
+			}
+			cycles++
+			c.StepRumor()
+			if cycles%aeEvery == 0 {
+				c.StepAntiEntropy()
+			}
+		}
+		total += cycles
+		worst = max(worst, cycles)
+	}
+	t.Logf("cycles to consistency over %d seeds: mean %.2f, worst %d", seeds, float64(total)/seeds, worst)
+}

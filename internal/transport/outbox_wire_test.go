@@ -40,15 +40,17 @@ func outboxNode(t *testing.T, site timestamp.SiteID, src *timestamp.Simulated) (
 }
 
 // TestMailBatchOverTCP drives a multi-entry outbox drain through the
-// batched frame: a whole drain ships as one reqMailBatch.
+// batched frame: a whole drain ships as one reqMailBatch that names its
+// sender.
 func TestMailBatchOverTCP(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
-	a, _ := outboxNode(t, 1, src)
+	a, sa := outboxNode(t, 1, src)
 	b, sb := outboxNode(t, 2, src)
 
 	ws := &WireStats{}
 	peer := NewTCPPeerWith(2, sb.Addr(), PeerOptions{Stats: ws})
 	a.SetPeers([]node.Peer{peer})
+	b.SetPeers([]node.Peer{NewTCPPeer(1, sa.Addr())})
 
 	// First round dials the session.
 	a.Update("prime", store.Value("v"))
@@ -77,6 +79,11 @@ func TestMailBatchOverTCP(t *testing.T) {
 	}
 	if s := b.Stats(); s.MailBatchesReceived == 0 {
 		t.Error("receiver never counted a mail batch")
+	}
+	// b counts the batches' sender, site 1, among its peers: the mail is
+	// vouched for, so nothing is hot at either end.
+	if hot := len(a.HotEntries()) + len(b.HotEntries()); hot != 0 {
+		t.Errorf("%d hot rumors after mail between peers, want 0", hot)
 	}
 }
 

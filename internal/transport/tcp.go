@@ -385,6 +385,7 @@ func (s *Server) dispatch(req request) response {
 	switch req.Kind {
 	case reqMailBatch:
 		return response{Needed: s.node.HandleMailBatch(node.MailBatch{
+			From:        req.From,
 			Entries:     req.Entries,
 			Hops:        req.Hops,
 			QueuedNanos: req.MailQueuedNanos,
@@ -736,6 +737,7 @@ func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	defer putWireCall(c)
 	c.req = request{
 		Kind:            reqMailBatch,
+		From:            b.From,
 		Entries:         b.Entries,
 		Hops:            b.Hops,
 		MailQueuedNanos: b.QueuedNanos,
