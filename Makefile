@@ -44,15 +44,17 @@ test:
 # static analysis, a fast race pass over the sharded store (the most
 # concurrency-sensitive package), a targeted race pass over the mail path
 # (outbox queues and workers, mail batches on the wire, the slow-peer
-# isolation test, redistribution by mail, who hot-lists mail), the race
-# detector over the whole module (daemons included), and the
-# observability and cluster-observatory smoke tests.
+# isolation test, redistribution by mail, who hot-lists mail) and over
+# bucket repair (diverged buckets peeled on worker goroutines, the
+# malformed-bucket dispatch table), the race detector over the whole
+# module (daemons included), and the observability and cluster-observatory
+# smoke tests.
 check:
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(MAKE) bench-adapter
 	$(GO) test -race -count=1 ./internal/store/...
-	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail' ./internal/node ./internal/transport
+	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail|ShardVector|Bucket' ./internal/node ./internal/transport
 	$(GO) test -race ./...
 	$(MAKE) obs-smoke
 	$(MAKE) cluster-smoke

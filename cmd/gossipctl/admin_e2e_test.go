@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,8 +14,9 @@ import (
 
 // liveAdmin assembles a real admin endpoint — the same registry and
 // event-ring handlers gossipd mounts — around a live node, so the admin
-// verbs are exercised end to end rather than against canned strings.
-func liveAdmin(t *testing.T) (admin string, ring *epidemic.EventRing) {
+// verbs are exercised end to end rather than against canned strings. The
+// node holds one live key and one death certificate.
+func liveAdmin(t *testing.T) (admin string, ring *epidemic.EventRing, n *epidemic.Node) {
 	t.Helper()
 	n, err := epidemic.NewNode(epidemic.NodeConfig{Site: 1})
 	if err != nil {
@@ -24,6 +26,8 @@ func liveAdmin(t *testing.T) (admin string, ring *epidemic.EventRing) {
 	ring = epidemic.NewEventRing(0)
 	n.SetOnEvent(epidemic.InstrumentNode(reg, n, epidemic.ObserveOptions{Ring: ring}))
 	n.Update("greeting", epidemic.Value("hello"))
+	n.Update("gone", epidemic.Value("bye"))
+	n.Delete("gone")
 
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
@@ -34,14 +38,14 @@ func liveAdmin(t *testing.T) (admin string, ring *epidemic.EventRing) {
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return strings.TrimPrefix(srv.URL, "http://"), ring
+	return strings.TrimPrefix(srv.URL, "http://"), ring, n
 }
 
 // TestAdminVerbsLive drives metrics, health and events against live
 // handlers: the metrics body must be valid Prometheus exposition carrying
 // real node series, and the events cursor must resume incrementally.
 func TestAdminVerbsLive(t *testing.T) {
-	admin, ring := liveAdmin(t)
+	admin, ring, n := liveAdmin(t)
 	opts := testOpts("127.0.0.1:1", admin)
 
 	metrics, err := run(opts, []string{"metrics"})
@@ -55,6 +59,12 @@ func TestAdminVerbsLive(t *testing.T) {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("metrics output missing %s", name)
 		}
+	}
+	// The key gauge counts death certificates: it is Store().Len(), 2 here,
+	// where the live count is 1.
+	want := fmt.Sprintf("\n%s %d\n", epidemic.MetricStoreKeys, n.Store().Len())
+	if n.Store().Len() != 2 || !strings.Contains(metrics, want) {
+		t.Errorf("metrics output lacks %q (Len %d)", want, n.Store().Len())
 	}
 
 	health, err := run(opts, []string{"health"})

@@ -70,7 +70,7 @@ func (d *daemon) startAdmin(addr string) error {
 			Members:       len(epidemic.Members(n.Store())),
 			Peers:         len(n.Peers()),
 			HotRumors:     len(n.HotEntries()),
-			StoreKeys:     len(n.Store().Keys()),
+			StoreKeys:     n.Store().Len(),
 		}
 		if st := d.status.Load(); st != nil && len(st.Stalls) > 0 {
 			reply.Status = "degraded"

@@ -201,7 +201,7 @@ func (d *daemon) selfDigest(now, staleAfter int64) epidemic.ClusterDigest {
 	dg := epidemic.ClusterDigest{
 		Stamp:          now,
 		StartedAt:      d.started.UnixNano(),
-		StoreKeys:      int64(len(n.Store().Keys())),
+		StoreKeys:      int64(n.Store().Len()),
 		Checksum:       n.Store().Checksum(),
 		HotRumors:      int64(len(n.HotEntries())),
 		Peers:          int64(len(n.Peers())),

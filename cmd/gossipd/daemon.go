@@ -182,6 +182,8 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		Logger: logger,
 		Rumor:  epidemic.RumorConfig{K: cfg.k, Counter: true, Feedback: true, Mode: epidemic.PushPull},
 		Resolve: epidemic.ResolveConfig{
+			// Mode and Strategy only validate the config: every peer is a
+			// TCP peer, whose wire ladder ignores both (TCPPeer.AntiEntropy).
 			Mode:              epidemic.PushPull,
 			Strategy:          epidemic.CompareRecent,
 			Tau:               int64(20 * cfg.aePer), // generous: 20 anti-entropy periods

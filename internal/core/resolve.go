@@ -25,12 +25,12 @@ const (
 	// ComparePeelBack exchanges updates in reverse timestamp order,
 	// batch by batch, until the checksums agree (§1.3's "peel back").
 	ComparePeelBack
-	// CompareShardVector exchanges the per-shard checksum vectors after a
-	// global-checksum mismatch and peels back only the diverged shards'
+	// CompareShardVector exchanges per-bucket checksum vectors after a
+	// global-checksum mismatch and peels back only the diverged buckets'
 	// timestamp indexes, keeping examined work proportional to the
-	// divergence rather than the database. Stores with differing shard
-	// counts (whose key→shard maps are incomparable) fall back to the
-	// global peel-back walk.
+	// divergence rather than the database. The vectors are folded to the
+	// smaller of the two stores' shard counts (see store.ChecksumBucket),
+	// so any pair of stores narrows.
 	CompareShardVector
 )
 
@@ -116,7 +116,7 @@ type ExchangeStats struct {
 	// FullCompare reports whether the conversation fell back to shipping
 	// complete databases.
 	FullCompare bool
-	// ShardsRepaired counts the diverged shards the shard-vector strategy
+	// ShardsRepaired counts the diverged buckets the shard-vector strategy
 	// localized and peeled individually (zero for other strategies or when
 	// the vector compare downgraded to a global walk).
 	ShardsRepaired int
@@ -367,23 +367,17 @@ func resolvePeelBack(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 	}
 }
 
-// resolveShardVector compares the per-shard live-checksum vectors after a
-// global mismatch and peels back only the diverged shards, each walked to
-// per-shard checksum agreement or exhaustion. A final global recompare
-// (which also catches dormancy skew between the two vector reads) falls
-// back to the global peel-back walk, so convergence is never weaker than
-// ComparePeelBack. In-process both stores are walked directly; the wire
-// transport runs the same shape with the diverged shards repaired
-// concurrently.
+// resolveShardVector compares the bucket vectors of the two stores, folded
+// to the smaller shard count, after a global mismatch and peels back only
+// the diverged buckets, each walked to bucket checksum agreement or
+// exhaustion. A final global recompare (which also catches dormancy skew
+// between the two vector reads) falls back to the global peel-back walk, so
+// convergence is never weaker than ComparePeelBack. In-process both stores
+// are walked directly; the wire transport runs the same shape with the
+// diverged buckets repaired concurrently.
 func resolveShardVector(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 	st.ChecksumsCompared++
 	if liveChecksumEqual(cfg, s, p) {
-		return
-	}
-	if s.ShardCount() != p.ShardCount() {
-		// Incomparable key→shard maps: the vectors cannot localize
-		// anything. Global peel-back handles it.
-		resolvePeelBack(cfg, s, p, st)
 		return
 	}
 	batch := cfg.BatchSize
@@ -391,38 +385,39 @@ func resolveShardVector(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats)
 		batch = DefaultPeelBatch
 	}
 	now := maxNow(s, p)
-	sv := s.ChecksumVector(now, cfg.Tau1)
-	pv := p.ChecksumVector(now, cfg.Tau1)
+	m := min(s.ShardCount(), p.ShardCount())
+	sv := s.AppendChecksumVector(nil, m, now, cfg.Tau1)
+	pv := p.AppendChecksumVector(nil, m, now, cfg.Tau1)
 	st.ChecksumsCompared++ // the vector swap is one compare round trip
-	for i := range sv {
-		if sv[i] == pv[i] {
+	for b := range sv {
+		if sv[b] == pv[b] {
 			continue
 		}
 		st.ShardsRepaired++
-		repairShardInProcess(cfg, s, p, i, now, batch, st)
+		repairBucketInProcess(cfg, s, p, b, m, now, batch, st)
 	}
 	// Terminal global recompare; residual mismatch (e.g. a dormancy
 	// transition racing the vector reads) downgrades to the global walk.
 	resolvePeelBack(cfg, s, p, st)
 }
 
-// repairShardInProcess peels shard i of both stores newest-first until
-// their per-shard live checksums agree or both walks are exhausted.
-func repairShardInProcess(cfg ResolveConfig, s, p *store.Store, i int, now int64, batch int, st *ExchangeStats) {
+// repairBucketInProcess peels bucket b of m of both stores newest-first
+// until their bucket live checksums agree or both walks are exhausted.
+func repairBucketInProcess(cfg ResolveConfig, s, p *store.Store, b, m int, now int64, batch int, st *ExchangeStats) {
 	sBound, pBound := store.PeelStart, store.PeelStart
 	sMore, pMore := true, true
 	for {
 		var sb, pb []store.Entry
 		if sMore {
-			sb, sBound, sMore = s.PeelBatchShard(i, sBound, batch, now, cfg.Tau1)
+			sb, sBound, sMore = s.PeelBucket(b, m, sBound, batch, now, cfg.Tau1)
 		}
 		if pMore {
-			pb, pBound, pMore = p.PeelBatchShard(i, pBound, batch, now, cfg.Tau1)
+			pb, pBound, pMore = p.PeelBucket(b, m, pBound, batch, now, cfg.Tau1)
 		}
 		sendEntries(cfg, sb, s, p, s, trace.MechPeelBack, st)
 		sendEntries(cfg, pb, p, s, s, trace.MechPeelBack, st)
 		st.ChecksumsCompared++
-		if s.ChecksumShard(i, now, cfg.Tau1) == p.ChecksumShard(i, now, cfg.Tau1) {
+		if s.ChecksumBucket(b, m, now, cfg.Tau1) == p.ChecksumBucket(b, m, now, cfg.Tau1) {
 			return
 		}
 		if !sMore && !pMore {

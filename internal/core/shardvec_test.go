@@ -117,28 +117,38 @@ func TestResolveShardVectorMatchesPeelBack(t *testing.T) {
 	}
 }
 
-// TestResolveShardVectorMismatchedCountsDowngrades pairs stores whose
-// key→shard maps are incomparable: the resolver must fall back to the
-// global walk and still converge.
-func TestResolveShardVectorMismatchedCountsDowngrades(t *testing.T) {
-	a, b, src := shardedPair(t, 8, 32)
-	a.Update("buried", store.Value("deep"))
-	src.Advance(1)
-	for i := 0; i < 100; i++ {
-		e := a.Update(fmt.Sprintf("hist%03d", i), store.Value("v"))
-		b.Apply(e)
+// TestResolveShardVectorMismatchedCountsNarrows pairs stores with
+// different shard counts: both fold their vectors to the smaller count, so
+// the resolver localizes the one buried entry to one bucket and converges.
+// A 1-shard store folds the pair to one bucket: the whole-store walk.
+func TestResolveShardVectorMismatchedCountsNarrows(t *testing.T) {
+	for _, counts := range [][2]int{{8, 32}, {64, 16}, {1, 16}} {
+		a, b, src := shardedPair(t, counts[0], counts[1])
+		a.Update("buried", store.Value("deep"))
 		src.Advance(1)
-	}
-	cfg := ResolveConfig{Mode: PushPull, Strategy: CompareShardVector, BatchSize: 16}
-	st, err := ResolveDifference(cfg, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !store.ContentEqual(a, b) {
-		t.Fatal("mismatched shard counts did not converge")
-	}
-	if st.ShardsRepaired != 0 {
-		t.Errorf("ShardsRepaired = %d on incomparable shard maps, want 0", st.ShardsRepaired)
+		for i := 0; i < 400; i++ {
+			e := a.Update(fmt.Sprintf("hist%03d", i), store.Value("v"))
+			b.Apply(e)
+			src.Advance(1)
+		}
+		cfg := ResolveConfig{Mode: PushPull, Strategy: CompareShardVector, BatchSize: 16}
+		st, err := ResolveDifference(cfg, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !store.ContentEqual(a, b) {
+			t.Fatalf("%d vs %d shards did not converge", counts[0], counts[1])
+		}
+		if st.ShardsRepaired != 1 || st.FullCompare {
+			t.Errorf("%d vs %d shards: ShardsRepaired = %d, full compare %v; want one bucket",
+				counts[0], counts[1], st.ShardsRepaired, st.FullCompare)
+		}
+		// Folded to m buckets, the walk examines about 400/m of the shared
+		// entries per side; the whole-store walk (m = 1) all of them.
+		m := min(counts[0], counts[1])
+		if limit := 2*400/m + 2*16 + 2; st.Transferred() > limit {
+			t.Errorf("%d vs %d shards moved %d entries, want at most %d", counts[0], counts[1], st.Transferred(), limit)
+		}
 	}
 }
 

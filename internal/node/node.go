@@ -37,6 +37,10 @@ type Peer interface {
 	// and the peer's replica. tr, when non-nil, is the initiator's tracer:
 	// implementations backfill SenderHop on the returned stats' Repairs so
 	// both parties can stamp causal hop spans. A nil tr disables tracing.
+	// How much of cfg applies is the implementation's: an in-process peer
+	// runs cfg.Strategy and cfg.Mode, while the wire peer always runs its
+	// one push-pull ladder and reads only Tau, Tau1, BatchSize and
+	// ReactivateDormant.
 	AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error)
 	// OfferRumors opens a rumor conversation with the identities of the
 	// caller's hot rumors: Key, Stamp and Activation, no Value (store.ID).

@@ -145,7 +145,7 @@ func InstrumentNode(reg *Registry, n *node.Node, opts ObserveOptions) func(node.
 	reg.GaugeFunc(MetricPeers, "Peers currently in the replica's partner set.",
 		func() float64 { return float64(len(n.Peers())) }, labels...)
 	reg.GaugeFunc(MetricStoreKeys, "Keys held by the replica, death certificates included.",
-		func() float64 { return float64(len(n.Store().Keys())) }, labels...)
+		func() float64 { return float64(n.Store().Len()) }, labels...)
 	reg.Gauge(MetricStoreShards, "Lock stripes (shards) in the replica store.",
 		labels...).Set(float64(n.Store().ShardCount()))
 

@@ -20,8 +20,9 @@ const (
 	// Request round trips over TCP (the name dates from the gob codec).
 	MetricWireMsgsBinary = "epidemic_wire_msgs_binary_total"
 
-	// Shard-vector anti-entropy: narrow repairs completed, shards walked,
-	// and sessions that fell back to the global peel-back path.
+	// Shard-vector anti-entropy: narrow repairs completed, diverged
+	// buckets walked, and conversations that fell to the single-bucket
+	// (whole-store) walk.
 	MetricWireShardVecExchanges  = "epidemic_wire_shardvec_exchanges_total"
 	MetricWireShardVecShards     = "epidemic_wire_shardvec_shards_total"
 	MetricWireShardVecDowngrades = "epidemic_wire_shardvec_downgrades_total"
@@ -75,9 +76,9 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.MsgsBinary })
 	counter(MetricWireShardVecExchanges, "Anti-entropy conversations resolved on the narrow shard-vector path.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecExchanges })
-	counter(MetricWireShardVecShards, "Diverged shards repaired by shard-vector exchanges.",
+	counter(MetricWireShardVecShards, "Diverged buckets repaired by shard-vector exchanges.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecShards })
-	counter(MetricWireShardVecDowngrades, "Shard-vector attempts that fell back to the global peel-back walk.",
+	counter(MetricWireShardVecDowngrades, "Anti-entropy conversations that fell to the single-bucket (whole-store) walk.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecDowngrades })
 	counter(MetricWireMailBatches, "Outbox drains shipped as single batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })

@@ -18,9 +18,9 @@ import (
 // path on at some sites and unbound at others, one site whose store runs
 // more shards than everyone else's, cluster digests riding every
 // exchange — and drives rumor and anti-entropy rounds until every replica
-// agrees. On top of the converged cluster, equal-shard peers must repair an
-// aged divergence on the shard-vector path and the odd site must downgrade
-// to the global walk.
+// agrees. On top of the converged cluster, an aged divergence must be
+// repaired on the shard-vector path both between equal-shard peers and
+// against the odd site, which narrows at the smaller shard count.
 func TestMixedTCPClusterConverges(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 20)
 
@@ -118,15 +118,16 @@ func TestMixedTCPClusterConverges(t *testing.T) {
 	}
 
 	// Deterministic shard-vector exercise on top of the converged cluster:
-	// a conversation between equal shard counts must complete on the
-	// narrow path; one against the 64-shard site must record a downgrade —
-	// and both must converge.
+	// a conversation between equal shard counts and one against the
+	// 64-shard site must both complete on the narrow path, with no
+	// downgrade, and converge.
+	ex := &transport.WireStats{}
 	exercise := func(target *site) {
 		t.Helper()
 		sites[0].n.Update(fmt.Sprintf("late-%d", target.n.Site()), store.Value("zz"))
 		src.Advance(500)
 		p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(),
-			transport.PeerOptions{Timeout: 2 * time.Second, Stats: stats})
+			transport.PeerOptions{Timeout: 2 * time.Second, Stats: ex})
 		defer p.Close()
 		if _, err := p.AntiEntropy(core.ResolveConfig{
 			Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 1,
@@ -139,11 +140,7 @@ func TestMixedTCPClusterConverges(t *testing.T) {
 	}
 	exercise(sites[2])
 	exercise(sites[4])
-	snap := stats.Snapshot()
-	if snap.ShardVecExchanges == 0 {
-		t.Error("no shard-vector exchange completed between equal-shard peers")
-	}
-	if snap.ShardVecDowngrades == 0 {
-		t.Error("mismatched shard counts never recorded a downgrade")
+	if snap := ex.Snapshot(); snap.ShardVecExchanges != 2 || snap.ShardVecShards < 2 || snap.ShardVecDowngrades != 0 {
+		t.Errorf("want both exercises narrowed with no downgrade: %+v", snap)
 	}
 }

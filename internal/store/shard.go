@@ -62,17 +62,11 @@ func (sh *shard) drop(key string) {
 // exactly its index stamp (put keeps them in lockstep), so no separate
 // merge record is needed.
 
-// collectOlder returns this shard's entries strictly older than bound,
-// newest first, cloned, capped at limit (limit <= 0 means all), plus the
-// total number of such records (which may exceed len of the returned
-// slice). Caller holds sh.mu (read suffices).
-func (sh *shard) collectOlder(bound timestamp.T, limit int) (recs []Entry, total int) {
-	return sh.appendOlder(nil, bound, limit)
-}
-
-// appendOlder is collectOlder appending into dst (reusing its backing
-// array), for callers that pool their per-shard scratch. Caller holds
-// sh.mu (read suffices).
+// appendOlder appends to dst this shard's entries strictly older than
+// bound, newest first, cloned, capped at limit (limit <= 0 means all), and
+// returns the extended slice plus the total number of such records (which
+// may exceed the number appended). Callers pool dst. Caller holds sh.mu
+// (read suffices).
 func (sh *shard) appendOlder(dst []Entry, bound timestamp.T, limit int) ([]Entry, int) {
 	total := sh.index.searchBefore(bound)
 	n := total

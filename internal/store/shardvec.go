@@ -1,9 +1,5 @@
 package store
 
-import (
-	"epidemic/internal/timestamp"
-)
-
 // liveSum returns this shard's checksum excluding dormant death
 // certificates (activation older than tau1 at time now). Caller holds
 // sh.mu (read suffices).
@@ -18,74 +14,48 @@ func (sh *shard) liveSum(now, tau1 int64) uint64 {
 	return sum
 }
 
+// Buckets. A key's shard is its FNV-1a hash masked to the power-of-two
+// shard count S, so for any power of two m <= S the shards congruent to b
+// modulo m hold exactly the keys whose hash is b modulo m. That set is
+// bucket b of m: it means the same keys in every store with at least m
+// shards, whatever their own S. Anti-entropy compares and walks buckets at
+// the smaller of two stores' shard counts, and bucket 0 of 1 is the whole
+// store. Every bucket argument below must be a power of two m no larger
+// than ShardCount() and a b in [0, m).
+
 // ChecksumVector returns the per-shard live checksums (dormant death
 // certificates excluded, exactly as ChecksumLive) as one slice indexed by
-// shard. Each shard is read under its own lock with no merge, so the
-// vector costs O(S + deaths) regardless of database size, and XOR-folding
-// it reproduces ChecksumLive. Two stores with the same shard count place
-// every key in the same stripe (FNV-1a masked to the power-of-two count),
-// which is what lets anti-entropy compare vectors across replicas and
-// localize divergence to stripes.
+// shard: the vector at m = ShardCount().
 func (s *Store) ChecksumVector(now, tau1 int64) []uint64 {
-	return s.AppendChecksumVector(nil, now, tau1)
+	return s.AppendChecksumVector(nil, len(s.shards), now, tau1)
 }
 
-// AppendChecksumVector appends the per-shard live checksums to dst and
-// returns the extended slice, so wire-path callers can reuse a pooled
-// backing array instead of allocating a fresh vector per exchange.
-func (s *Store) AppendChecksumVector(dst []uint64, now, tau1 int64) []uint64 {
+// AppendChecksumVector appends the live checksums of the m buckets to dst
+// and returns the extended slice, so wire-path callers can reuse a pooled
+// backing array. Live checksums are XORs, so bucket b's is the XOR of its
+// shards' and the whole vector XOR-folds to ChecksumLive. Each shard is
+// read under its own lock with no merge: O(S + deaths) regardless of
+// database size.
+func (s *Store) AppendChecksumVector(dst []uint64, m int, now, tau1 int64) []uint64 {
+	base := len(dst)
+	dst = append(dst, make([]uint64, m)...)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		dst = append(dst, sh.liveSum(now, tau1))
+		dst[base+i&(m-1)] ^= sh.liveSum(now, tau1)
 		sh.mu.RUnlock()
 	}
 	return dst
 }
 
-// ChecksumShard returns the live checksum of shard i alone. Like slice
-// indexing, i must be in [0, ShardCount()).
-func (s *Store) ChecksumShard(i int, now, tau1 int64) uint64 {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.liveSum(now, tau1)
-}
-
-// PeelBatchShard is PeelBatch restricted to shard i: up to limit of that
-// shard's index records strictly older than bound are examined newest
-// first and the non-dormant ones returned, with the same
-// examined-versus-returned resume semantics (next is the oldest record
-// examined, more reports whether older records remain). Shard-vector
-// anti-entropy walks only the diverged stripes this way, so a δ-entry
-// divergence under a deep database examines O(δ + N/S) records per
-// diverged stripe instead of O(N) for the whole store.
-func (s *Store) PeelBatchShard(i int, bound timestamp.T, limit int, now, tau1 int64) (batch []Entry, next timestamp.T, more bool) {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	recs, total := sh.collectOlder(bound, limit)
-	sh.mu.RUnlock()
-	if len(recs) == 0 {
-		return nil, bound, false
+// ChecksumBucket returns the live checksum of bucket b of m alone.
+func (s *Store) ChecksumBucket(b, m int, now, tau1 int64) uint64 {
+	var sum uint64
+	for i := b; i < len(s.shards); i += m {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		sum ^= sh.liveSum(now, tau1)
+		sh.mu.RUnlock()
 	}
-	batch = make([]Entry, 0, len(recs))
-	for _, e := range recs {
-		if !IsDormant(e, now, tau1) {
-			batch = append(batch, e)
-		}
-		next = e.Stamp
-	}
-	return batch, next, total > len(recs)
-}
-
-// RecentUpdatesShard returns shard i's entries with ordinary-timestamp age
-// strictly less than tau at time now, newest first — the per-stripe slice
-// of the paper's recent update list (§1.3), for callers that keep
-// per-shard sync state (partial replication hangs per-replica-set windows
-// on this).
-func (s *Store) RecentUpdatesShard(i int, now, tau int64) []Entry {
-	sh := &s.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.collectRecent(now, tau)
+	return sum
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"epidemic/internal/timestamp"
@@ -38,8 +40,8 @@ func TestChecksumVectorFoldsToLive(t *testing.T) {
 		var fold uint64
 		for i, v := range vec {
 			fold ^= v
-			if got := st.ChecksumShard(i, now, tau1); got != v {
-				t.Errorf("tau1=%d shard %d: ChecksumShard = %#x, vector = %#x", tau1, i, got, v)
+			if got := st.ChecksumBucket(i, len(vec), now, tau1); got != v {
+				t.Errorf("tau1=%d shard %d: ChecksumBucket = %#x, vector = %#x", tau1, i, got, v)
 			}
 		}
 		if live := st.ChecksumLive(now, tau1); fold != live {
@@ -52,7 +54,7 @@ func TestAppendChecksumVectorReusesBacking(t *testing.T) {
 	st, _ := buildShardVecStore(t, 4, 40)
 	now := st.Now()
 	buf := make([]uint64, 0, st.ShardCount())
-	got := st.AppendChecksumVector(buf, now, 1<<40)
+	got := st.AppendChecksumVector(buf, st.ShardCount(), now, 1<<40)
 	if &got[0] != &buf[:1][0] {
 		t.Error("AppendChecksumVector reallocated despite sufficient capacity")
 	}
@@ -64,91 +66,86 @@ func TestAppendChecksumVectorReusesBacking(t *testing.T) {
 	}
 }
 
-// TestPeelBatchShardMatchesGlobalWalk checks that walking every shard to
-// exhaustion visits exactly the entries a global peel walk visits, with
-// per-shard newest-first order and no duplicates.
-func TestPeelBatchShardMatchesGlobalWalk(t *testing.T) {
-	st, _ := buildShardVecStore(t, 8, 300)
-	now := st.Now()
-	const tau1 = 40 // early deletions are dormant, late ones live
-
-	want := map[string]Entry{}
-	bound, more := PeelStart, true
-	for more {
-		var batch []Entry
-		batch, bound, more = st.PeelBatch(bound, 16, now, tau1)
-		for _, e := range batch {
-			want[e.Key] = e
-		}
-	}
-
-	got := map[string]Entry{}
-	for i := 0; i < st.ShardCount(); i++ {
-		bound, more := PeelStart, true
-		var prev timestamp.T
-		first := true
-		for more {
-			var batch []Entry
-			batch, bound, more = st.PeelBatchShard(i, bound, 16, now, tau1)
-			for _, e := range batch {
-				if sh := st.shardFor(e.Key); sh != &st.shards[i] {
-					t.Fatalf("shard %d returned foreign key %q", i, e.Key)
-				}
-				if !first && prev.Less(e.Stamp) {
-					t.Fatalf("shard %d walk not newest-first: %v then %v", i, prev, e.Stamp)
-				}
-				prev, first = e.Stamp, false
-				if _, dup := got[e.Key]; dup {
-					t.Fatalf("key %q returned twice", e.Key)
-				}
-				got[e.Key] = e
-			}
-		}
-		// An exhausted shard walk stays exhausted.
-		if batch, _, more := st.PeelBatchShard(i, bound, 16, now, tau1); len(batch) != 0 || more {
-			t.Fatalf("shard %d walk past the end returned %d entries, more=%v", i, len(batch), more)
-		}
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("shard walks visited %d entries, global walk %d", len(got), len(want))
-	}
-	for k, e := range want {
-		if g, ok := got[k]; !ok || !g.Equal(e) {
-			t.Errorf("key %q differs between shard and global walks", k)
-		}
-	}
+// bucketOf is the bucket of m that key hashes to: FNV-1a, as shardFor
+// hashes, masked to m.
+func bucketOf(key string, m int) int {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return int(h.Sum32() & uint32(m-1))
 }
 
-func TestRecentUpdatesShardUnionMatchesGlobal(t *testing.T) {
-	st, _ := buildShardVecStore(t, 8, 120)
-	now := st.Now()
-	const tau = 100
-
-	want := map[string]bool{}
-	for _, e := range st.RecentUpdates(now, tau) {
-		want[e.Key] = true
-	}
-	got := map[string]bool{}
-	for i := 0; i < st.ShardCount(); i++ {
-		var prev timestamp.T
-		for j, e := range st.RecentUpdatesShard(i, now, tau) {
-			if j > 0 && prev.Less(e.Stamp) {
-				t.Fatalf("shard %d recents not newest-first", i)
+// TestPeelBatchShardMatchesGlobalWalk checks the bucket fold for every
+// shard count S and every bucket count m <= S: walking every bucket to
+// exhaustion visits exactly the entries the global peel walk visits, each
+// once and newest first within its bucket; a store with the same content
+// and a different shard count folds to the same vector at m; and the
+// folded vector XORs to ChecksumLive.
+func TestPeelBatchShardMatchesGlobalWalk(t *testing.T) {
+	const tau1 = 40 // early deletions are dormant, late ones live
+	ref, _ := buildShardVecStore(t, 64, 300)
+	for _, shards := range []int{1, 2, 16, 64} {
+		st, _ := buildShardVecStore(t, shards, 300)
+		now := st.Now()
+		want := map[string]Entry{}
+		bound, more := PeelStart, true
+		for more {
+			var batch []Entry
+			batch, bound, more = st.PeelBatch(bound, 16, now, tau1)
+			for _, e := range batch {
+				want[e.Key] = e
 			}
-			prev = e.Stamp
-			if got[e.Key] {
-				t.Fatalf("key %q in two shard windows", e.Key)
-			}
-			got[e.Key] = true
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("shard windows union = %d keys, global window = %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("key %q missing from shard windows", k)
+		for m := 1; m <= shards; m *= 2 {
+			got := map[string]Entry{}
+			for b := 0; b < m; b++ {
+				bound, more := PeelStart, true
+				var prev timestamp.T
+				first := true
+				for more {
+					var batch []Entry
+					batch, bound, more = st.PeelBucket(b, m, bound, 16, now, tau1)
+					for _, e := range batch {
+						if bucketOf(e.Key, m) != b {
+							t.Fatalf("S=%d bucket %d/%d returned foreign key %q", shards, b, m, e.Key)
+						}
+						if !first && prev.Less(e.Stamp) {
+							t.Fatalf("S=%d bucket %d/%d walk not newest-first: %v then %v", shards, b, m, prev, e.Stamp)
+						}
+						prev, first = e.Stamp, false
+						if _, dup := got[e.Key]; dup {
+							t.Fatalf("S=%d m=%d: key %q returned twice", shards, m, e.Key)
+						}
+						got[e.Key] = e
+					}
+				}
+				// An exhausted bucket walk stays exhausted.
+				if batch, _, more := st.PeelBucket(b, m, bound, 16, now, tau1); len(batch) != 0 || more {
+					t.Fatalf("S=%d bucket %d/%d walk past the end returned %d entries, more=%v", shards, b, m, len(batch), more)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("S=%d m=%d: bucket walks visited %d entries, global walk %d", shards, m, len(got), len(want))
+			}
+			for k, e := range want {
+				if g, ok := got[k]; !ok || !g.Equal(e) {
+					t.Errorf("S=%d m=%d: key %q differs between bucket and global walks", shards, m, k)
+				}
+			}
+
+			vec := st.AppendChecksumVector(nil, m, now, tau1)
+			if other := ref.AppendChecksumVector(nil, m, now, tau1); !slices.Equal(vec, other) {
+				t.Errorf("m=%d: %d-shard vector %x, 64-shard vector %x", m, shards, vec, other)
+			}
+			var fold uint64
+			for b, v := range vec {
+				fold ^= v
+				if got := st.ChecksumBucket(b, m, now, tau1); got != v {
+					t.Errorf("S=%d bucket %d/%d: ChecksumBucket = %#x, vector = %#x", shards, b, m, got, v)
+				}
+			}
+			if live := st.ChecksumLive(now, tau1); fold != live {
+				t.Errorf("S=%d m=%d: vector fold = %#x, ChecksumLive = %#x", shards, m, fold, live)
+			}
 		}
 	}
 }

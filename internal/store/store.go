@@ -445,35 +445,35 @@ func (s *Store) recentCount(now, tau int64) int {
 // (a zero limit returns all), merging the per-shard indexes. It powers the
 // peel-back exchange (§1.3).
 func (s *Store) NewestFirst(limit int) []Entry {
-	merged, _ := s.collectMerged(PeelStart, limit)
+	merged, _ := s.collectMerged(0, 1, PeelStart, limit)
 	return merged
 }
 
 // OlderThan returns up to limit entries strictly older than bound, newest
 // first. Peel-back uses it to fetch the next batch.
 func (s *Store) OlderThan(bound timestamp.T, limit int) []Entry {
-	merged, _ := s.collectMerged(bound, limit)
+	merged, _ := s.collectMerged(0, 1, bound, limit)
 	return merged
 }
 
 // collectMerged gathers up to limit records strictly older than bound from
-// every shard (limit <= 0 means all) and merges them newest first. total is
-// the store-wide number of records older than bound, which may exceed
-// len(merged). Each shard contributes at most limit records — a superset of
-// any global top-limit — so the merge result equals the seed's walk of one
-// global index.
+// every shard of bucket b of m (limit <= 0 means all) and merges them
+// newest first. total is the bucket-wide number of records older than
+// bound, which may exceed len(merged). Each shard contributes at most limit
+// records — a superset of any bucket-wide top-limit — so the merge result
+// equals a walk of one index over the bucket.
 //
 // The per-shard slices and merge cursors come from a sync.Pool: peel-back
 // runs this once per wire round, and the scratch heap was the dominant
 // per-round allocation. Only the returned merged slice escapes.
-func (s *Store) collectMerged(bound timestamp.T, limit int) (merged []Entry, total int) {
-	sc := getMergeScratch(len(s.shards))
+func (s *Store) collectMerged(b, m int, bound timestamp.T, limit int) (merged []Entry, total int) {
+	sc := getMergeScratch(len(s.shards) / m)
 	defer putMergeScratch(sc)
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for j := range sc.per {
+		sh := &s.shards[b+j*m]
 		sh.mu.RLock()
 		var n int
-		sc.per[i], n = sh.appendOlder(sc.per[i], bound, limit)
+		sc.per[j], n = sh.appendOlder(sc.per[j], bound, limit)
 		sh.mu.RUnlock()
 		total += n
 	}

@@ -151,9 +151,9 @@ func appendDigests(b []byte, digests []cluster.Digest) []byte {
 	return b
 }
 
-// appendVector writes a shard-vector section payload: a count then each
-// per-shard checksum as fixed 8 bytes. A nil or empty vector costs one
-// zero byte, so requests of every other kind stay cheap.
+// appendVector writes a response's bucket-vector section: a count then
+// each bucket checksum as fixed 8 bytes. A nil or empty vector costs one
+// zero byte, so responses of every other kind stay cheap.
 func appendVector(b []byte, vec []uint64) []byte {
 	b = appendUvarint(b, uint64(len(vec)))
 	for _, v := range vec {
@@ -178,26 +178,20 @@ func appendRequest(b []byte, req *request) []byte {
 	b = appendDigests(b, req.Digests)
 	b = appendVarint(b, int64(req.Shard))
 	b = appendVarint(b, int64(req.ShardCount))
-	b = appendVector(b, req.Vector)
 	// Mail-batch telemetry: zero outside reqMailBatch, so other kinds pay
 	// two bytes. Responses carry no such section.
 	b = appendVarint(b, req.MailQueuedNanos)
 	return appendVarint(b, req.MailCoalesced)
 }
 
-// Response flag bits.
-const (
-	respInSync = 1 << 0
-	respMore   = 1 << 1
-)
+// Response flag bits. Bit 0 was an in-sync bit no client read; it is
+// retired and written as zero.
+const respMore = 1 << 1
 
 // appendResponse encodes resp after b. Field order matches decodeResponse;
 // the digest and shard sections trail every response.
 func appendResponse(b []byte, resp *response) []byte {
 	var flags byte
-	if resp.InSync {
-		flags |= respInSync
-	}
 	if resp.More {
 		flags |= respMore
 	}
@@ -433,7 +427,7 @@ func (r *wireReader) hops() []trace.Hop {
 	return out
 }
 
-// vector reads a shard-vector section: a count (sanity-checked against
+// vector reads a response's bucket-vector section: a count (sanity-checked against
 // the remaining bytes at 8 bytes per element, so a forged length never
 // drives a large allocation) then that many fixed-width checksums.
 func (r *wireReader) vector() []uint64 {
@@ -522,7 +516,6 @@ func decodeRequest(payload []byte, req *request) error {
 	req.Digests = r.digests()
 	req.Shard = int(r.varint())
 	req.ShardCount = int(r.varint())
-	req.Vector = r.vector()
 	req.MailQueuedNanos = r.varint()
 	req.MailCoalesced = r.varint()
 	return r.finish()
@@ -532,9 +525,7 @@ func decodeRequest(payload []byte, req *request) error {
 // field.
 func decodeResponse(payload []byte, resp *response) error {
 	r := wireReader{buf: payload}
-	flags := r.byte()
-	resp.InSync = flags&respInSync != 0
-	resp.More = flags&respMore != 0
+	resp.More = r.byte()&respMore != 0
 	resp.Checksum = r.uint64()
 	resp.Now = r.varint()
 	resp.Bound = r.stamp(0)
@@ -587,9 +578,8 @@ func requestWireSize(req *request) int {
 		n += siteLen(h.Parent) + varintLen(int64(h.Count)) + 1
 	}
 	n += uvarintLen(uint64(len(req.Digests))) + digestMaxWire*len(req.Digests)
-	// Shard, ShardCount, MailQueuedNanos and MailCoalesced, then the vector.
-	n += 4*binary.MaxVarintLen64 + uvarintLen(uint64(len(req.Vector))) + 8*len(req.Vector)
-	return n
+	// Shard, ShardCount, MailQueuedNanos and MailCoalesced.
+	return n + 4*binary.MaxVarintLen64
 }
 
 // stampLen is the length appendStamp writes for t against ref.

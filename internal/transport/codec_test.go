@@ -22,7 +22,7 @@ func codecRequests() []request {
 		{},
 		{Kind: reqChecksum, Tau1: 42},
 		{Kind: reqSyncOffer, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
-		{Kind: reqPeelBack, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64},
+		{Kind: reqPeelBackShard, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64, Shard: 3, ShardCount: 4},
 		{
 			Kind: 1, // the retired per-entry mail kind: the codec still carries it
 			Entries: []store.Entry{
@@ -75,7 +75,7 @@ func codecResponses() []response {
 	return []response{
 		{},
 		{Err: "remote exploded"},
-		{InSync: true, Checksum: 12345, Now: 678},
+		{Checksum: 12345, Now: 678},
 		{More: true, Bound: timestamp.T{Time: -3, Site: 7, Seq: 1}},
 		{More: true, Bound: timestamp.T{Time: math.MaxInt64, Site: -1, Seq: math.MaxUint32}},
 		{Needed: []bool{true}},
@@ -89,7 +89,7 @@ func codecResponses() []response {
 				{Key: "y", Value: store.Value("data"), Stamp: timestamp.T{Time: 6, Site: 6, Seq: 6}},
 			},
 			Hops:     []trace.Hop{{Parent: 1, Count: 1, Valid: true}, {Valid: false}},
-			Checksum: 1, Now: 2, InSync: false, More: true,
+			Checksum: 1, Now: 2, More: true,
 		},
 	}
 }
@@ -151,7 +151,7 @@ func TestCodecResponseRoundTrip(t *testing.T) {
 	for i, resp := range codecResponses() {
 		payload := appendResponse(nil, &resp)
 		got := response{Needed: []bool{true}, Entries: []store.Entry{{Key: "stale"}},
-			InSync: true, Checksum: 99, Now: 99, Bound: timestamp.T{Time: 99},
+			Checksum: 99, Now: 99, Bound: timestamp.T{Time: 99},
 			More: true, Hops: []trace.Hop{{Count: 9}}, Err: "stale"}
 		if err := decodeResponse(payload, &got); err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
@@ -279,9 +279,9 @@ func TestCodecWideSiteOrSeqRejected(t *testing.T) {
 		b = appendVarint(b, 0) // Bound.Time
 		b = appendUvarint(b, site)
 		b = appendUvarint(b, seq)
-		// Limit, then empty entries, hops, digests, shard, shard count,
-		// vector and the two mail fields.
-		return append(b, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+		// Limit, then empty entries, hops, digests, shard, shard count and
+		// the two mail fields.
+		return append(b, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
 	const widest, wide = math.MaxUint32, math.MaxUint32 + 1
 	var got request
@@ -339,9 +339,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, resp := range codecResponses() {
 		f.Add(appendResponse(nil, &resp))
 	}
-	// Seed shard-vector and shard-peel frames so the fuzzer starts with
-	// populated shard sections to mutate.
-	for _, req := range shardRequests() {
+	// Seed shard-vector and bucket-peel frames so the fuzzer starts with
+	// populated shard sections to mutate, the malformed bucket requests a
+	// server refuses included.
+	for _, req := range append(shardRequests(), malformedBucketRequests()...) {
 		f.Add(appendRequest(nil, &req))
 	}
 	for _, resp := range shardResponses() {
@@ -375,8 +376,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err := decodeRequest(re, &again); err != nil {
 				t.Fatalf("re-decode of re-encoded request failed: %v", err)
 			}
-			normalizeShardReq(&req)
-			normalizeShardReq(&again)
+			normalizeReq(&req)
+			normalizeReq(&again)
 			if !reflect.DeepEqual(req, again) {
 				t.Fatalf("request not stable under re-encode:\n1st %+v\n2nd %+v", req, again)
 			}

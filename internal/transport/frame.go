@@ -32,12 +32,13 @@ const maxWireBytes = 64 << 20
 const frameHeaderLen = 4
 
 // helloMagic opens the connection hello; wireVersion follows it and is the
-// server's one-byte answer. The byte is 6: the layout with varint-delta
-// timestamps and varint site ids (codec.go). Version 5, its fixed-width
-// predecessor, is refused like any other; no other version is spoken.
+// server's one-byte answer. The byte is 7: varint-delta timestamps and
+// varint site ids (codec.go), requests without a shard-vector section, and
+// request kind 7 retired. Version 6, its predecessor, is refused like any
+// other; no other version is spoken.
 var helloMagic = [3]byte{'E', 'P', 'G'}
 
-const wireVersion = 6
+const wireVersion = 7
 
 // Typed wire errors. Callers can errors.Is against these to distinguish
 // protocol violations from ordinary network failures.

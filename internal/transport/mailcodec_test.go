@@ -41,8 +41,8 @@ func TestCodecMailRoundTrip(t *testing.T) {
 			t.Fatalf("request case %d: decode: %v", i, err)
 		}
 		want := req
-		normalizeShardReq(&want)
-		normalizeShardReq(&got)
+		normalizeReq(&want)
+		normalizeReq(&got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("request case %d: round trip\n got %+v\nwant %+v", i, got, want)
 		}

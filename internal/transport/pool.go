@@ -60,8 +60,10 @@ type WireSnapshot struct {
 	// when gob-framed ones were counted apart.
 	MsgsBinary int64 `json:"msgs_binary"`
 	// Shard-vector counters: anti-entropy exchanges that converged via the
-	// per-shard narrow path, the diverged shards those exchanges repaired,
-	// and attempts that downgraded to the global peel walk.
+	// bucket narrow path, the diverged buckets those exchanges repaired,
+	// and conversations that fell to the single-bucket (whole-store) walk
+	// because a bucket spent its peel budget or the final recompare
+	// disagreed.
 	ShardVecExchanges  int64 `json:"shardvec_exchanges"`
 	ShardVecShards     int64 `json:"shardvec_shards"`
 	ShardVecDowngrades int64 `json:"shardvec_downgrades"`

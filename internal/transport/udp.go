@@ -28,13 +28,13 @@ import (
 // Datagram layout (both directions):
 //
 //	[0..1]  magic 'E','U'
-//	[2]     protocol version (2)
+//	[2]     protocol version (3)
 //	[3]     type: 0 request, 1 response
 //	[4..11] MsgID, big-endian
 //	[12..]  body: the request/response encoding TCP frames carry (codec.go)
 //
-// The version byte moves with the body layout: 2 carries the varint-stamp
-// bodies of wire version 6. A datagram of any other version is dropped
+// The version byte moves with the body layout: 3 carries the request
+// bodies of wire version 7, which lost the request's vector section. A datagram of any other version is dropped
 // unanswered, so the sender times out and falls back to TCP, where the
 // hello refuses the mismatch.
 //
@@ -44,7 +44,7 @@ import (
 // harmless to the rumor counters.
 
 const (
-	udpVersion      = 2
+	udpVersion      = 3
 	udpTypeRequest  = 0
 	udpTypeResponse = 1
 	udpHeaderLen    = 12
