@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -90,8 +91,8 @@ func assertReverseStamped(t *testing.T, where string, entries []Entry) {
 }
 
 // TestStoreConcurrentMergedReads hammers the k-way-merged read paths —
-// RecentUpdates, NewestFirst, and the PeelBatch walk — while writers churn
-// every shard. Run with -race. Each merged result must be strictly
+// RecentUpdates, NewestFirst, the PeelBatch walk and Save's ascending walk
+// — while writers churn every shard. Run with -race. Each merged result must be strictly
 // reverse-timestamp ordered even mid-storm, and after the storm the folded
 // per-shard checksum must match a full recomputation.
 func TestStoreConcurrentMergedReads(t *testing.T) {
@@ -131,7 +132,19 @@ func TestStoreConcurrentMergedReads(t *testing.T) {
 					return
 				default:
 				}
-				switch (r + i) % 3 {
+				switch (r + i) % 4 {
+				case 3:
+					// Save reads entries after dropping each shard's lock;
+					// what it wrote must load cleanly.
+					var buf bytes.Buffer
+					if err := s.Save(&buf); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := New(2, src.ClockAt(2)).Load(&buf); err != nil {
+						t.Errorf("snapshot taken mid-storm: %v", err)
+						return
+					}
 				case 0:
 					assertReverseStamped(t, "RecentUpdates", s.RecentUpdates(s.Now(), 1<<40))
 				case 1:

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"epidemic/internal/timestamp"
+	"epidemic/internal/wire"
 )
 
 // FuzzApply feeds arbitrary entries into a store and checks the
@@ -95,17 +97,25 @@ func FuzzApply(f *testing.F) {
 // FuzzLoad feeds arbitrary bytes to the snapshot loader, which must fail
 // cleanly rather than panic or corrupt the store.
 func FuzzLoad(f *testing.F) {
-	// Seed with a valid snapshot and mutations of it.
+	// Seed with a valid snapshot, a two-chunk one, mutations of them, and
+	// a chunk whose length is forged up to the cap.
 	src := timestamp.NewSimulated(1)
 	s := New(1, src.ClockAt(1))
-	s.Update("k", Value("v"))
+	a := s.Update("k", Value("v"))
+	src.Advance(1)
+	b := s.Delete("d", []timestamp.SiteID{1})
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	two := snapshotOf(true, AppendEntries(nil, []Entry{a}), AppendEntries(nil, []Entry{b}))
+	forged := binary.BigEndian.AppendUint32(snapshotOf(false), wire.MaxFrame)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(two)
+	f.Add(two[:len(two)-5])
+	f.Add(append(forged, AppendEntries(nil, []Entry{a})...))
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -113,12 +123,6 @@ func FuzzLoad(f *testing.F) {
 		target.Update("pre", Value("p"))
 		_, _ = target.Load(bytes.NewReader(data)) // must not panic
 		// Whatever happened, internal consistency holds.
-		var sum uint64
-		for _, se := range target.Snapshot() {
-			sum ^= se.hash()
-		}
-		if sum != target.Checksum() {
-			t.Fatal("checksum diverged after Load")
-		}
+		assertChecksumConsistent(t, target)
 	})
 }

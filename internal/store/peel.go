@@ -69,5 +69,5 @@ func (s *Store) LiveSnapshot(now, tau1 int64) []Entry {
 		sh.mu.RUnlock()
 		per[i] = recs
 	}
-	return mergeAsc(per)
+	return mergeAsc(nil, per)
 }

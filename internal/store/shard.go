@@ -83,6 +83,27 @@ func (sh *shard) appendOlder(dst []Entry, bound timestamp.T, limit int) ([]Entry
 	return dst, total
 }
 
+// appendAfter appends to dst up to limit of this shard's entries with
+// stamps strictly after *after (from the oldest when after is nil), oldest
+// first. The copies are shallow: a stored entry's Value and Retention are
+// never written in place (put takes ownership, Apply and Reactivate
+// replace the struct), so they stay readable once the lock drops. Caller
+// holds sh.mu (read suffices).
+func (sh *shard) appendAfter(dst []Entry, after *timestamp.T, limit int) []Entry {
+	keys := sh.index.keys
+	i := 0
+	if after != nil {
+		i = sh.index.searchBefore(*after)
+		for i < len(keys) && !after.Less(keys[i].stamp) {
+			i++
+		}
+	}
+	for end := min(len(keys), i+limit); i < end; i++ {
+		dst = append(dst, sh.entries[keys[i].key])
+	}
+	return dst
+}
+
 // recentCount returns how many of this shard's entries have age strictly
 // less than tau at time now. Caller holds sh.mu.
 func (sh *shard) recentCount(now, tau int64) int {
@@ -192,13 +213,13 @@ func mergeDesc(per [][]Entry, cursor []int, limit int) []Entry {
 }
 
 // mergeAsc k-way merges per-shard entry slices (each oldest first) into
-// one oldest-first slice.
-func mergeAsc(per [][]Entry) []Entry {
-	total := 0
+// one oldest-first run appended to dst.
+func mergeAsc(dst []Entry, per [][]Entry) []Entry {
+	total := len(dst)
 	for _, p := range per {
 		total += len(p)
 	}
-	out := make([]Entry, 0, total)
+	out := slices.Grow(dst, total-len(dst))
 	cursor := make([]int, len(per))
 	for len(out) < total {
 		best := -1

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"epidemic/internal/obs/trace"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
+	"epidemic/internal/wire"
 )
 
 // codecRequests covers the field shapes the binary codec must preserve:
@@ -241,14 +243,14 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	// A request whose entry count claims 2^40 entries.
 	var b []byte
 	b = append(b, byte(reqPushRumors))
-	b = appendSite(b, 1)
-	b = appendUint64(b, 0)
-	b = appendVarint(b, 0) // Now
-	b = appendVarint(b, 0) // Tau
-	b = appendVarint(b, 0) // Tau1
-	b = appendStamp(b, timestamp.T{}, 0)
-	b = appendVarint(b, 0)      // Limit
-	b = appendUvarint(b, 1<<40) // forged entry count
+	b = wire.AppendSite(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 0)
+	b = binary.AppendVarint(b, 0) // Now
+	b = binary.AppendVarint(b, 0) // Tau
+	b = binary.AppendVarint(b, 0) // Tau1
+	b = wire.AppendStamp(b, timestamp.T{}, 0)
+	b = binary.AppendVarint(b, 0)      // Limit
+	b = binary.AppendUvarint(b, 1<<40) // forged entry count
 	var got request
 	if err := decodeRequest(b, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged entry count: err = %v, want ErrTruncatedFrame", err)
@@ -257,10 +259,10 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	// A response whose Needed count far exceeds 8 bits per remaining byte.
 	var rb []byte
 	rb = append(rb, 0) // flags
-	rb = appendUint64(rb, 0)
-	rb = appendVarint(rb, 0)
-	rb = appendStamp(rb, timestamp.T{}, 0)
-	rb = appendUvarint(rb, 1<<40) // forged Needed count
+	rb = binary.BigEndian.AppendUint64(rb, 0)
+	rb = binary.AppendVarint(rb, 0)
+	rb = wire.AppendStamp(rb, timestamp.T{}, 0)
+	rb = binary.AppendUvarint(rb, 1<<40) // forged Needed count
 	var gotR response
 	if err := decodeResponse(rb, &gotR); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged needed count: err = %v, want ErrTruncatedFrame", err)
@@ -273,12 +275,12 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 func TestCodecWideSiteOrSeqRejected(t *testing.T) {
 	raw := func(from, site, seq uint64) []byte {
 		b := []byte{byte(reqPushRumors)}
-		b = appendUvarint(b, from)
-		b = appendUint64(b, 0) // Checksum
-		b = append(b, 0, 0, 0) // Now, Tau, Tau1
-		b = appendVarint(b, 0) // Bound.Time
-		b = appendUvarint(b, site)
-		b = appendUvarint(b, seq)
+		b = binary.AppendUvarint(b, from)
+		b = binary.BigEndian.AppendUint64(b, 0) // Checksum
+		b = append(b, 0, 0, 0)                  // Now, Tau, Tau1
+		b = binary.AppendVarint(b, 0)           // Bound.Time
+		b = binary.AppendUvarint(b, site)
+		b = binary.AppendUvarint(b, seq)
 		// Limit, then empty entries, hops, digests, shard, shard count and
 		// the two mail fields.
 		return append(b, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -301,27 +303,6 @@ func TestCodecWideSiteOrSeqRejected(t *testing.T) {
 	} {
 		if err := decodeRequest(raw(tc.from, tc.site, tc.seq), &got); !errors.Is(err, ErrFrameGarbage) {
 			t.Errorf("33-bit %s: err = %v, want ErrFrameGarbage", tc.name, err)
-		}
-	}
-}
-
-// TestRequestWireSizeIsUpperBound runs every request table, the extreme
-// stamps of codecRequests included, through requestWireSize.
-func TestRequestWireSizeIsUpperBound(t *testing.T) {
-	all := append(codecRequests(), shardRequests()...)
-	all = append(all, mailRequests()...)
-	all = append(all, offerRequests()...)
-	for _, fr := range syncOfferFrames() {
-		all = append(all, fr.req)
-	}
-	for i, req := range all {
-		actual := len(appendRequest(nil, &req))
-		bound := requestWireSize(&req)
-		if actual > bound {
-			t.Errorf("case %d: encoded %d bytes > claimed bound %d", i, actual, bound)
-		}
-		if bound > actual+128 {
-			t.Errorf("case %d: bound %d too loose for %d actual bytes", i, bound, actual)
 		}
 	}
 }

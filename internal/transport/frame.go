@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"epidemic/internal/wire"
 )
 
 // The wire protocol is a sequence of length-prefixed frames over one
@@ -25,7 +27,7 @@ import (
 
 // maxWireBytes bounds a single frame; a misbehaving peer cannot make the
 // decoder allocate without bound.
-const maxWireBytes = 64 << 20
+const maxWireBytes = wire.MaxFrame
 
 // frameHeaderLen is the fixed frame header size (big-endian uint32 payload
 // length).
@@ -47,12 +49,14 @@ var (
 	// session's limit, in either direction.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 	// ErrTruncatedFrame reports a frame that ended early: the header (or a
-	// length inside the payload) promised more bytes than arrived.
-	ErrTruncatedFrame = errors.New("transport: truncated frame")
+	// length inside the payload) promised more bytes than arrived. It is
+	// wire.ErrTruncated, which the store's entries section latches too.
+	ErrTruncatedFrame = wire.ErrTruncated
 	// ErrFrameGarbage reports a frame whose payload was malformed or not
 	// fully consumed by its decoded value — the streams have diverged — or
 	// a connection whose hello is missing or names another wire version.
-	ErrFrameGarbage = errors.New("transport: trailing garbage in frame")
+	// It is wire.ErrGarbage.
+	ErrFrameGarbage = wire.ErrGarbage
 )
 
 // session is one framed stream over a TCP connection, used by both the

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"epidemic/internal/obs/trace"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
+	"epidemic/internal/wire"
 )
 
 // mailRequests are field shapes specific to the mail-telemetry section:
@@ -103,14 +105,14 @@ func TestCodecMailTruncationEveryPrefix(t *testing.T) {
 func TestCodecMailBatchForgedEntryCount(t *testing.T) {
 	var b []byte
 	b = append(b, byte(reqMailBatch))
-	b = appendSite(b, 1)
-	b = appendUint64(b, 0)
-	b = appendVarint(b, 0) // Now
-	b = appendVarint(b, 0) // Tau
-	b = appendVarint(b, 0) // Tau1
-	b = appendStamp(b, timestamp.T{}, 0)
-	b = appendVarint(b, 0)      // Limit
-	b = appendUvarint(b, 1<<40) // forged entry count
+	b = wire.AppendSite(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 0)
+	b = binary.AppendVarint(b, 0) // Now
+	b = binary.AppendVarint(b, 0) // Tau
+	b = binary.AppendVarint(b, 0) // Tau1
+	b = wire.AppendStamp(b, timestamp.T{}, 0)
+	b = binary.AppendVarint(b, 0)      // Limit
+	b = binary.AppendUvarint(b, 1<<40) // forged entry count
 	var got request
 	if err := decodeRequest(b, &got); !errors.Is(err, ErrTruncatedFrame) {
 		t.Errorf("forged mail-batch entry count: err = %v, want ErrTruncatedFrame", err)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -47,7 +48,7 @@ func TestOfferIDByteBudget(t *testing.T) {
 		st := timestamp.T{Time: t0 - int64(i)*int64(time.Millisecond), Site: 3}
 		ids[i] = store.Entry{Key: fmt.Sprintf("k/%06d", 17+i), Stamp: st, Activation: st}
 	}
-	size := func(es []store.Entry) int { return len(appendEntries(nil, es)) - 1 } // less the count byte
+	size := func(es []store.Entry) int { return len(store.AppendEntries(nil, es)) - 1 } // less the count byte
 	if got := size(ids[:1]); got != len(ids[0].Key)+17 {
 		t.Errorf("first id of an %d-byte key costs %d bytes, want key + 17", len(ids[0].Key), got)
 	}
@@ -83,9 +84,11 @@ func TestOfferForgedIDCount(t *testing.T) {
 	}
 	rest := good[prefix+1:]
 	// One more id than it carries, and one more than the rest of the frame
-	// could hold at entryMinWire bytes each.
-	for _, claim := range []uint64{3, uint64(len(rest)/entryMinWire) + 1} {
-		forged := append(appendUvarint(good[:prefix:prefix], claim), rest...)
+	// could hold at the least an entry costs: key length, value length, two
+	// three-byte stamps and a retention count.
+	const entryMinBytes = 1 + 1 + 2*3 + 1
+	for _, claim := range []uint64{3, uint64(len(rest)/entryMinBytes) + 1} {
+		forged := append(binary.AppendUvarint(good[:prefix:prefix], claim), rest...)
 		var got request
 		if err := decodeRequest(forged, &got); !errors.Is(err, ErrTruncatedFrame) {
 			t.Errorf("offer claiming %d ids: err = %v, want ErrTruncatedFrame", claim, err)

@@ -66,6 +66,11 @@ const (
 	udpProbeEvery    = 16
 )
 
+// udpDgramPool holds datagram encode buffers. A push is encoded before it
+// takes its client's lock, so an oversize one falls back to TCP at once
+// instead of queueing behind another push's round trip.
+var udpDgramPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // udpMsgID issues process-wide unique message IDs, seeded randomly so IDs
 // do not collide across client restarts talking to the same server.
 var udpMsgID atomic.Uint64
@@ -83,9 +88,8 @@ type udpClient struct {
 	timeout time.Duration
 	retries int
 
-	mu    sync.Mutex // serializes round trips; guards the scratch buffers
-	dgram []byte
-	rbuf  []byte
+	mu   sync.Mutex // serializes round trips; guards rbuf
+	rbuf []byte
 
 	closed atomic.Bool
 	down   atomic.Int32  // consecutive failed pushes
@@ -108,7 +112,6 @@ func dialUDP(addr string, budget int, timeout time.Duration, retries int, stats 
 		budget:  budget,
 		timeout: timeout,
 		retries: retries,
-		dgram:   make([]byte, 0, budget),
 		rbuf:    make([]byte, udpReadBuf),
 	}, nil
 }
@@ -137,21 +140,21 @@ func (c *udpClient) roundTrip(req *request, resp *response) (ok bool) {
 	if !c.shouldTry() {
 		return false
 	}
-	if udpHeaderLen+requestWireSize(req) > c.budget {
+	bp := udpDgramPool.Get().(*[]byte)
+	defer udpDgramPool.Put(bp)
+	dgram := append((*bp)[:0], 'E', 'U', udpVersion, udpTypeRequest,
+		0, 0, 0, 0, 0, 0, 0, 0) // MsgID placeholder
+	dgram = appendRequest(dgram, req)
+	if len(dgram) > c.budget {
+		// Refused before any Write, and not pooled: an oversize push must
+		// not pin its encoding.
 		c.stats.noteUDPOversize()
 		return false
 	}
+	*bp = dgram
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
-		return false
-	}
-	dgram := append(c.dgram[:0], 'E', 'U', udpVersion, udpTypeRequest,
-		0, 0, 0, 0, 0, 0, 0, 0) // MsgID placeholder
-	dgram = appendRequest(dgram, req)
-	c.dgram = dgram
-	if len(dgram) > c.budget {
-		c.stats.noteUDPOversize()
 		return false
 	}
 
