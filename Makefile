@@ -1,10 +1,5 @@
 GO ?= go
 
-# BENCH_OUT numbers the machine-readable bench report; bump per PR.
-# BENCH_4 is the outbound-engine report: direct-mail fan-out through the
-# outbox, the rumor-apply lock ablation, and a re-run of the wire rows.
-BENCH_OUT ?= BENCH_4.json
-BENCH_BASELINE ?= docs/bench-seed.txt
 # SCRATCH collects transient command output (bench logs, smoke logs);
 # the whole directory is gitignored and removed by clean.
 SCRATCH ?= .scratch
@@ -12,8 +7,8 @@ SCRATCH ?= .scratch
 # and a -cpu sweep so sharded-vs-mutex ratios are comparable across runs.
 STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -benchmem ./internal/store
 # WIRE_BENCH / CODEC_BENCH pin the transport benchmarks to fixed iteration
-# counts so UDP-vs-TCP ratios and pooled allocation counts are stable run
-# to run (the 1x suite pass skips them — see bench).
+# counts so pooled exchange and rumor-push latencies and allocation counts
+# are stable run to run (the 1x suite pass skips them — see bench).
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
 # DEEP_BENCH is the deep-divergence family: delta old entries buried under
@@ -96,10 +91,11 @@ loc:
 		[ -n "$$files" ] && printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
-# bench runs the full benchmark suite once per benchmark, appends the
-# store -cpu sweep, and converts the output into $(BENCH_OUT): ns/op,
-# B/op, allocs/op and the paper metrics per benchmark, with the
-# seed-state baseline numbers embedded for before/after comparison.
+# bench runs the full go test benchmark suite once per benchmark, then the
+# store -cpu sweep and the pinned wire, codec and deep-divergence rows:
+# ns/op, B/op, allocs/op and the paper metrics per benchmark, collected in
+# $(SCRATCH)/bench_output.txt. The repository's perf record is the
+# live-cluster benchmark (BENCHMARK.json, go run -C bench .).
 bench:
 	@mkdir -p $(SCRATCH)
 	$(GO) test -bench . -skip 'BenchmarkExchange|BenchmarkRumorPush|BenchmarkDeepDivergence' -benchtime=1x -benchmem . | tee $(SCRATCH)/bench_output.txt
@@ -107,7 +103,6 @@ bench:
 	$(GO) test $(WIRE_BENCH) | tee -a $(SCRATCH)/bench_output.txt
 	$(GO) test $(CODEC_BENCH) | tee -a $(SCRATCH)/bench_output.txt
 	$(GO) test $(DEEP_BENCH) | tee -a $(SCRATCH)/bench_output.txt
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o $(BENCH_OUT) < $(SCRATCH)/bench_output.txt
 
 # bench-store compares the sharded store against a single-mutex replica
 # of the seed design on mixed Get/Update/Checksum/RecentUpdates
@@ -116,7 +111,7 @@ bench-store:
 	$(GO) test $(STORE_BENCH)
 
 # bench-transport measures the wire protocol in isolation: pooled
-# exchanges, UDP-vs-TCP rumor pushes, the O(δ) peel-back mismatch
+# exchanges and rumor pushes, the O(δ) peel-back mismatch
 # benchmark, and the raw codec encode/round-trip microbenchmarks, with
 # allocation counts.
 bench-transport:
@@ -126,18 +121,17 @@ bench-transport:
 
 # bench-node is the outbound-engine report: the outbox's direct-mail
 # fan-out rows, the rumor-apply lock ablation, and a re-run of the wire
-# exchange/rumor rows so $(BENCH_OUT) carries fresh transport numbers from
-# the same machine.
+# exchange/rumor rows so the report carries fresh transport numbers from
+# the same machine, collected in $(SCRATCH)/bench_node.txt.
 bench-node:
 	@mkdir -p $(SCRATCH)
 	$(GO) test $(FANOUT_BENCH) | tee $(SCRATCH)/bench_node.txt
 	$(GO) test $(APPLY_BENCH) | tee -a $(SCRATCH)/bench_node.txt
 	$(GO) test $(WIRE_BENCH) | tee -a $(SCRATCH)/bench_node.txt
-	$(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o $(BENCH_OUT) < $(SCRATCH)/bench_node.txt
 
 # bench-smoke is the compile-and-run gate inside check: the deep-divergence
 # family at one iteration on the 10k store, so bench code can't rot between
-# BENCH_2.json refreshes. The 100k rows are left to bench/bench-transport —
+# full runs. The 100k rows are left to bench/bench-transport —
 # the global baseline there walks 100k records per op by design.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeepDivergence[^/]*/n10000_' -benchtime=1x -benchmem .

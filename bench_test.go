@@ -684,11 +684,11 @@ func BenchmarkExchangeRecentWindow(b *testing.B) {
 	b.ReportMetric(float64(moved)/float64(b.N), "wire_B/op")
 }
 
-// benchRumorPush measures one hot-rumor push round trip: a single entry and
-// its provenance hop to a peer that already knows it (the steady-state
-// "unnecessary contact" every rumor eventually dies on). The UDP and TCP
-// variants differ only in TCPPeerOptions.UDP, isolating the fast path.
-func benchRumorPush(b *testing.B, udp bool) {
+// BenchmarkRumorPushTCP measures one hot-rumor push round trip over the
+// pooled framed session: a single entry and its provenance hop to a peer
+// that already knows it (the steady-state "unnecessary contact" every
+// rumor eventually dies on).
+func BenchmarkRumorPushTCP(b *testing.B) {
 	src := epidemic.NewSimulatedClock(1 << 30)
 	remote, err := epidemic.NewNode(epidemic.NodeConfig{Site: 2, Clock: src.ClockAt(2)})
 	if err != nil {
@@ -700,13 +700,13 @@ func benchRumorPush(b *testing.B, udp bool) {
 	}
 	defer srv.Close()
 
-	peer := epidemic.NewTCPPeerWith(2, srv.Addr(), epidemic.TCPPeerOptions{UDP: udp})
+	peer := epidemic.NewTCPPeer(2, srv.Addr())
 	defer peer.Close()
 	entries := []epidemic.Entry{{
 		Key: "rumor", Value: epidemic.Value("v"),
 		Stamp: epidemic.Timestamp{Time: 1 << 30, Site: 1, Seq: 1},
 	}}
-	// Warm-up delivers the entry and opens the path the loop reuses.
+	// Warm-up delivers the entry and opens the session the loop reuses.
 	if _, err := peer.PushRumors(entries, nil); err != nil {
 		b.Fatal(err)
 	}
@@ -718,13 +718,6 @@ func benchRumorPush(b *testing.B, udp bool) {
 		}
 	}
 }
-
-// BenchmarkRumorPushUDP sends each push as one datagram with a correlated
-// response (the fast path).
-func BenchmarkRumorPushUDP(b *testing.B) { benchRumorPush(b, true) }
-
-// BenchmarkRumorPushTCP sends each push over the pooled framed session.
-func BenchmarkRumorPushTCP(b *testing.B) { benchRumorPush(b, false) }
 
 // BenchmarkExchangePeelBackMismatch is the O(δ) acceptance benchmark: a
 // 10 000-entry database with 10 fresh divergences per conversation must

@@ -37,9 +37,7 @@
 // daemon's client-side wire snapshot as one JSON object: connection-pool
 // counters (dials, redials, reuses, open_conns), framed traffic totals,
 // TCP round trips (msgs_binary), shard-vector and mail-batch counters
-// (shardvec_*, mail_batch*), and the UDP
-// rumor fast path's pushes/retries/fallbacks/oversize and byte counters
-// (udp_*). The trace verb accepts a
+// (shardvec_*, mail_batch*). The trace verb accepts a
 // comma-separated -addr list: it federates every replica's hop spans for
 // the key (gossipd must run with -trace-ring), reconstructs the infection
 // tree, and prints it with the paper's convergence observables — t_last,

@@ -209,8 +209,6 @@ func (d *daemon) selfDigest(now, staleAfter int64) epidemic.ClusterDigest {
 		AERuns:         int64(st.AntiEntropyRuns),
 		RumorRuns:      int64(st.RumorRuns),
 		WireMsgsBinary: w.MsgsBinary,
-		UDPPushes:      w.UDPPushes,
-		UDPFallbacks:   w.UDPFallbacks,
 		LastAE:         d.lastAE.Load(),
 		AntiEntropy:    summarize(d.aeSeconds),
 		Rumor:          summarize(d.rumorSeconds),

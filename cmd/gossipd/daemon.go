@@ -38,10 +38,6 @@ type daemonConfig struct {
 	poolSize        int
 	peelBatch       int
 	exchangeTimeout time.Duration
-	// udp enables the single-datagram UDP fast path for rumor pushes on
-	// both sides: peers push over it, and the gossip server binds its
-	// datagram socket (-udp=false leaves it unbound).
-	udp bool
 	// storeShards sets the replica store's lock-stripe count (0 = default).
 	storeShards int
 	// shardRepairWorkers bounds how many diverged shards one anti-entropy
@@ -85,7 +81,6 @@ func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.
 		Timeout:            cfg.exchangeTimeout,
 		PoolSize:           cfg.poolSize,
 		Stats:              wire,
-		UDP:                cfg.udp,
 		Digests:            digests,
 		ShardRepairWorkers: cfg.shardRepairWorkers,
 	}
@@ -217,7 +212,7 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	n.SetPeers(peers)
 
-	srv, err := epidemic.ServeTCPWith(n, cfg.listen, epidemic.TCPServerOptions{DisableUDP: !cfg.udp})
+	srv, err := epidemic.ServeTCP(n, cfg.listen)
 	if err != nil {
 		return nil, err
 	}

@@ -27,15 +27,14 @@
 //	WIRE                 -> <one-line JSON object> (connection-pool and wire-traffic stats)
 //	TRACE <key>          -> <one-line JSON object> (this replica's hop spans for key)
 //
-// Wire protocol: gossip rides one hand-rolled binary frame layout, opened
-// by a 4-byte hello that names wire version 6; a peer speaking any other
-// version is refused. -udp toggles the single-datagram fast path for
-// rumor pushes, which falls back to pooled TCP on loss or oversize
-// batches. Anti-entropy narrows a checksum mismatch to the diverged store
-// shards whenever both sides run the same -store-shards, and otherwise
-// walks the whole timestamp index. The WIRE client verb and the
-// epidemic_wire_* metrics expose dial, message, shard-vector and UDP
-// push/retry/fallback counters.
+// Wire protocol: gossip rides one hand-rolled binary frame layout over
+// pooled TCP sessions, opened by a 4-byte hello that names wire version 8;
+// a peer speaking any other version is refused. Every request kind, rumor
+// pushes included, is one round trip on a pooled session. Anti-entropy
+// narrows a checksum mismatch to the diverged buckets of the pair's
+// common shard count (-store-shards may differ between daemons). The WIRE
+// client verb and the epidemic_wire_* metrics expose dial, message,
+// shard-vector and mail-batch counters.
 //
 // Outbound mail: direct-mailed updates ride an asynchronous per-peer
 // send-queue engine — SET/DEL return after an enqueue, the node's mail
@@ -126,7 +125,6 @@ func main() {
 	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (0 = default)")
 	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
-	flag.BoolVar(&cfg.udp, "udp", true, "UDP fast path for single-datagram rumor pushes (falls back to TCP)")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
 	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged buckets repaired concurrently per exchange (0 = default)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")

@@ -121,12 +121,13 @@ type (
 
 	// TCPServer exposes a node over TCP.
 	TCPServer = transport.Server
-	// TCPServerOptions tunes a TCPServer's UDP fast path.
+	// TCPServerOptions tunes a TCPServer: its Codec must name the one wire
+	// format, and its DisableUDP is ignored.
 	TCPServerOptions = transport.ServerOptions
 	// TCPPeer is a Peer over TCP.
 	TCPPeer = transport.TCPPeer
 	// TCPPeerOptions tunes a TCPPeer's connection pool, per-request
-	// deadline, peel-back budget, shard repair, and UDP fast path.
+	// deadline, peel-back budget and shard repair.
 	TCPPeerOptions = transport.PeerOptions
 	// WireStats aggregates client-side pool and wire-traffic counters,
 	// typically shared by every TCPPeer a process dials.
@@ -328,12 +329,6 @@ const (
 	MetricWireShardVecDowngrades = obs.MetricWireShardVecDowngrades
 	MetricWireMailBatches        = obs.MetricWireMailBatches
 	MetricWireMailBatchEntries   = obs.MetricWireMailBatchEntries
-	MetricWireUDPPushes          = obs.MetricWireUDPPushes
-	MetricWireUDPRetries         = obs.MetricWireUDPRetries
-	MetricWireUDPFallbacks       = obs.MetricWireUDPFallbacks
-	MetricWireUDPOversize        = obs.MetricWireUDPOversize
-	MetricWireUDPBytesSent       = obs.MetricWireUDPBytesSent
-	MetricWireUDPBytesReceived   = obs.MetricWireUDPBytesReceived
 )
 
 // Exchange modes.
@@ -426,11 +421,12 @@ func NewLocalPeer(target *Node, seed int64) *LocalPeer { return node.NewLocalPee
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return sim.NewCluster(cfg) }
 
 // ServeTCP exposes a node to remote peers on addr (":0" for ephemeral),
-// serving the framed TCP protocol and the UDP rumor fast path.
+// serving the framed TCP protocol. Every request kind, rumor pushes
+// included, rides its pooled sessions; no datagram socket is bound.
 func ServeTCP(n *Node, addr string) (*TCPServer, error) { return transport.Serve(n, addr) }
 
-// ServeTCPWith exposes a node with explicit server options (the UDP fast
-// path policy).
+// ServeTCPWith exposes a node with explicit server options. It refuses a
+// Codec other than "" or "binary"; DisableUDP is ignored.
 func ServeTCPWith(n *Node, addr string, opts TCPServerOptions) (*TCPServer, error) {
 	return transport.ServeWith(n, addr, opts)
 }

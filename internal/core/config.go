@@ -86,12 +86,6 @@ type RumorConfig struct {
 	// rumor process is self-terminating, so the bound only guards against
 	// misconfiguration.
 	MaxCycles int
-	// MaxBatch caps how many hot rumors one push round ships; 0 means all.
-	// Beyond limiting work per contact, a small cap keeps rumor pushes
-	// inside the transport's single-datagram budget so they ride the UDP
-	// fast path instead of falling back to TCP. Entries over the cap stay
-	// hot and go out on later rounds.
-	MaxBatch int
 }
 
 // HuntUnlimited as HuntLimit makes a sender hunt until it finds a partner
@@ -120,9 +114,6 @@ func (c RumorConfig) Validate() error {
 	}
 	if c.Minimization && c.Mode != PushPull {
 		return fmt.Errorf("core: Minimization requires PushPull mode")
-	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("core: MaxBatch must be >= 0, got %d", c.MaxBatch)
 	}
 	return nil
 }

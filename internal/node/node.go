@@ -604,10 +604,12 @@ func (n *Node) ApplyRepairs(entries []store.Entry, hops []trace.Hop, from timest
 	return needed, awakened
 }
 
-// noteRepaired records spans and emits EventApply for repairs an
-// anti-entropy exchange landed on THIS replica while some other node
-// initiated the conversation (the in-process LocalPeer path, where
-// core.ResolveDifference writes into both stores directly). Must be called
+// noteRepaired records spans and emits EventApply for the repairs an
+// anti-entropy exchange landed on THIS replica, attributed to each
+// repair's Parent; repairs of other sites are skipped. It serves both
+// ends: the initiator after any conversation (StepAntiEntropy), and the
+// responder of an in-process LocalPeer conversation, where
+// core.ResolveDifference writes into both stores directly. Must be called
 // without n.mu held.
 func (n *Node) noteRepaired(repairs []core.Repair) {
 	round := n.rounds.Load()
@@ -621,22 +623,16 @@ func (n *Node) noteRepaired(repairs []core.Repair) {
 	}
 }
 
-// hotIDs returns the identities (store.ID: no values) of up to limit hot
-// rumors in key order, limit <= 0 meaning all, in one pass under n.mu. A
-// rumor whose entry was superseded or expired while hot is dropped from the
-// list here: the stale version must stop spreading.
-func (n *Node) hotIDs(limit int) []store.Entry {
+// hotIDs returns the identities (store.ID: no values) of every hot rumor
+// in key order, in one pass under n.mu. A rumor whose entry was superseded
+// or expired while hot is dropped from the list here: the stale version
+// must stop spreading.
+func (n *Node) hotIDs() []store.Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	keys := n.hot.Keys()
-	if limit <= 0 || limit > len(keys) {
-		limit = len(keys)
-	}
-	ids := make([]store.Entry, 0, limit)
+	ids := make([]store.Entry, 0, len(keys))
 	for _, k := range keys {
-		if len(ids) == limit {
-			break
-		}
 		hot, _ := n.hot.Stamp(k)
 		id, ok := n.store.ID(k)
 		if !ok || hot.Less(id.Stamp) {
@@ -666,12 +662,12 @@ func (n *Node) fetch(ids []store.Entry, skip map[string]bool) []store.Entry {
 // HotEntries returns the node's current hot rumors as entries (the
 // infective list), for inspection; the rumor round itself moves ids and
 // reads values only for what a peer wants.
-func (n *Node) HotEntries() []store.Entry { return n.fetch(n.hotIDs(0), nil) }
+func (n *Node) HotEntries() []store.Entry { return n.fetch(n.hotIDs(), nil) }
 
 // HandleOffer is the receive side of OfferRumors: answerOffer against this
 // node's own hot rumors.
 func (n *Node) HandleOffer(ids []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop) {
-	return n.answerOffer(ids, n.hotIDs(0))
+	return n.answerOffer(ids, n.hotIDs())
 }
 
 // HandleSyncOffer is the responder's side of round 0 of a wire
@@ -738,12 +734,11 @@ func (n *Node) pickPeer() (Peer, bool) {
 var ErrNoPeers = errors.New("node: no peers configured")
 
 // StepRumor runs one rumor-mongering round with one random peer as an
-// offer-first conversation: the ids of (at most Rumor.MaxBatch) hot rumors
-// go out; the reply says which of them the peer wants and carries the
-// peer's own hot rumors. Only wanted entries are then read from the store
-// and pushed, so a round in which nothing is news costs one round trip and
-// no payload. Push mode ignores the returned entries, Pull mode the
-// want-bits.
+// offer-first conversation: the ids of every hot rumor go out; the reply
+// says which of them the peer wants and carries the peer's own hot
+// rumors. Only wanted entries are then read from the store and pushed, so
+// a round in which nothing is news costs one round trip and no payload.
+// Push mode ignores the returned entries, Pull mode the want-bits.
 func (n *Node) StepRumor() error {
 	peer, ok := n.pickPeer()
 	if !ok {
@@ -756,7 +751,7 @@ func (n *Node) StepRumor() error {
 	began := time.Now()
 
 	mode := n.cfg.Rumor.Mode
-	ids := n.hotIDs(n.cfg.Rumor.MaxBatch)
+	ids := n.hotIDs()
 	want, entries, hops, err := peer.OfferRumors(ids)
 	if err != nil {
 		return fmt.Errorf("offer rumors to %d: %w", peer.ID(), err)
@@ -831,16 +826,9 @@ func (n *Node) StepAntiEntropy() error {
 		n.stats.FullCompares++
 	}
 	n.mu.Unlock()
-	// Infections repaired INTO this replica during the conversation.
-	round := n.rounds.Load()
-	for _, r := range st.Repairs {
-		if r.Site != n.cfg.Site {
-			continue
-		}
-		hop := trace.Hop{Parent: r.Parent, Count: r.SenderHop, Valid: true}
-		n.tracer.RecordApply(r.Key, r.Stamp, r.Parent, hop, r.Mech, n.store.Now(), round)
-		n.emit(Event{Kind: EventApply, Key: r.Key, Stamp: r.Stamp, Peer: peer.ID()})
-	}
+	// Infections repaired INTO this replica during the conversation: their
+	// Parent is peer, on both peer kinds.
+	n.noteRepaired(st.Repairs)
 	n.emit(Event{Kind: EventAntiEntropy, Peer: peer.ID(), Stats: st, Duration: elapsed})
 	n.log.Debug("anti-entropy finished", "peer", int(peer.ID()),
 		"sent", st.EntriesSent, "received", st.EntriesReceived,

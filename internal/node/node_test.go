@@ -220,39 +220,6 @@ func (p *batchPeer) PushRumors(entries []store.Entry, _ []trace.Hop) ([]bool, er
 	return needed, nil
 }
 
-func TestRumorMaxBatchClampsPushes(t *testing.T) {
-	n, err := New(Config{
-		Site:  1,
-		Rumor: core.RumorConfig{K: 2, Counter: true, Feedback: true, Mode: core.Push, MaxBatch: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &batchPeer{countingPeer: countingPeer{id: 2}}
-	n.SetPeers([]Peer{p})
-	for i := 0; i < 8; i++ {
-		n.Update(string(rune('a'+i)), store.Value("v"))
-	}
-	for i := 0; i < 3; i++ {
-		if err := n.StepRumor(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(p.offers) != 3 || len(p.batches) != 3 {
-		t.Fatalf("%d offers and %d pushes, want 3 of each", len(p.offers), len(p.batches))
-	}
-	for i := range p.batches {
-		if len(p.offers[i]) != 3 || len(p.batches[i]) != 3 {
-			t.Errorf("round %d offered %d ids and pushed %d entries, want MaxBatch=3 (all entries stay hot)",
-				i, len(p.offers[i]), len(p.batches[i]))
-		}
-	}
-	// Uncapped entries stay hot for later rounds.
-	if got := len(n.HotEntries()); got != 8 {
-		t.Errorf("hot entries = %d, want 8", got)
-	}
-}
-
 func TestStepRumorNoPeers(t *testing.T) {
 	n, err := New(Config{Site: 1})
 	if err != nil {

@@ -9,27 +9,32 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// TestOfferReadsOnlyWantedValues: with 1 000 hot rumors and MaxBatch = 8 a
-// round offers 8 value-less ids, and reads and ships values only for the
-// ones the peer asked for.
+// TestOfferReadsOnlyWantedValues: with 1 000 hot rumors a round offers all
+// 1 000 as value-less ids, and reads and ships values only for the ones
+// the peer asked for.
 func TestOfferReadsOnlyWantedValues(t *testing.T) {
 	n, err := New(Config{
 		Site:  1,
-		Rumor: core.RumorConfig{K: 3, Counter: true, Feedback: true, Mode: core.PushPull, MaxBatch: 8},
+		Rumor: core.RumorConfig{K: 3, Counter: true, Feedback: true, Mode: core.PushPull},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &batchPeer{countingPeer: countingPeer{id: 2}, wantAt: map[int]bool{2: true, 5: true}}
+	wanted := []int{2, 5, 999}
+	p := &batchPeer{countingPeer: countingPeer{id: 2}, wantAt: map[int]bool{}}
+	for _, at := range wanted {
+		p.wantAt[at] = true
+	}
 	n.SetPeers([]Peer{p})
-	for i := 0; i < 1000; i++ {
+	const hot = 1000
+	for i := 0; i < hot; i++ {
 		n.Update(fmt.Sprintf("k%04d", i), store.Value("payload"))
 	}
 	if err := n.StepRumor(); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.offers) != 1 || len(p.offers[0]) != 8 {
-		t.Fatalf("offers = %d of %d ids, want one offer of MaxBatch = 8", len(p.offers), len(p.offers[0]))
+	if len(p.offers) != 1 || len(p.offers[0]) != hot {
+		t.Fatalf("offers = %d, want one offer of all %d hot ids", len(p.offers), hot)
 	}
 	for _, id := range p.offers[0] {
 		want, _ := n.Store().Get(id.Key)
@@ -37,17 +42,18 @@ func TestOfferReadsOnlyWantedValues(t *testing.T) {
 			t.Errorf("offered id %+v, want the bare identity of %+v", id, want)
 		}
 	}
-	if len(p.batches) != 1 || len(p.batches[0]) != 2 {
-		t.Fatalf("pushes = %v, want one push of the 2 wanted entries", p.batches)
+	if len(p.batches) != 1 || len(p.batches[0]) != len(wanted) {
+		t.Fatalf("pushes = %d, want one push of the %d wanted entries", len(p.batches), len(wanted))
 	}
-	for j, at := range []int{2, 5} {
+	for j, at := range wanted {
 		if got := p.batches[0][j]; got.Key != p.offers[0][at].Key || string(got.Value) != "payload" {
 			t.Errorf("pushed %+v, want the full entry of offered id %d", got, at)
 		}
 	}
 	st := n.Stats()
-	if st.RumorsOffered != 8 || st.RumorsWanted != 2 || st.EntriesSent != 2 {
-		t.Errorf("offered/wanted/sent = %d/%d/%d, want 8/2/2", st.RumorsOffered, st.RumorsWanted, st.EntriesSent)
+	if st.RumorsOffered != hot || st.RumorsWanted != len(wanted) || st.EntriesSent != len(wanted) {
+		t.Errorf("offered/wanted/sent = %d/%d/%d, want %d/%d/%d",
+			st.RumorsOffered, st.RumorsWanted, st.EntriesSent, hot, len(wanted), len(wanted))
 	}
 }
 

@@ -54,10 +54,8 @@ type Digest struct {
 	// AERuns and RumorRuns count protocol rounds executed since start.
 	AERuns    int64 `json:"ae_runs"`
 	RumorRuns int64 `json:"rumor_runs"`
-	// Wire and UDP fast-path counters (zero on sim nodes).
+	// WireMsgsBinary counts wire round trips (zero on sim nodes).
 	WireMsgsBinary int64 `json:"wire_msgs_binary"`
-	UDPPushes      int64 `json:"udp_pushes"`
-	UDPFallbacks   int64 `json:"udp_fallbacks"`
 	// Residue and TLastSeconds are the node's view of the paper's
 	// convergence observables. A lone replica cannot count infections at
 	// other sites, so its Residue is a checksum proxy: the fraction of

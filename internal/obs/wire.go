@@ -31,14 +31,6 @@ const (
 	// they carried.
 	MetricWireMailBatches      = "epidemic_wire_mail_batches_total"
 	MetricWireMailBatchEntries = "epidemic_wire_mail_batch_entries_total"
-
-	// UDP rumor fast path (transport/udp.go).
-	MetricWireUDPPushes        = "epidemic_wire_udp_pushes_total"
-	MetricWireUDPRetries       = "epidemic_wire_udp_retries_total"
-	MetricWireUDPFallbacks     = "epidemic_wire_udp_fallbacks_total"
-	MetricWireUDPOversize      = "epidemic_wire_udp_oversize_total"
-	MetricWireUDPBytesSent     = "epidemic_wire_udp_bytes_sent_total"
-	MetricWireUDPBytesReceived = "epidemic_wire_udp_bytes_received_total"
 )
 
 // Default histogram buckets for per-exchange entry counts and byte sizes:
@@ -84,18 +76,6 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })
 	counter(MetricWireMailBatchEntries, "Mail entries carried by batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatchEntries })
-	counter(MetricWireUDPPushes, "Rumor pushes completed over the UDP fast path.",
-		func(s transport.WireSnapshot) int64 { return s.UDPPushes })
-	counter(MetricWireUDPRetries, "UDP rumor datagrams resent after a response timeout.",
-		func(s transport.WireSnapshot) int64 { return s.UDPRetries })
-	counter(MetricWireUDPFallbacks, "Rumor pushes that fell back from UDP to pooled TCP.",
-		func(s transport.WireSnapshot) int64 { return s.UDPFallbacks })
-	counter(MetricWireUDPOversize, "Rumor pushes skipped from UDP as over the datagram budget.",
-		func(s transport.WireSnapshot) int64 { return s.UDPOversize })
-	counter(MetricWireUDPBytesSent, "UDP fast-path bytes sent, headers included.",
-		func(s transport.WireSnapshot) int64 { return s.UDPBytesSent })
-	counter(MetricWireUDPBytesReceived, "UDP fast-path bytes received, headers included.",
-		func(s transport.WireSnapshot) int64 { return s.UDPBytesReceived })
 	reg.GaugeFunc(MetricWireOpenConns, "Gossip client connections currently open.",
 		func() float64 { return float64(ws.Snapshot().OpenConns) })
 

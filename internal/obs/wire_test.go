@@ -69,10 +69,10 @@ func TestInstrumentWire(t *testing.T) {
 	remote.Store().Update("theirs", store.Value("w"))
 
 	peer := transport.NewTCPPeerWith(2, addr, transport.PeerOptions{
-		Timeout: 2 * time.Second, Stats: ws, UDP: true,
+		Timeout: 2 * time.Second, Stats: ws,
 	})
 	defer peer.Close()
-	// One small push rides the UDP fast path.
+	// One small push rides a pooled session like every other request.
 	if _, err := peer.PushRumors([]store.Entry{
 		{Key: "rumor", Value: store.Value("r"), Stamp: timestamp.T{Time: 9, Site: 1, Seq: 9}},
 	}, nil); err != nil {
@@ -100,9 +100,6 @@ func TestInstrumentWire(t *testing.T) {
 		MetricWireEntriesPerExchange + "_count": 2,
 		MetricWireBytesPerExchange + "_count":   2,
 		MetricWireMsgsBinary:                    1,
-		MetricWireUDPPushes:                     1,
-		MetricWireUDPBytesSent:                  1,
-		MetricWireUDPBytesReceived:              1,
 	} {
 		if got := scrape(t, reg, name); got < min {
 			t.Errorf("%s = %v, want >= %v", name, got, min)

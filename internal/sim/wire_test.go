@@ -14,10 +14,9 @@ import (
 )
 
 // TestMixedTCPClusterConverges stands up a small cluster over the real TCP
-// transport with deliberately mismatched configurations — the UDP fast
-// path on at some sites and unbound at others, one site whose store runs
-// more shards than everyone else's, cluster digests riding every
-// exchange — and drives rumor and anti-entropy rounds until every replica
+// transport with deliberately mismatched configurations — one site whose
+// store runs more shards than everyone else's, cluster digests riding
+// every exchange — and drives rumor and anti-entropy rounds until every replica
 // agrees. On top of the converged cluster, an aged divergence must be
 // repaired on the shard-vector path both between equal-shard peers and
 // against the odd site, which narrows at the smaller shard count.
@@ -27,27 +26,18 @@ func TestMixedTCPClusterConverges(t *testing.T) {
 	type site struct {
 		n   *node.Node
 		srv *transport.Server
-		udp bool
 	}
-	plans := []struct {
-		udp    bool
-		shards int
-	}{
-		{udp: true},
-		{udp: false},
-		{udp: true},
-		{udp: false},
-		{udp: true, shards: 64},
-	}
+	// Store shard counts per site: 0 is the default (16).
+	shardCounts := []int{0, 0, 0, 0, 64}
 
-	sites := make([]*site, len(plans))
-	for i, plan := range plans {
+	sites := make([]*site, len(shardCounts))
+	for i, shards := range shardCounts {
 		id := timestamp.SiteID(i + 1)
 		n, err := node.New(node.Config{
 			Site:        id,
 			Clock:       src.ClockAt(id),
 			Rumor:       core.RumorConfig{K: 2, Counter: true, Feedback: true, Mode: core.Push},
-			StoreShards: plan.shards,
+			StoreShards: shards,
 			Digests:     cluster.NewDirectory(int32(id), 0),
 			Seed:        int64(i) + 7,
 		})
@@ -55,12 +45,12 @@ func TestMixedTCPClusterConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Digests().SetSelf(cluster.Digest{Stamp: 1})
-		srv, err := transport.ServeWith(n, "127.0.0.1:0", transport.ServerOptions{DisableUDP: !plan.udp})
+		srv, err := transport.Serve(n, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		sites[i] = &site{n: n, srv: srv, udp: plan.udp}
+		sites[i] = &site{n: n, srv: srv}
 	}
 
 	stats := &transport.WireStats{}
@@ -71,11 +61,9 @@ func TestMixedTCPClusterConverges(t *testing.T) {
 				continue
 			}
 			p := transport.NewTCPPeerWith(target.n.Site(), target.srv.Addr(), transport.PeerOptions{
-				Timeout:    2 * time.Second,
-				UDP:        s.udp,
-				UDPTimeout: 50 * time.Millisecond,
-				Stats:      stats,
-				Digests:    s.n.Digests(),
+				Timeout: 2 * time.Second,
+				Stats:   stats,
+				Digests: s.n.Digests(),
 			})
 			defer p.Close()
 			peers = append(peers, p)

@@ -80,8 +80,6 @@ func appendDigests(b []byte, digests []cluster.Digest) []byte {
 		b = binary.AppendVarint(b, d.AERuns)
 		b = binary.AppendVarint(b, d.RumorRuns)
 		b = binary.AppendVarint(b, d.WireMsgsBinary)
-		b = binary.AppendVarint(b, d.UDPPushes)
-		b = binary.AppendVarint(b, d.UDPFallbacks)
 		b = appendFloat64(b, d.Residue)
 		b = appendFloat64(b, d.TLastSeconds)
 		b = binary.AppendVarint(b, d.LastAE)
@@ -178,9 +176,9 @@ type wireReader struct {
 const (
 	// hopMinWire: parent site, count, valid byte.
 	hopMinWire = 3
-	// digestMinWire: site + 8-byte checksum + two 8-byte floats + 12
+	// digestMinWire: site + 8-byte checksum + two 8-byte floats + 10
 	// varints of at least one byte + two 17-byte summaries.
-	digestMinWire = 1 + 8 + 16 + 12 + 2*17
+	digestMinWire = 1 + 8 + 16 + 10 + 2*17
 )
 
 func (r *wireReader) hops() []trace.Hop {
@@ -245,8 +243,6 @@ func (r *wireReader) digests() []cluster.Digest {
 		d.AERuns = r.Varint()
 		d.RumorRuns = r.Varint()
 		d.WireMsgsBinary = r.Varint()
-		d.UDPPushes = r.Varint()
-		d.UDPFallbacks = r.Varint()
 		d.Residue = r.float64()
 		d.TLastSeconds = r.float64()
 		d.LastAE = r.Varint()

@@ -20,8 +20,8 @@ func sampleDigests() []cluster.Digest {
 			StoreKeys: 42, Checksum: 0xdeadbeefcafef00d,
 			HotRumors: 3, Peers: 2, Members: 5,
 			AERuns: 100, RumorRuns: 200,
-			WireMsgsBinary: 17, UDPPushes: 9, UDPFallbacks: 2,
-			Residue: 0.25, TLastSeconds: 1.5, LastAE: 950,
+			WireMsgsBinary: 17,
+			Residue:        0.25, TLastSeconds: 1.5, LastAE: 950,
 			AntiEntropy: cluster.LatencySummary{Count: 100, P50: 0.012, P99: 0.3},
 			Rumor:       cluster.LatencySummary{Count: 200, P50: 0.004, P99: 0.05},
 		},

@@ -236,188 +236,6 @@ func TestPoolRedialsAfterRemoteRestart(t *testing.T) {
 	}
 }
 
-// udpBlackhole binds a UDP socket on the same port as a TCP server and
-// swallows every datagram — a fast path that is reachable but silent.
-func udpBlackhole(t *testing.T, addr string) {
-	t.Helper()
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uc, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = uc.Close() })
-	go func() {
-		buf := make([]byte, 64<<10)
-		for {
-			if _, _, err := uc.ReadFromUDP(buf); err != nil {
-				return
-			}
-		}
-	}()
-}
-
-// TestUDPDroppedDatagramsRetryThenFallback sends pushes into a UDP
-// blackhole: the client must exhaust its retries, fall back to pooled TCP,
-// and still deliver the rumor.
-func TestUDPDroppedDatagramsRetryThenFallback(t *testing.T) {
-	n, err := node.New(node.Config{Site: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{DisableUDP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	udpBlackhole(t, srv.Addr())
-
-	stats := &WireStats{}
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-		UDP: true, UDPTimeout: 40 * time.Millisecond, UDPRetries: 2, Stats: stats,
-	})
-	defer peer.Close()
-
-	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
-	if _, err := peer.PushRumors([]store.Entry{e}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Lookup("k"); !ok {
-		t.Fatal("rumor lost: fallback did not deliver")
-	}
-	snap := stats.Snapshot()
-	if snap.UDPRetries != 2 {
-		t.Errorf("retries = %d, want 2", snap.UDPRetries)
-	}
-	if snap.UDPPushes != 0 || snap.UDPFallbacks != 1 {
-		t.Errorf("fallback accounting: %+v", snap)
-	}
-}
-
-// TestUDPStalledSocketNeverWedgesRumorLoop keeps pushing through a silent
-// fast path: every push must complete via TCP within its deadline budget,
-// and after enough consecutive failures the client must stop burning a
-// timeout on every push (the down/probe state).
-func TestUDPStalledSocketNeverWedgesRumorLoop(t *testing.T) {
-	n, err := node.New(node.Config{Site: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{DisableUDP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	udpBlackhole(t, srv.Addr())
-
-	stats := &WireStats{}
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-		UDP: true, UDPTimeout: 30 * time.Millisecond, UDPRetries: 1, Stats: stats,
-	})
-	defer peer.Close()
-
-	const pushes = 10
-	start := time.Now()
-	for i := 0; i < pushes; i++ {
-		e := store.Entry{Key: fmt.Sprintf("k%d", i), Value: store.Value("v"), Stamp: timestamp.T{Time: int64(i + 1), Site: 1}}
-		if _, err := peer.PushRumors([]store.Entry{e}, nil); err != nil {
-			t.Fatalf("push %d: %v", i, err)
-		}
-	}
-	// Every datagram was dropped, yet all rumors arrived.
-	for i := 0; i < pushes; i++ {
-		if _, ok := n.Lookup(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("rumor k%d lost", i)
-		}
-	}
-	// The first udpDownThreshold pushes each wait out 2 attempts (~60ms);
-	// after that the client marks the path down and falls back immediately,
-	// so the loop must come in far under pushes * full-timeout.
-	if d := time.Since(start); d > time.Duration(pushes)*60*time.Millisecond {
-		t.Errorf("10 pushes through a stalled socket took %v — rumor loop wedged", d)
-	}
-	snap := stats.Snapshot()
-	if snap.UDPFallbacks != pushes {
-		t.Errorf("fallbacks = %d, want %d", snap.UDPFallbacks, pushes)
-	}
-	if snap.UDPPushes != 0 {
-		t.Errorf("pushes over a blackhole = %d, want 0", snap.UDPPushes)
-	}
-}
-
-// TestUDPLossyPathRecovers drops the first datagram of each push and
-// answers the retry: the push must succeed over UDP, not fall back.
-func TestUDPLossyPathRecovers(t *testing.T) {
-	n, err := node.New(node.Config{Site: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{DisableUDP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// A lossy fast path: every odd datagram is dropped, every even one is
-	// served by hand with the real dispatch.
-	uaddr, err := net.ResolveUDPAddr("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	uc, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer uc.Close()
-	go func() {
-		buf := make([]byte, 64<<10)
-		drop := true
-		for {
-			nb, raddr, err := uc.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			if drop {
-				drop = false
-				continue
-			}
-			drop = true
-			var req request
-			if nb < udpHeaderLen || decodeRequest(buf[udpHeaderLen:nb], &req) != nil {
-				continue
-			}
-			resp := srv.dispatch(req)
-			out := append([]byte{'E', 'U', udpVersion, udpTypeResponse}, buf[4:udpHeaderLen]...)
-			out = appendResponse(out, &resp)
-			_, _ = uc.WriteToUDP(out, raddr)
-		}
-	}()
-
-	stats := &WireStats{}
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-		UDP: true, UDPTimeout: 80 * time.Millisecond, UDPRetries: 2, Stats: stats,
-	})
-	defer peer.Close()
-
-	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
-	needed, err := peer.PushRumors([]store.Entry{e}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(needed) != 1 || !needed[0] {
-		t.Errorf("needed = %v, want [true]", needed)
-	}
-	if _, ok := n.Lookup("k"); !ok {
-		t.Fatal("rumor not applied")
-	}
-	snap := stats.Snapshot()
-	if snap.UDPPushes != 1 || snap.UDPRetries != 1 || snap.UDPFallbacks != 0 {
-		t.Errorf("lossy-path accounting: %+v", snap)
-	}
-}
-
 func TestPoolStressConcurrentExchanges(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	remote, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2)})

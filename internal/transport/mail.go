@@ -3,11 +3,9 @@
 // failure modes §1.2 assumes (queue overflow, silent loss, delayed
 // delivery), and a TCP transport that lets real node.Node replicas gossip
 // across machines — pooled persistent sessions framed in one hand-rolled
-// binary layout (codec.go, frame.go), with a UDP fast path for
-// single-datagram rumor pushes (udp.go) that carries the same layout.
-// Network direct mail rides the same pooled
-// sessions and codec as every other request kind, so §1.2 mail pays no
-// separate encode path.
+// binary layout (codec.go, frame.go). Network direct mail and rumor
+// pushes ride the same pooled sessions and codec as every other request
+// kind, so neither pays a separate encode path.
 package transport
 
 import (

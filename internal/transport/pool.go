@@ -28,10 +28,6 @@ type WireStats struct {
 	// frame and the entries they carried.
 	mailBatches, mailBatchEntries atomic.Int64
 
-	// UDP fast-path accounting (see udp.go).
-	udpPushes, udpRetries, udpFallbacks, udpOversize atomic.Int64
-	udpBytesSent, udpBytesReceived                   atomic.Int64
-
 	// onExchange, when installed, receives one call per completed
 	// anti-entropy exchange with the entries and bytes moved per direction
 	// — the feed for entries-per-exchange and bytes-per-exchange
@@ -71,15 +67,10 @@ type WireSnapshot struct {
 	// frames and the entries those frames carried.
 	MailBatches      int64 `json:"mail_batches"`
 	MailBatchEntries int64 `json:"mail_batch_entries"`
-	// UDP fast-path counters: pushes completed over UDP, datagram retries,
-	// pushes that fell back to pooled TCP, pushes skipped as over the
-	// datagram budget, and raw datagram traffic.
-	UDPPushes        int64 `json:"udp_pushes"`
-	UDPRetries       int64 `json:"udp_retries"`
-	UDPFallbacks     int64 `json:"udp_fallbacks"`
-	UDPOversize      int64 `json:"udp_oversize"`
-	UDPBytesSent     int64 `json:"udp_bytes_sent"`
-	UDPBytesReceived int64 `json:"udp_bytes_received"`
+	// UDPBytesSent is always zero and is not encoded: every request,
+	// rumor pushes included, rides pooled TCP. It is kept only so code
+	// written against the removed UDP fast path still compiles.
+	UDPBytesSent int64 `json:"-"`
 }
 
 // Snapshot returns a copy of the counters. A nil receiver yields zeros.
@@ -101,12 +92,6 @@ func (w *WireStats) Snapshot() WireSnapshot {
 		ShardVecDowngrades: w.shardVecDowngrades.Load(),
 		MailBatches:        w.mailBatches.Load(),
 		MailBatchEntries:   w.mailBatchEntries.Load(),
-		UDPPushes:          w.udpPushes.Load(),
-		UDPRetries:         w.udpRetries.Load(),
-		UDPFallbacks:       w.udpFallbacks.Load(),
-		UDPOversize:        w.udpOversize.Load(),
-		UDPBytesSent:       w.udpBytesSent.Load(),
-		UDPBytesReceived:   w.udpBytesReceived.Load(),
 	}
 }
 
@@ -177,42 +162,6 @@ func (w *WireStats) noteMailBatch(entries int) {
 	}
 	w.mailBatches.Add(1)
 	w.mailBatchEntries.Add(int64(entries))
-}
-
-func (w *WireStats) noteUDPPush() {
-	if w != nil {
-		w.udpPushes.Add(1)
-	}
-}
-
-func (w *WireStats) noteUDPRetry() {
-	if w != nil {
-		w.udpRetries.Add(1)
-	}
-}
-
-func (w *WireStats) noteUDPFallback() {
-	if w != nil {
-		w.udpFallbacks.Add(1)
-	}
-}
-
-func (w *WireStats) noteUDPOversize() {
-	if w != nil {
-		w.udpOversize.Add(1)
-	}
-}
-
-func (w *WireStats) noteUDPTraffic(out, in int64) {
-	if w == nil {
-		return
-	}
-	if out > 0 {
-		w.udpBytesSent.Add(out)
-	}
-	if in > 0 {
-		w.udpBytesReceived.Add(in)
-	}
 }
 
 func (w *WireStats) noteExchange(entriesSent, entriesReceived int, bytesOut, bytesIn int64) {

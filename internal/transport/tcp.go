@@ -150,13 +150,14 @@ const (
 	serverWriteTimeout = 30 * time.Second
 )
 
-// ServerOptions tunes a Server. The zero value binds the UDP fast path.
+// ServerOptions tunes a Server.
 type ServerOptions struct {
 	// Codec names the wire format and accepts only "" or "binary", the one
 	// format there is; ServeWith refuses any other value.
 	Codec string
-	// DisableUDP skips binding the UDP fast-path socket; rumor pushes from
-	// UDP-enabled peers then time out once and fall back to pooled TCP.
+	// DisableUDP is ignored: a server binds no datagram socket. It is kept
+	// only so code written against the removed UDP fast path still
+	// compiles.
 	DisableUDP bool
 }
 
@@ -170,12 +171,10 @@ func checkCodec(name string) error {
 }
 
 // Server exposes a node.Node to remote TCPPeers over persistent framed
-// sessions, plus a UDP socket on the same port for single-datagram rumor
-// pushes.
+// sessions.
 type Server struct {
 	node *node.Node
 	ln   net.Listener
-	udp  *net.UDPConn // nil when the fast path is disabled
 	wg   sync.WaitGroup
 	mu   sync.Mutex
 	done bool
@@ -207,18 +206,6 @@ func ServeWith(n *node.Node, addr string, opts ServerOptions) (*Server, error) {
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
 		log:   slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
-	if !opts.DisableUDP {
-		// Same port as TCP so one advertised address serves both paths. A
-		// bind failure (port taken by another process's UDP socket) is not
-		// fatal: peers fall back to TCP.
-		if uaddr, err := net.ResolveUDPAddr("udp", ln.Addr().String()); err == nil {
-			if uc, err := net.ListenUDP("udp", uaddr); err == nil {
-				s.udp = uc
-				s.wg.Add(1)
-				go s.serveUDP(uc)
-			}
-		}
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -266,9 +253,6 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
-	if s.udp != nil {
-		_ = s.udp.Close()
-	}
 	for _, c := range conns {
 		_ = c.Close()
 	}
@@ -542,18 +526,10 @@ type PeerOptions struct {
 	// format there is. Any other value makes every request fail with the
 	// error ServeWith would return for it.
 	Codec string
-	// UDP enables the single-datagram fast path for rumor pushes (udp.go).
-	// Pushes that exceed the datagram budget, or that get no response
-	// within UDPTimeout after UDPRetries resends, fall back to pooled TCP.
+	// UDP is ignored: rumor pushes ride pooled TCP like every other
+	// request. It is kept only so code written against the removed UDP
+	// fast path still compiles.
 	UDP bool
-	// UDPTimeout bounds one datagram attempt (default 300ms).
-	UDPTimeout time.Duration
-	// UDPRetries is the number of resends after the first attempt before
-	// falling back (default 2).
-	UDPRetries int
-	// UDPBudget caps the datagram size for the fast path (default 1200
-	// bytes, a conservative single-MTU figure).
-	UDPBudget int
 	// ShardRepairWorkers bounds the diverged buckets repaired concurrently
 	// during one shard-vector exchange (default 4). Each worker runs its
 	// own pooled session, so the effective parallelism is also bounded by
@@ -589,31 +565,18 @@ func (o PeerOptions) withDefaults() PeerOptions {
 	if o.ShardRepairWorkers <= 0 {
 		o.ShardRepairWorkers = defaultShardRepairWorkers
 	}
-	if o.UDPTimeout <= 0 {
-		o.UDPTimeout = defaultUDPTimeout
-	}
-	if o.UDPRetries <= 0 {
-		o.UDPRetries = defaultUDPRetries
-	}
-	if o.UDPBudget <= 0 {
-		o.UDPBudget = defaultUDPBudget
-	}
 	return o
 }
 
-// TCPPeer is a node.Peer implemented over the pooled wire protocol above,
-// with an optional UDP fast path for rumor pushes. All methods are safe
-// for concurrent use; concurrent requests each check a session out of the
-// pool (dialing extras as needed).
+// TCPPeer is a node.Peer implemented over the pooled wire protocol above.
+// All methods are safe for concurrent use; concurrent requests each check
+// a session out of the pool (dialing extras as needed).
 type TCPPeer struct {
 	id   timestamp.SiteID
 	addr string
 	opts PeerOptions
 	pool *pool
 	err  error // a bad Codec option, returned by every request
-
-	udpOnce sync.Once
-	udp     *udpClient // nil until first fast-path push, or on dial failure
 }
 
 var _ node.Peer = (*TCPPeer)(nil)
@@ -643,32 +606,11 @@ func (p *TCPPeer) ID() timestamp.SiteID { return p.id }
 // Addr returns the remote address.
 func (p *TCPPeer) Addr() string { return p.addr }
 
-// Close releases the peer's pooled connections and the fast-path socket.
-// The peer remains usable; subsequent requests dial fresh TCP sessions
-// (the UDP socket is not re-dialed).
+// Close releases the peer's pooled connections. The peer remains usable;
+// subsequent requests dial fresh sessions.
 func (p *TCPPeer) Close() error {
 	p.pool.close()
-	p.udpOnce.Do(func() {}) // no fast path after Close
-	if p.udp != nil {
-		p.udp.close()
-	}
 	return nil
-}
-
-// fastPath returns the peer's UDP client, dialing it on first use; nil
-// when the fast path is disabled, the peer is misconfigured, or its socket
-// cannot be set up.
-func (p *TCPPeer) fastPath() *udpClient {
-	if !p.opts.UDP || p.err != nil {
-		return nil
-	}
-	p.udpOnce.Do(func() {
-		c, err := dialUDP(p.addr, p.opts.UDPBudget, p.opts.UDPTimeout, p.opts.UDPRetries, p.opts.Stats)
-		if err == nil {
-			p.udp = c
-		}
-	})
-	return p.udp
 }
 
 // wireCall bundles one request/response pair plus shard-vector scratch,
@@ -737,22 +679,12 @@ func (p *TCPPeer) MailBatch(b node.MailBatch) error {
 	return nil
 }
 
-// PushRumors implements node.Peer. Small pushes try the UDP fast path
-// first (when enabled), falling back to pooled TCP on oversize, loss, or
-// timeout.
+// PushRumors implements node.Peer: one pooled round trip, like every
+// other request kind.
 func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, error) {
 	c := getWireCall()
 	defer putWireCall(c)
 	c.req = request{Kind: reqPushRumors, Entries: entries, Hops: hops}
-	if u := p.fastPath(); u != nil {
-		if u.roundTrip(&c.req, &c.resp) {
-			if c.resp.Err != "" {
-				return nil, fmt.Errorf("transport: %s: remote error: %s", p.addr, c.resp.Err)
-			}
-			return c.resp.Needed, nil
-		}
-		p.opts.Stats.noteUDPFallback()
-	}
 	if err := p.call(c); err != nil {
 		return nil, err
 	}

@@ -376,9 +376,9 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// 6 is the layout the previous build speaks: requests with a vector
-	// section and kind 7 live.
-	for _, version := range []byte{1, 4, 5, 6, 8} {
+	// 7 is the layout the previous build speaks: digests carrying the two
+	// UDP counters. 6 had requests with a vector section and kind 7 live.
+	for _, version := range []byte{1, 4, 5, 6, 7, 9} {
 		stream := append([]byte{'E', 'P', 'G', version}, mailFrame("old")...)
 		if got := refusedStream(t, srv.Addr(), stream); !bytes.Equal(got, []byte{wireVersion}) {
 			t.Errorf("v%d hello: server sent % x, want only its version byte", version, got)
@@ -389,8 +389,8 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 
 	// A server that answers with an older version — 4 as a v4-capped build
-	// did, 6 as the previous build does — is refused by the client.
-	for _, version := range []byte{4, 5, 6} {
+	// did, 7 as the previous build does — is refused by the client.
+	for _, version := range []byte{4, 5, 6, 7} {
 		old := fakeServer(t, func(conn net.Conn) {
 			defer conn.Close()
 			acceptHello(conn, version)
@@ -412,8 +412,8 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 
 // TestMistypedCodecFailsEveryRequest: a peer built with a Codec name that
 // is not the one format fails every request with the error ServeWith gives
-// for that name — it neither dials nor takes the UDP fast path — where it
-// once spoke an old protocol without a word.
+// for that name — it never dials — where it once spoke an old protocol
+// without a word.
 func TestMistypedCodecFailsEveryRequest(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	n := wireNode(t, 2, src)
@@ -428,7 +428,7 @@ func TestMistypedCodecFailsEveryRequest(t *testing.T) {
 	defer srv.Close()
 
 	stats := &WireStats{}
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Codec: "binray", UDP: true, Stats: stats})
+	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Codec: "binray", Stats: stats})
 	defer peer.Close()
 	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
 	local := store.New(1, src.ClockAt(1))

@@ -4,7 +4,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
@@ -111,8 +110,9 @@ func TestCodecNegotiationMatrix(t *testing.T) {
 	}
 }
 
-// TestMixedCodecNodesConverge: both spellings of the one format, a
-// UDP-enabled peer, and unequal store shard counts interoperate. Two nodes
+// TestMixedCodecNodesConverge: both spellings of the one format, a peer
+// still setting the ignored UDP option, and unequal store shard counts
+// interoperate. Two nodes
 // built that way converge through anti-entropy, each conversation
 // narrowing at the smaller shard count.
 func TestMixedCodecNodesConverge(t *testing.T) {
@@ -162,9 +162,10 @@ func TestMixedCodecNodesConverge(t *testing.T) {
 	}
 }
 
-// TestUDPRumorPushServed sends a small rumor push through the UDP fast
-// path against a real server and checks both delivery and the feedback
-// bits.
+// TestUDPRumorPushServed sends rumor pushes from a peer built with the
+// ignored UDP option to a real server and checks delivery, the feedback
+// bits and the accounting: each push is one round trip on the pooled
+// session and no datagram is sent.
 func TestUDPRumorPushServed(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	n := wireNode(t, 2, src)
@@ -198,16 +199,13 @@ func TestUDPRumorPushServed(t *testing.T) {
 		t.Errorf("redundant push needed = %v, want [false]", needed)
 	}
 	snap := stats.Snapshot()
-	if snap.UDPPushes != 2 || snap.UDPFallbacks != 0 {
-		t.Errorf("pushes should have used the fast path: %+v", snap)
-	}
-	if snap.UDPBytesSent == 0 || snap.UDPBytesReceived == 0 {
-		t.Errorf("datagram traffic not accounted: %+v", snap)
+	if snap.MsgsBinary != 2 || snap.Dials != 1 || snap.UDPBytesSent != 0 {
+		t.Errorf("two pushes should be two round trips on one session: %+v", snap)
 	}
 }
 
-// TestUDPOversizePushFallsBack pushes a payload over the datagram budget:
-// it must go TCP without ever touching the socket.
+// TestUDPOversizePushFallsBack pushes a payload far over what one datagram
+// could carry: it is served as one pooled round trip like any other push.
 func TestUDPOversizePushFallsBack(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
 	n := wireNode(t, 2, src)
@@ -229,155 +227,30 @@ func TestUDPOversizePushFallsBack(t *testing.T) {
 		t.Fatal("oversize rumor not applied")
 	}
 	snap := stats.Snapshot()
-	if snap.UDPPushes != 0 || snap.UDPOversize != 1 || snap.UDPFallbacks != 1 {
-		t.Errorf("oversize push accounting: %+v", snap)
-	}
-	if snap.UDPBytesSent != 0 {
-		t.Errorf("oversize push should never hit the socket: %+v", snap)
+	if snap.MsgsBinary != 1 || snap.Dials != 1 || snap.BytesSent <= 4096 || snap.UDPBytesSent != 0 {
+		t.Errorf("oversize push should be one round trip on the session: %+v", snap)
 	}
 }
 
-// TestUDPRejectsNonPushKinds checks the server answers every kind but a
-// rumor push with an error instead of serving it over datagrams.
-func TestUDPRejectsNonPushKinds(t *testing.T) {
+// TestServeBindsNoUDPSocket: a server listens on TCP only, whatever its
+// DisableUDP says, so the same port is free for a datagram socket.
+func TestServeBindsNoUDPSocket(t *testing.T) {
 	src := timestamp.NewSimulated(1 << 30)
-	n := wireNode(t, 2, src)
-	srv, err := Serve(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := dialUDP(srv.Addr(), defaultUDPBudget, time.Second, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	for _, kind := range []reqKind{reqFullSync, reqChecksum} {
-		req := request{Kind: kind}
-		var resp response
-		if !c.roundTrip(&req, &resp) {
-			t.Fatalf("no response to disallowed kind %s", kind.kindName())
-		}
-		if resp.Err == "" {
-			t.Errorf("server served %s over UDP", kind.kindName())
-		}
-	}
-}
-
-// TestUDPDropsOtherVersions: a push datagram whose header names version 1,
-// the previous build's fixed-width bodies, is dropped unanswered and
-// applies nothing, while the same push at udpVersion is answered and
-// applied. The server handles datagrams in order, so the first answer back
-// must be the second push's.
-func TestUDPDropsOtherVersions(t *testing.T) {
-	src := timestamp.NewSimulated(1 << 30)
-	n := wireNode(t, 2, src)
-	srv, err := Serve(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := net.Dial("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	push := func(version, msgID byte, key string) []byte {
-		req := request{Kind: reqPushRumors, From: 1, Entries: []store.Entry{
-			{Key: key, Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}},
-		}}
-		return appendRequest([]byte{'E', 'U', version, udpTypeRequest, 0, 0, 0, 0, 0, 0, 0, msgID}, &req)
-	}
-	for _, dgram := range [][]byte{push(1, 1, "old"), push(udpVersion, 2, "new")} {
-		if _, err := conn.Write(dgram); err != nil {
+	for _, opts := range []ServerOptions{{}, {DisableUDP: true}} {
+		srv, err := ServeWith(wireNode(t, 2, src), "127.0.0.1:0", opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, udpReadBuf)
-	got, err := conn.Read(buf)
-	if err != nil {
-		t.Fatalf("no answer to the current-version push: %v", err)
-	}
-	if got < udpHeaderLen || buf[2] != udpVersion || buf[udpHeaderLen-1] != 2 {
-		t.Fatalf("first answer = % x, want the version-%d push's", buf[:min(got, udpHeaderLen)], udpVersion)
-	}
-	if _, ok := n.Lookup("old"); ok {
-		t.Error("a version-1 datagram was applied")
-	}
-	if _, ok := n.Lookup("new"); !ok {
-		t.Error("the current-version push was not applied")
-	}
-}
-
-// TestServeUDPDisabled checks DisableUDP leaves no datagram listener and
-// pushes still arrive over TCP.
-func TestServeUDPDisabled(t *testing.T) {
-	src := timestamp.NewSimulated(1 << 30)
-	n := wireNode(t, 2, src)
-	srv, err := ServeWith(n, "127.0.0.1:0", ServerOptions{DisableUDP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.udp != nil {
-		t.Fatal("DisableUDP still bound a UDP socket")
-	}
-
-	stats := &WireStats{}
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{
-		UDP: true, UDPTimeout: 50 * time.Millisecond, UDPRetries: 1, Stats: stats,
-	})
-	defer peer.Close()
-	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
-	if _, err := peer.PushRumors([]store.Entry{e}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Lookup("k"); !ok {
-		t.Fatal("push did not fall back to TCP")
-	}
-	if snap := stats.Snapshot(); snap.UDPPushes != 0 || snap.UDPFallbacks != 1 {
-		t.Errorf("fallback accounting: %+v", snap)
-	}
-}
-
-// TestUDPServerSurvivesGarbageDatagrams sprays noise at the fast-path
-// socket; the server must keep serving real pushes.
-func TestUDPServerSurvivesGarbageDatagrams(t *testing.T) {
-	src := timestamp.NewSimulated(1 << 30)
-	n := wireNode(t, 2, src)
-	srv, err := Serve(n, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	noisy, err := net.Dial("udp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, payload := range [][]byte{
-		{},
-		{'E', 'U'},
-		{'E', 'U', udpVersion, udpTypeRequest}, // header only, no body
-		[]byte("complete nonsense of a datagram"),
-		append([]byte{'E', 'U', udpVersion, udpTypeRequest, 0, 0, 0, 0, 0, 0, 0, 1}, 0xff, 0xff, 0xff),
-	} {
-		if _, err := noisy.Write(payload); err != nil {
+		uaddr, err := net.ResolveUDPAddr("udp", srv.Addr())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	_ = noisy.Close()
-
-	peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{UDP: true})
-	defer peer.Close()
-	e := store.Entry{Key: "k", Value: store.Value("v"), Stamp: timestamp.T{Time: 1, Site: 1}}
-	if _, err := peer.PushRumors([]store.Entry{e}, nil); err != nil {
-		t.Fatalf("push after garbage: %v", err)
-	}
-	if _, ok := n.Lookup("k"); !ok {
-		t.Fatal("rumor not applied after garbage datagrams")
+		uc, err := net.ListenUDP("udp", uaddr)
+		if err != nil {
+			t.Errorf("%+v: the server holds a datagram socket on its port: %v", opts, err)
+		} else {
+			_ = uc.Close()
+		}
+		_ = srv.Close()
 	}
 }
