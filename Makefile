@@ -12,8 +12,8 @@ STORE_BENCH = -run '^$$' -bench BenchmarkStore -benchtime=200000x -cpu 1,4,8 -be
 WIRE_BENCH = -run '^$$' -bench '^(BenchmarkExchange|BenchmarkRumorPush)' -benchtime=2000x -benchmem .
 CODEC_BENCH = -run '^$$' -bench Codec -benchtime=20000x -benchmem ./internal/transport
 # DEEP_BENCH is the deep-divergence family: delta old entries buried under
-# {10k,100k} newer ones, shard-vector vs global peel-back. Few iterations —
-# the global baseline walks the whole index per op by design.
+# {10k,100k} newer ones, repaired by shard-vector bucket walks. Few
+# iterations: each row's setup builds two stores of up to 100k entries.
 DEEP_BENCH = -run '^$$' -bench BenchmarkDeepDivergence -benchtime=3x -benchmem .
 # FANOUT_BENCH / APPLY_BENCH pin the outbound-engine benchmarks: direct
 # mail through a started node's worker-pool outbox to 8-128 peers at 1ms
@@ -131,8 +131,8 @@ bench-node:
 
 # bench-smoke is the compile-and-run gate inside check: the deep-divergence
 # family at one iteration on the 10k store, so bench code can't rot between
-# full runs. The 100k rows are left to bench/bench-transport —
-# the global baseline there walks 100k records per op by design.
+# full runs. The 100k rows, whose setup alone builds two 100k stores, are
+# left to bench/bench-transport.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDeepDivergence[^/]*/n10000_' -benchtime=1x -benchmem .
 

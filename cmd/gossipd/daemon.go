@@ -32,17 +32,12 @@ type daemonConfig struct {
 	// (debug|info|warn|error); logFormat selects text or json.
 	logLevel, logFormat string
 	// poolSize bounds the persistent gossip connections kept per peer
-	// (0 = default); peelBatch sets the peel-back batch size
 	// (0 = default); exchangeTimeout is the per-request deadline on
 	// outbound gossip.
 	poolSize        int
-	peelBatch       int
 	exchangeTimeout time.Duration
 	// storeShards sets the replica store's lock-stripe count (0 = default).
 	storeShards int
-	// shardRepairWorkers bounds how many diverged shards one anti-entropy
-	// exchange repairs concurrently (0 = default).
-	shardRepairWorkers int
 	// outboxQueue bounds each per-peer send queue of the outbound mail
 	// engine before drop-oldest kicks in (0 = default).
 	outboxQueue int
@@ -78,11 +73,10 @@ type daemonConfig struct {
 // shares, feeding one process-wide WireStats.
 func (cfg daemonConfig) peerOptions(wire *epidemic.WireStats, digests *epidemic.ClusterDirectory) epidemic.TCPPeerOptions {
 	return epidemic.TCPPeerOptions{
-		Timeout:            cfg.exchangeTimeout,
-		PoolSize:           cfg.poolSize,
-		Stats:              wire,
-		Digests:            digests,
-		ShardRepairWorkers: cfg.shardRepairWorkers,
+		Timeout:  cfg.exchangeTimeout,
+		PoolSize: cfg.poolSize,
+		Stats:    wire,
+		Digests:  digests,
 	}
 }
 
@@ -183,7 +177,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 			Strategy:          epidemic.CompareRecent,
 			Tau:               int64(20 * cfg.aePer), // generous: 20 anti-entropy periods
 			Tau1:              cfg.tau1.Nanoseconds(),
-			BatchSize:         cfg.peelBatch,
 			ReactivateDormant: true,
 		},
 		DirectMailOnUpdate: cfg.mail,

@@ -123,10 +123,8 @@ func main() {
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn or error (empty = no logging)")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text or json")
 	flag.IntVar(&cfg.poolSize, "pool-size", 2, "persistent gossip connections kept per peer (0 = default)")
-	flag.IntVar(&cfg.peelBatch, "peel-batch", 0, "entries per peel-back batch during anti-entropy (0 = default)")
 	flag.DurationVar(&cfg.exchangeTimeout, "exchange-timeout", 10*time.Second, "per-request deadline on outbound gossip")
 	flag.IntVar(&cfg.storeShards, "store-shards", 0, "replica store lock stripes, rounded up to a power of two (0 = default)")
-	flag.IntVar(&cfg.shardRepairWorkers, "shard-repair-workers", 0, "diverged buckets repaired concurrently per exchange (0 = default)")
 	flag.IntVar(&cfg.outboxQueue, "outbox-queue", 0, "outbound-mail entries queued per peer before drop-oldest (0 = default)")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 0, "hop-provenance spans retained for TRACE and /trace (0 = tracing disabled)")
 	flag.IntVar(&cfg.mutexProfileFraction, "mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction: sample 1/n mutex contention events for /debug/pprof/mutex (0 = off)")

@@ -127,7 +127,7 @@ type (
 	// TCPPeer is a Peer over TCP.
 	TCPPeer = transport.TCPPeer
 	// TCPPeerOptions tunes a TCPPeer's connection pool, per-request
-	// deadline, peel-back budget and shard repair.
+	// deadline, wire accounting and digest piggyback.
 	TCPPeerOptions = transport.PeerOptions
 	// WireStats aggregates client-side pool and wire-traffic counters,
 	// typically shared by every TCPPeer a process dials.
@@ -326,7 +326,6 @@ const (
 	MetricWireMsgsBinary         = obs.MetricWireMsgsBinary
 	MetricWireShardVecExchanges  = obs.MetricWireShardVecExchanges
 	MetricWireShardVecShards     = obs.MetricWireShardVecShards
-	MetricWireShardVecDowngrades = obs.MetricWireShardVecDowngrades
 	MetricWireMailBatches        = obs.MetricWireMailBatches
 	MetricWireMailBatchEntries   = obs.MetricWireMailBatchEntries
 )

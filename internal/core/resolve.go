@@ -373,8 +373,9 @@ func resolvePeelBack(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 // exhaustion. A final global recompare (which also catches dormancy skew
 // between the two vector reads) falls back to the global peel-back walk, so
 // convergence is never weaker than ComparePeelBack. In-process both stores
-// are walked directly; the wire transport runs the same shape with the
-// diverged buckets repaired concurrently.
+// are walked directly. It is the simulator's reference engine, not the
+// wire's: transport.TCPPeer ends its conversation after the bucket walks,
+// with no terminal recompare and no whole-store walk.
 func resolveShardVector(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 	st.ChecksumsCompared++
 	if liveChecksumEqual(cfg, s, p) {

@@ -20,12 +20,10 @@ const (
 	// Request round trips over TCP (the name dates from the gob codec).
 	MetricWireMsgsBinary = "epidemic_wire_msgs_binary_total"
 
-	// Shard-vector anti-entropy: narrow repairs completed, diverged
-	// buckets walked, and conversations that fell to the single-bucket
-	// (whole-store) walk.
-	MetricWireShardVecExchanges  = "epidemic_wire_shardvec_exchanges_total"
-	MetricWireShardVecShards     = "epidemic_wire_shardvec_shards_total"
-	MetricWireShardVecDowngrades = "epidemic_wire_shardvec_downgrades_total"
+	// Shard-vector anti-entropy: narrow repairs completed and diverged
+	// buckets walked.
+	MetricWireShardVecExchanges = "epidemic_wire_shardvec_exchanges_total"
+	MetricWireShardVecShards    = "epidemic_wire_shardvec_shards_total"
 
 	// Batched mail: outbox drains shipped as one frame and the entries
 	// they carried.
@@ -70,8 +68,6 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.ShardVecExchanges })
 	counter(MetricWireShardVecShards, "Diverged buckets repaired by shard-vector exchanges.",
 		func(s transport.WireSnapshot) int64 { return s.ShardVecShards })
-	counter(MetricWireShardVecDowngrades, "Anti-entropy conversations that fell to the single-bucket (whole-store) walk.",
-		func(s transport.WireSnapshot) int64 { return s.ShardVecDowngrades })
 	counter(MetricWireMailBatches, "Outbox drains shipped as single batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })
 	counter(MetricWireMailBatchEntries, "Mail entries carried by batched mail frames.",

@@ -144,7 +144,4 @@ func TestInstrumentWire(t *testing.T) {
 	if got := scrape(t, reg, MetricWireShardVecShards); got < 1 {
 		t.Errorf("%s = %v, want >= 1", MetricWireShardVecShards, got)
 	}
-	if got := scrape(t, reg, MetricWireShardVecDowngrades); got != 0 {
-		t.Errorf("%s = %v, want 0", MetricWireShardVecDowngrades, got)
-	}
 }

@@ -19,10 +19,10 @@ type WireStats struct {
 	exchanges                atomic.Int64
 	msgs                     atomic.Int64 // request round trips over TCP
 
-	// Shard-vector anti-entropy accounting: exchanges that converged via
-	// the narrow path, diverged shards they repaired, and attempts that
-	// fell back to the global peel walk.
-	shardVecExchanges, shardVecShards, shardVecDowngrades atomic.Int64
+	// Shard-vector anti-entropy accounting: conversations whose bucket
+	// walks all finished within their peel budget, and the diverged
+	// buckets they repaired.
+	shardVecExchanges, shardVecShards atomic.Int64
 
 	// Batched-mail accounting: outbox drains shipped as one reqMailBatch
 	// frame and the entries they carried.
@@ -55,14 +55,11 @@ type WireSnapshot struct {
 	// MsgsBinary counts request round trips over TCP; the name dates from
 	// when gob-framed ones were counted apart.
 	MsgsBinary int64 `json:"msgs_binary"`
-	// Shard-vector counters: anti-entropy exchanges that converged via the
-	// bucket narrow path, the diverged buckets those exchanges repaired,
-	// and conversations that fell to the single-bucket (whole-store) walk
-	// because a bucket spent its peel budget or the final recompare
-	// disagreed.
-	ShardVecExchanges  int64 `json:"shardvec_exchanges"`
-	ShardVecShards     int64 `json:"shardvec_shards"`
-	ShardVecDowngrades int64 `json:"shardvec_downgrades"`
+	// Shard-vector counters: anti-entropy conversations whose bucket
+	// walks all finished within their peel budget, and the diverged
+	// buckets those conversations repaired.
+	ShardVecExchanges int64 `json:"shardvec_exchanges"`
+	ShardVecShards    int64 `json:"shardvec_shards"`
 	// Batched-mail counters: outbox drains shipped as single mail-batch
 	// frames and the entries those frames carried.
 	MailBatches      int64 `json:"mail_batches"`
@@ -79,19 +76,18 @@ func (w *WireStats) Snapshot() WireSnapshot {
 		return WireSnapshot{}
 	}
 	return WireSnapshot{
-		Dials:              w.dials.Load(),
-		Redials:            w.redials.Load(),
-		Reuses:             w.reuses.Load(),
-		OpenConns:          w.open.Load(),
-		BytesSent:          w.bytesSent.Load(),
-		BytesReceived:      w.bytesReceived.Load(),
-		Exchanges:          w.exchanges.Load(),
-		MsgsBinary:         w.msgs.Load(),
-		ShardVecExchanges:  w.shardVecExchanges.Load(),
-		ShardVecShards:     w.shardVecShards.Load(),
-		ShardVecDowngrades: w.shardVecDowngrades.Load(),
-		MailBatches:        w.mailBatches.Load(),
-		MailBatchEntries:   w.mailBatchEntries.Load(),
+		Dials:             w.dials.Load(),
+		Redials:           w.redials.Load(),
+		Reuses:            w.reuses.Load(),
+		OpenConns:         w.open.Load(),
+		BytesSent:         w.bytesSent.Load(),
+		BytesReceived:     w.bytesReceived.Load(),
+		Exchanges:         w.exchanges.Load(),
+		MsgsBinary:        w.msgs.Load(),
+		ShardVecExchanges: w.shardVecExchanges.Load(),
+		ShardVecShards:    w.shardVecShards.Load(),
+		MailBatches:       w.mailBatches.Load(),
+		MailBatchEntries:  w.mailBatchEntries.Load(),
 	}
 }
 
@@ -148,12 +144,6 @@ func (w *WireStats) noteShardVec(shards int) {
 	}
 	w.shardVecExchanges.Add(1)
 	w.shardVecShards.Add(int64(shards))
-}
-
-func (w *WireStats) noteShardVecDowngrade() {
-	if w != nil {
-		w.shardVecDowngrades.Add(1)
-	}
 }
 
 func (w *WireStats) noteMailBatch(entries int) {

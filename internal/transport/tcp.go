@@ -508,7 +508,9 @@ func maxInt64(a, b int64) int64 {
 }
 
 // PeerOptions tunes a TCPPeer's pooled wire protocol. The zero value
-// selects the defaults noted per field.
+// selects the defaults noted per field. The repair ladder has no knob: a
+// bucket walk's peel budget (32 rounds) and the buckets walked at once (4)
+// are constants, and the batch size comes from core.ResolveConfig.
 type PeerOptions struct {
 	// Timeout is the dial timeout and the per-request deadline (default
 	// 10s). Unlike a per-connection deadline, it re-arms for every
@@ -518,10 +520,6 @@ type PeerOptions struct {
 	// PoolSize bounds the idle persistent sessions retained per peer
 	// (default 2); requests beyond it dial and close their own.
 	PoolSize int
-	// MaxPeelRounds caps the peel-back batches per anti-entropy
-	// conversation before falling back to a full database swap (default
-	// 32).
-	MaxPeelRounds int
 	// Codec names the wire format and accepts only "" or "binary", the one
 	// format there is. Any other value makes every request fail with the
 	// error ServeWith would return for it.
@@ -530,11 +528,6 @@ type PeerOptions struct {
 	// request. It is kept only so code written against the removed UDP
 	// fast path still compiles.
 	UDP bool
-	// ShardRepairWorkers bounds the diverged buckets repaired concurrently
-	// during one shard-vector exchange (default 4). Each worker runs its
-	// own pooled session, so the effective parallelism is also bounded by
-	// PoolSize plus overflow dials.
-	ShardRepairWorkers int
 	// Stats, when set, receives pool and wire-traffic accounting; share
 	// one WireStats across all peers of a process.
 	Stats *WireStats
@@ -546,10 +539,8 @@ type PeerOptions struct {
 
 // Defaults for PeerOptions zero values.
 const (
-	defaultPeerTimeout        = 10 * time.Second
-	defaultPoolSize           = 2
-	defaultMaxPeelRounds      = 32
-	defaultShardRepairWorkers = 4
+	defaultPeerTimeout = 10 * time.Second
+	defaultPoolSize    = 2
 )
 
 func (o PeerOptions) withDefaults() PeerOptions {
@@ -558,12 +549,6 @@ func (o PeerOptions) withDefaults() PeerOptions {
 	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = defaultPoolSize
-	}
-	if o.MaxPeelRounds <= 0 {
-		o.MaxPeelRounds = defaultMaxPeelRounds
-	}
-	if o.ShardRepairWorkers <= 0 {
-		o.ShardRepairWorkers = defaultShardRepairWorkers
 	}
 	return o
 }
@@ -728,13 +713,14 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 // to their common shard count and peel back through the diverged buckets
 // in reverse-timestamp batches, re-comparing the bucket checksum after
 // every batch and stopping as soon as it agrees — O(δ) entries shipped for
-// δ differing keys. A bucket that spends MaxPeelRounds batches, or a final
-// recompare that still disagrees, sends the conversation to the same walk
-// over bucket 0 of 1, the whole store; only when that too spends its
-// budget does the conversation degrade to the full swap. Throughout, with
-// cfg.ReactivateDormant set, an obsolete entry that meets a dormant death
-// certificate on either side wakes it (§2.2), and the awakened certificate
-// crosses to the other side before the next compare.
+// δ differing keys. The conversation ends with those walks. No global
+// recompare follows: a write landing meanwhile would fail it, and that
+// write is what mail, rumors and the next round 0 deliver anyway. Only a
+// bucket that spends its 32 peel batches degrades the conversation to the
+// full swap. Throughout, with cfg.ReactivateDormant set, an obsolete entry
+// that meets a dormant death certificate on either side wakes it (§2.2),
+// and the awakened certificate crosses to the other side before the next
+// compare.
 //
 // Of cfg only Tau, Tau1, BatchSize and ReactivateDormant are read. The
 // ladder above is the one wire conversation, always push-pull:
@@ -782,39 +768,32 @@ func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *tr
 	return p.repair(cfg, local, tr, now, c, st)
 }
 
-// repair runs the ladder after round 0 disagreed: the bucket vector and
-// the diverged buckets (shardRepair), then, when a bucket spent its peel
-// budget or the terminal recompare still disagrees, the walk of bucket 0
-// of 1 — the whole store — and last the capped full swap. st comes by
-// value: the repair workers take its address, which would otherwise move
-// the caller's stats to the heap on the allocation-free in-sync path.
+// repair runs the rest of the ladder after round 0 disagreed: the bucket
+// vector and the walks of the diverged buckets (shardRepair), after which
+// the conversation ends; only a bucket that spent its peel budget sends it
+// on to the capped full swap. st comes by value: the repair workers take
+// its address, which would otherwise move the caller's stats to the heap
+// on the allocation-free in-sync path.
 func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, c *wireCall, st core.ExchangeStats) (core.ExchangeStats, error) {
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultPeelBatch
 	}
-	done, err := p.shardRepair(cfg, local, tr, now, batch, c, &st)
+	err := p.shardRepair(cfg, local, tr, now, batch, c, &st)
+	if errors.Is(err, errPeelBudget) {
+		// Capped last resort: a bucket spent its peel budget and the
+		// replicas still disagree — swap full live databases in one round
+		// trip.
+		st.FullCompare = true
+		full := local.LiveSnapshot(now, cfg.Tau1)
+		c.req = request{
+			Kind: reqFullSync, From: local.Site(), Entries: full,
+			Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
+		}
+		_, err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
+	}
 	if err != nil {
 		return st, err
-	}
-	if !done {
-		p.opts.Stats.noteShardVecDowngrade()
-		var mu sync.Mutex
-		err := p.repairBucket(cfg, local, tr, 0, 1, now, batch, &mu, c, &st)
-		if errors.Is(err, errPeelBudget) {
-			// Capped last resort: the peel budget is spent and the replicas
-			// still disagree — swap full live databases in one round trip.
-			st.FullCompare = true
-			full := local.LiveSnapshot(now, cfg.Tau1)
-			c.req = request{
-				Kind: reqFullSync, From: local.Site(), Entries: full,
-				Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
-			}
-			_, err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
-		}
-		if err != nil {
-			return st, err
-		}
 	}
 	p.finishExchange(c, &st)
 	return st, nil
@@ -896,12 +875,12 @@ func (p *TCPPeer) settle(cfg core.ResolveConfig, local *store.Store, c *wireCall
 // round trip fetches the peer's bucket vector folded to m, the smaller of
 // the two stores' shard counts, and only the buckets whose checksums
 // differ from the local fold are peeled — by a bounded pool of workers
-// over concurrent pooled sessions. It reports done=true when the exchange
-// converged (or provably cannot make further live progress); done=false
-// with a nil error means a bucket spent its peel budget or the terminal
-// recompare disagreed, and the caller walks the whole store. agg
+// over concurrent pooled sessions. Its end is the conversation's: no
+// global recompare follows, because a write landing mid-conversation
+// would break it and the next round 0 covers that write anyway. A bucket
+// that spends its peel budget fails the walk with errPeelBudget. agg
 // accumulates the byte counters of every session the repair used.
-func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, batch int, agg *wireCall, st *core.ExchangeStats) (bool, error) {
+func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, batch int, agg *wireCall, st *core.ExchangeStats) error {
 	v := getWireCall()
 	defer func() {
 		agg.bytesOut += v.bytesOut
@@ -917,13 +896,13 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 		ShardCount: local.ShardCount(),
 	}
 	if err := p.call(v); err != nil {
-		return false, err
+		return err
 	}
 	st.ChecksumsCompared++
 	now = maxInt64(now, v.resp.Now)
 	m := v.resp.ShardCount
 	if !isBucketCount(m) || m > local.ShardCount() || len(v.resp.Vector) != m {
-		return false, fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
+		return fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
 			p.addr, len(v.resp.Vector), m, local.ShardCount())
 	}
 	mine := local.AppendChecksumVector(v.vecBuf[:0], m, now, cfg.Tau1)
@@ -935,72 +914,64 @@ func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *tr
 		}
 	}
 
-	if len(diverged) > 0 {
-		workers := min(p.opts.ShardRepairWorkers, len(diverged))
-		var (
-			next     atomic.Int64
-			failed   atomic.Bool
-			mu       sync.Mutex // guards st, agg and firstErr
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(diverged) || failed.Load() {
-						return
-					}
-					if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, agg, st); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						failed.Store(true)
-					}
+	workers := min(shardRepairWorkers, len(diverged))
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex // guards st, agg and firstErr
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(diverged) || failed.Load() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		if errors.Is(firstErr, errPeelBudget) {
-			return false, nil
-		}
-		if firstErr != nil {
-			return false, firstErr
-		}
-		st.ShardsRepaired += len(diverged)
+				if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, agg, st); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
 	}
-
-	// Terminal recompare: the global live checksums must now agree.
-	// Anything still skewed (a dormancy transition raced the repair, a
-	// concurrent writer) is the whole-store walk's problem.
-	v.req = request{Kind: reqChecksum, Tau1: cfg.Tau1}
-	if err := p.call(v); err != nil {
-		return false, err
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
 	}
-	st.ChecksumsCompared++
-	if local.ChecksumLive(maxInt64(now, local.Now()), cfg.Tau1) != v.resp.Checksum {
-		return false, nil
-	}
+	st.ShardsRepaired += len(diverged)
 	p.opts.Stats.noteShardVec(len(diverged))
-	return true, nil
+	return nil
 }
 
-// errPeelBudget reports a bucket walk that spent MaxPeelRounds batches
+// errPeelBudget reports a bucket walk that spent maxPeelRounds batches
 // without reconciling its bucket.
 var errPeelBudget = errors.New("transport: peel budget spent")
 
-// shardProbeBatch is the opening batch size of a bucket walk (it ramps ×4
-// per round up to the configured BatchSize).
-const shardProbeBatch = 8
+const (
+	// shardProbeBatch is the opening batch size of a bucket walk (it ramps
+	// ×4 per round up to the configured BatchSize).
+	shardProbeBatch = 8
+	// maxPeelRounds caps the peel-back batches of one bucket walk; a walk
+	// that spends them sends the conversation to the full swap.
+	maxPeelRounds = 32
+	// shardRepairWorkers bounds the diverged buckets walked concurrently,
+	// each on its own pooled session, so the effective parallelism is also
+	// bounded by PoolSize plus overflow dials.
+	shardRepairWorkers = 4
+)
 
 // repairBucket reconciles bucket b of m: both sides peel the bucket's slice
 // of their timestamp index in reverse order, re-comparing the bucket
 // checksum after every batch, until the checksums agree or both walks are
-// exhausted; errPeelBudget reports MaxPeelRounds batches spent first. It
+// exhausted; errPeelBudget reports maxPeelRounds batches spent first. It
 // may run on a worker goroutine: it books into its own stats and folds
 // them and its byte counts into st and agg, the state it shares, under mu
 // when it returns.
@@ -1023,7 +994,7 @@ func (p *TCPPeer) repairBucket(cfg core.ResolveConfig, local *store.Store, tr *t
 	size := min(batch, shardProbeBatch)
 	localBound, remoteBound := store.PeelStart, store.PeelStart
 	localMore, remoteMore := true, true
-	for round := 0; round < p.opts.MaxPeelRounds; round++ {
+	for round := 0; round < maxPeelRounds; round++ {
 		var mine []store.Entry
 		if localMore {
 			mine, localBound, localMore = local.PeelBucket(b, m, localBound, size, now, cfg.Tau1)

@@ -157,7 +157,7 @@ func TestMixedCodecNodesConverge(t *testing.T) {
 	if !store.ContentEqual(a.Store(), b.Store()) {
 		t.Fatal("mixed nodes never converged")
 	}
-	if snap := statsA.Snapshot(); snap.ShardVecDowngrades != 0 || snap.ShardVecExchanges == 0 {
+	if snap := statsA.Snapshot(); snap.ShardVecExchanges == 0 {
 		t.Errorf("16- vs 64-shard conversations should narrow at 16 buckets: %+v", snap)
 	}
 }
