@@ -638,12 +638,12 @@ func BenchmarkExchangePooled(b *testing.B) {
 	benchWireExchange(b, epidemic.TCPPeerOptions{})
 }
 
-// BenchmarkExchangeRecentWindow measures round 0 of an anti-entropy
-// conversation where it costs the most and finds the least: two in-sync
-// replicas that share an 800-key recent-update window (8-byte keys, 64-byte
-// values — the live benchmark's shape), one pooled conversation per op.
-// Nothing differs, so every byte is §3's compare traffic; wire_B/op counts
-// both directions, frame headers included.
+// BenchmarkExchangeRecentWindow measures an in-sync anti-entropy
+// conversation between replicas that share an 800-key recent-update window
+// (8-byte keys, 64-byte values — the live benchmark's shape), one pooled
+// conversation per op. Nothing differs, so every byte is §3's compare
+// traffic: the bucket vector, whose size does not depend on the window.
+// wire_B/op counts both directions, frame headers included.
 func BenchmarkExchangeRecentWindow(b *testing.B) {
 	src := epidemic.NewSimulatedClock(1 << 30)
 	remote, err := epidemic.NewNode(epidemic.NodeConfig{Site: 2, Clock: src.ClockAt(2)})

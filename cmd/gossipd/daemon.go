@@ -172,10 +172,11 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		Rumor:  epidemic.RumorConfig{K: cfg.k, Counter: true, Feedback: true, Mode: epidemic.PushPull},
 		Resolve: epidemic.ResolveConfig{
 			// Mode and Strategy only validate the config: every peer is a
-			// TCP peer, whose wire ladder ignores both (TCPPeer.AntiEntropy).
+			// TCP peer, whose wire ladder ignores both (TCPPeer.AntiEntropy)
+			// and opens with the bucket vector, so no recent-update window
+			// is set.
 			Mode:              epidemic.PushPull,
-			Strategy:          epidemic.CompareRecent,
-			Tau:               int64(20 * cfg.aePer), // generous: 20 anti-entropy periods
+			Strategy:          epidemic.CompareShardVector,
 			Tau1:              cfg.tau1.Nanoseconds(),
 			ReactivateDormant: true,
 		},

@@ -39,7 +39,7 @@ type Peer interface {
 	// both parties can stamp causal hop spans. A nil tr disables tracing.
 	// How much of cfg applies is the implementation's: an in-process peer
 	// runs cfg.Strategy and cfg.Mode, while the wire peer always runs its
-	// one push-pull ladder and reads only Tau, Tau1, BatchSize and
+	// one push-pull ladder and reads only Tau1, BatchSize and
 	// ReactivateDormant.
 	AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error)
 	// OfferRumors opens a rumor conversation with the identities of the
@@ -668,19 +668,6 @@ func (n *Node) HotEntries() []store.Entry { return n.fetch(n.hotIDs(), nil) }
 // node's own hot rumors.
 func (n *Node) HandleOffer(ids []store.Entry) (want []bool, entries []store.Entry, hops []trace.Hop) {
 	return n.answerOffer(ids, n.hotIDs())
-}
-
-// HandleSyncOffer is the responder's side of round 0 of a wire
-// anti-entropy conversation (§1.3's recent-update lists, ids first):
-// answerOffer against the ids of this replica's own recent window — the
-// entries whose ordinary timestamp is younger than tau at now. Nothing is
-// applied; the initiator ships the wanted entries afterwards.
-func (n *Node) HandleSyncOffer(ids []store.Entry, now, tau int64) (want []bool, entries []store.Entry, hops []trace.Hop) {
-	var mine []store.Entry
-	if tau > 0 {
-		mine = n.store.RecentIDs(now, tau)
-	}
-	return n.answerOffer(ids, mine)
 }
 
 // answerOffer judges an offer of ids against this replica. want[i] is

@@ -83,13 +83,6 @@ func (e Entry) hash() uint64 {
 	return h.Sum64()
 }
 
-// id returns the entry's identity — Key, Stamp and Activation, no Value or
-// Retention — which is all an offer puts on the wire and all Merge needs to
-// judge it.
-func (e Entry) id() Entry {
-	return Entry{Key: e.Key, Stamp: e.Stamp, Activation: e.Activation}
-}
-
 // clone returns a deep copy of the entry so callers cannot alias internal
 // state.
 func (e Entry) clone() Entry {

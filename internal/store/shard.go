@@ -131,16 +131,6 @@ func (sh *shard) collectRecent(now, tau int64) []Entry {
 	return recs
 }
 
-// appendRecentIDs appends to dst the value-free ids of the entries
-// collectRecent would return. Caller holds sh.mu.
-func (sh *shard) appendRecentIDs(dst []Entry, now, tau int64) []Entry {
-	n := sh.recentCount(now, tau)
-	for k := len(sh.index.keys) - 1; k >= len(sh.index.keys)-n; k-- {
-		dst = append(dst, sh.entries[sh.index.keys[k].key].id())
-	}
-	return dst
-}
-
 // mergeScratch is the reusable workspace for collectMerged: the per-shard
 // record slices plus the merge cursors. Pooled (mirroring transport's
 // wireCall pool) because every peel round of every concurrent exchange

@@ -1,5 +1,7 @@
 package store
 
+import "slices"
+
 // liveSum returns this shard's checksum excluding dormant death
 // certificates (activation older than tau1 at time now). Caller holds
 // sh.mu (read suffices).
@@ -32,13 +34,14 @@ func (s *Store) ChecksumVector(now, tau1 int64) []uint64 {
 
 // AppendChecksumVector appends the live checksums of the m buckets to dst
 // and returns the extended slice, so wire-path callers can reuse a pooled
-// backing array. Live checksums are XORs, so bucket b's is the XOR of its
-// shards' and the whole vector XOR-folds to ChecksumLive. Each shard is
-// read under its own lock with no merge: O(S + deaths) regardless of
-// database size.
+// backing array: it allocates only when dst lacks room for m more. Live
+// checksums are XORs, so bucket b's is the XOR of its shards' and the
+// whole vector XOR-folds to ChecksumLive. Each shard is read under its own
+// lock with no merge: O(S + deaths) regardless of database size.
 func (s *Store) AppendChecksumVector(dst []uint64, m int, now, tau1 int64) []uint64 {
 	base := len(dst)
-	dst = append(dst, make([]uint64, m)...)
+	dst = slices.Grow(dst, m)[:base+m]
+	clear(dst[base:])
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()

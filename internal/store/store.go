@@ -407,26 +407,6 @@ func (s *Store) RecentUpdates(now, tau int64) []Entry {
 	return merged
 }
 
-// RecentIDs is RecentUpdates without the values: the identity of every
-// entry in the window (Key, Stamp and Activation, as ID returns it). It is
-// what an anti-entropy offer puts on the wire, where order carries no
-// meaning, so the shards' windows are appended shard by shard into one
-// slice rather than merged by timestamp, and no value is copied.
-func (s *Store) RecentIDs(now, tau int64) []Entry {
-	total := s.recentCount(now, tau)
-	if total == 0 {
-		return nil
-	}
-	ids := make([]Entry, 0, total)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		ids = sh.appendRecentIDs(ids, now, tau)
-		sh.mu.RUnlock()
-	}
-	return ids
-}
-
 // recentCount sizes the window before anything is collected: the
 // steady-state in-sync exchange has an empty one, and the collection
 // scratch would be its only allocation.

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"epidemic/internal/timestamp"
@@ -381,43 +379,6 @@ func TestRecentUpdates(t *testing.T) {
 	}
 	if n := len(s.RecentUpdates(src.Read(), 0)); n != 0 {
 		t.Fatalf("zero-window recent = %d", n)
-	}
-}
-
-// TestRecentIDs: the ids of the window are exactly ID() of every entry
-// RecentUpdates returns — certificates and reactivated activations
-// included, values and retention left out — and an empty window costs no
-// allocation.
-func TestRecentIDs(t *testing.T) {
-	src := timestamp.NewSimulated(0)
-	s := New(1, src.ClockAt(1))
-	for i := 0; i < 40; i++ {
-		s.Update(fmt.Sprintf("k%02d", i), Value("v"))
-		src.Advance(5)
-	}
-	s.Delete("k39", []timestamp.SiteID{1})
-	src.Advance(1)
-	s.Delete("k38", nil)
-	src.Advance(1)
-	s.Reactivate("k38")
-	now, tau := src.Read(), int64(60)
-
-	want := map[string]Entry{}
-	for _, e := range s.RecentUpdates(now, tau) {
-		want[e.Key], _ = s.ID(e.Key)
-	}
-	got := map[string]Entry{}
-	for _, id := range s.RecentIDs(now, tau) {
-		if id.Value != nil || id.Retention != nil {
-			t.Fatalf("id %+v carries a value or retention list", id)
-		}
-		got[id.Key] = id
-	}
-	if len(want) < 10 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("RecentIDs = %v\nwant the ids of RecentUpdates %v", got, want)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { s.RecentIDs(now+1000, tau) }); allocs != 0 {
-		t.Errorf("empty window allocates %v times", allocs)
 	}
 }
 

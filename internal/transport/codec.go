@@ -105,9 +105,7 @@ func appendVector(b []byte, vec []uint64) []byte {
 func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Kind))
 	b = wire.AppendSite(b, req.From)
-	b = binary.BigEndian.AppendUint64(b, req.Checksum)
 	b = binary.AppendVarint(b, req.Now)
-	b = binary.AppendVarint(b, req.Tau)
 	b = binary.AppendVarint(b, req.Tau1)
 	b = wire.AppendStamp(b, req.Bound, 0)
 	b = binary.AppendVarint(b, int64(req.Limit))
@@ -199,13 +197,18 @@ func (r *wireReader) hops() []trace.Hop {
 
 // vector reads a response's bucket-vector section: a count (sanity-checked
 // against the remaining bytes at 8 bytes per element, so a forged length never
-// drives a large allocation) then that many fixed-width checksums.
-func (r *wireReader) vector() []uint64 {
+// drives a large allocation) then that many fixed-width checksums. It reuses
+// dst's backing array when it is large enough, so the vector that opens
+// every anti-entropy conversation decodes without allocating.
+func (r *wireReader) vector(dst []uint64) []uint64 {
 	n := r.Count(8)
 	if r.Err() != nil || n == 0 {
 		return nil
 	}
-	out := make([]uint64, n)
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	out := dst[:n]
 	for i := range out {
 		out[i] = r.Uint64()
 	}
@@ -261,9 +264,7 @@ func decodeRequest(payload []byte, req *request) error {
 	r := wireReader{wire.NewReader(payload)}
 	req.Kind = reqKind(r.Byte())
 	req.From = r.Site()
-	req.Checksum = r.Uint64()
 	req.Now = r.Varint()
-	req.Tau = r.Varint()
 	req.Tau1 = r.Varint()
 	req.Bound = r.Stamp(0)
 	req.Limit = int(r.Varint())
@@ -278,7 +279,8 @@ func decodeRequest(payload []byte, req *request) error {
 }
 
 // decodeResponse decodes one frame payload into resp, overwriting every
-// field.
+// field. The vector lands in resp.Vector's backing array when it fits; every
+// other slice is fresh.
 func decodeResponse(payload []byte, resp *response) error {
 	r := wireReader{wire.NewReader(payload)}
 	resp.More = r.Byte()&respMore != 0
@@ -306,6 +308,6 @@ func decodeResponse(payload []byte, resp *response) error {
 	resp.Err = string(r.Take(int(errLen)))
 	resp.Digests = r.digests()
 	resp.ShardCount = int(r.Varint())
-	resp.Vector = r.vector()
+	resp.Vector = r.vector(resp.Vector)
 	return r.Finish()
 }

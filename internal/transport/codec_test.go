@@ -23,7 +23,7 @@ func codecRequests() []request {
 	return []request{
 		{},
 		{Kind: reqChecksum, Tau1: 42},
-		{Kind: reqSyncOffer, From: 3, Checksum: 0xdeadbeefcafef00d, Now: -7, Tau: 100, Tau1: 1 << 40},
+		{Kind: reqShardVector, From: 3, Now: -7, Tau1: 1 << 40, ShardCount: 64},
 		{Kind: reqPeelBackShard, Bound: timestamp.T{Time: 99, Site: 2, Seq: 7}, Limit: 64, Shard: 3, ShardCount: 4},
 		{
 			Kind: 1, // the retired per-entry mail kind: the codec still carries it
@@ -134,7 +134,7 @@ func TestCodecRequestRoundTrip(t *testing.T) {
 	for i, req := range codecRequests() {
 		payload := appendRequest(nil, &req)
 		// Decode into a dirty struct: every field must be overwritten.
-		got := request{Kind: 99, From: 99, Checksum: 99, Now: 99, Tau: 99,
+		got := request{Kind: 99, From: 99, Now: 99,
 			Tau1: 99, Bound: timestamp.T{Time: 99}, Limit: 99,
 			Entries: []store.Entry{{Key: "stale"}}, Hops: []trace.Hop{{Count: 9}}}
 		if err := decodeRequest(payload, &got); err != nil {
@@ -244,9 +244,7 @@ func TestCodecForgedCountsRejected(t *testing.T) {
 	var b []byte
 	b = append(b, byte(reqPushRumors))
 	b = wire.AppendSite(b, 1)
-	b = binary.BigEndian.AppendUint64(b, 0)
 	b = binary.AppendVarint(b, 0) // Now
-	b = binary.AppendVarint(b, 0) // Tau
 	b = binary.AppendVarint(b, 0) // Tau1
 	b = wire.AppendStamp(b, timestamp.T{}, 0)
 	b = binary.AppendVarint(b, 0)      // Limit
@@ -276,9 +274,8 @@ func TestCodecWideSiteOrSeqRejected(t *testing.T) {
 	raw := func(from, site, seq uint64) []byte {
 		b := []byte{byte(reqPushRumors)}
 		b = binary.AppendUvarint(b, from)
-		b = binary.BigEndian.AppendUint64(b, 0) // Checksum
-		b = append(b, 0, 0, 0)                  // Now, Tau, Tau1
-		b = binary.AppendVarint(b, 0)           // Bound.Time
+		b = append(b, 0, 0)           // Now, Tau1
+		b = binary.AppendVarint(b, 0) // Bound.Time
 		b = binary.AppendUvarint(b, site)
 		b = binary.AppendUvarint(b, seq)
 		// Limit, then empty entries, hops, digests, shard, shard count and
@@ -341,9 +338,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, resp := range offerResponses() {
 		f.Add(appendResponse(nil, &resp))
 	}
-	// And anti-entropy's round 0: recent-update ids out, want-bits plus
-	// entries back, and the checksum request carrying the wanted entries.
-	for _, fr := range syncOfferFrames() {
+	// And the two frames an anti-entropy conversation may add to its walks:
+	// the vector that opens it, digests both ways, and the checksum carrier
+	// of a certificate a walk woke.
+	for _, fr := range conversationFrames() {
 		f.Add(appendRequest(nil, &fr.req))
 		f.Add(appendResponse(nil, &fr.resp))
 	}

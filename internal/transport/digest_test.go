@@ -33,7 +33,7 @@ func sampleDigests() []cluster.Digest {
 // decodes exactly, and that an empty one costs a single byte.
 func TestDigestCodecRoundTrip(t *testing.T) {
 	digests := sampleDigests()
-	req := request{Kind: reqSyncOffer, From: 1, Checksum: 7, Digests: digests}
+	req := request{Kind: reqShardVector, From: 1, ShardCount: 16, Digests: digests}
 	var gotReq request
 	if err := decodeRequest(appendRequest(nil, &req), &gotReq); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestDigestCodecRoundTrip(t *testing.T) {
 // TestDigestSectionTruncation checks the decoder latches a typed error on
 // every truncation point of the digest section.
 func TestDigestSectionTruncation(t *testing.T) {
-	req := request{Kind: reqSyncOffer, Digests: sampleDigests()}
+	req := request{Kind: reqShardVector, ShardCount: 16, Digests: sampleDigests()}
 	payload := appendRequest(nil, &req)
 	var got request
 	for n := len(payload) - 1; n >= 0; n-- {

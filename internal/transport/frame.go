@@ -34,14 +34,14 @@ const maxWireBytes = wire.MaxFrame
 const frameHeaderLen = 4
 
 // helloMagic opens the connection hello; wireVersion follows it and is the
-// server's one-byte answer. The byte is 8: varint-delta timestamps and
-// varint site ids (codec.go), requests without a shard-vector section,
-// request kind 7 retired, and cluster digests without the two UDP
-// counters. Version 7, its predecessor, is refused like any other; no
-// other version is spoken.
+// server's one-byte answer. The byte is 9: varint-delta timestamps and
+// varint site ids (codec.go), requests without a shard-vector section and
+// without the checksum and recent-window fields, request kinds 7 and 11
+// retired, and cluster digests without the two UDP counters. Version 8,
+// its predecessor, is refused like any other; no other version is spoken.
 var helloMagic = [3]byte{'E', 'P', 'G'}
 
-const wireVersion = 8
+const wireVersion = 9
 
 // Typed wire errors. Callers can errors.Is against these to distinguish
 // protocol violations from ordinary network failures.

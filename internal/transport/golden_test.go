@@ -33,15 +33,9 @@ func goldenFrames() map[reqKind]goldenFrame {
 			req:  request{Kind: reqRumorOffer, From: 2, Entries: []store.Entry{id}},
 			resp: response{Needed: []bool{false}, Entries: []store.Entry{cert}, Hops: []trace.Hop{hop}},
 		},
-		reqSyncOffer: {
-			req: request{Kind: reqSyncOffer, From: 2, Entries: []store.Entry{id},
-				Checksum: 0xdeadbeefcafef00d, Now: 1 << 41, Tau: 20_000, Tau1: 3_600_000},
-			resp: response{Needed: []bool{true}, Entries: []store.Entry{cert}, Hops: []trace.Hop{hop},
-				Checksum: 0x0123456789abcdef, Now: 1<<41 + 3},
-		},
 		reqFullSync: {
 			req:  request{Kind: reqFullSync, From: 2, Entries: []store.Entry{e, cert}, Now: 1 << 41, Tau1: 3_600_000},
-			resp: response{Entries: []store.Entry{e}, Checksum: 42, Now: 1 << 41},
+			resp: response{Entries: []store.Entry{e}, Now: 1 << 41},
 		},
 		reqChecksum: {
 			req:  request{Kind: reqChecksum, Tau1: 3_600_000},
@@ -49,7 +43,7 @@ func goldenFrames() map[reqKind]goldenFrame {
 		},
 		reqShardVector: {
 			req:  request{Kind: reqShardVector, From: 2, Now: 1 << 41, Tau1: 3_600_000, ShardCount: 16},
-			resp: response{Checksum: 9, Now: 1 << 41, ShardCount: 4, Vector: []uint64{1, 0, ^uint64(0), 3}},
+			resp: response{Now: 1 << 41, ShardCount: 4, Vector: []uint64{1, 0, ^uint64(0), 3}},
 		},
 		reqPeelBackShard: {
 			req: request{Kind: reqPeelBackShard, From: 2, Entries: []store.Entry{cert}, Bound: bound, Limit: 8,
@@ -65,41 +59,38 @@ func goldenFrames() map[reqKind]goldenFrame {
 }
 
 // goldenHex holds, per kind, the request and response payloads of
-// goldenFrames at wire version 7: varint-delta stamps and varint site ids,
-// requests without the vector section version 6 carried (one byte less
-// each, eight bytes a sum less on a shard-vector request), and kind 7
-// retired. The one format must keep producing these bytes exactly.
+// goldenFrames at wire version 9: varint-delta stamps and varint site ids,
+// requests without the vector section version 6 carried and without the
+// 8-byte checksum and the recent-window varint version 8 carried, and
+// kinds 7 and 11 retired. The one format must keep producing these bytes
+// exactly.
 var goldenHex = map[reqKind][2]string{
 	reqPushRumors: {
-		"020200000000000000000000000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c0302020104000000000000",
+		"020200000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c0302020104000000000000",
 		"000000000000000000000000000201000000000000",
 	},
 	reqRumorOffer: {
-		"030200000000000000000000000000000001086b2f30303030313700808080808040020900020900000000000000",
+		"030200000000000001086b2f30303030313700808080808040020900020900000000000000",
 		"0000000000000000000000000001000104676f6e65009a0103012c03020201040102060100000000",
 	},
-	reqSyncOffer: {
-		"0b02deadbeefcafef00d80808080808001c0b80280bab7030000000001086b2f30303030313700808080808040020900020900000000000000",
-		"000123456789abcdef8680808080800100000001010104676f6e65009a0103012c03020201040102060100000000",
-	},
 	reqFullSync: {
-		"05020000000000000000808080808080010080bab7030000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c0302020104000000000000",
-		"00000000000000002a808080808080010000000001086b2f3030303031370376318080808080400209000209000000000000",
+		"05028080808080800180bab7030000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c0302020104000000000000",
+		"000000000000000000808080808080010000000001086b2f3030303031370376318080808080400209000209000000000000",
 	},
 	reqChecksum: {
-		"06000000000000000000000080bab7030000000000000000000000",
+		"06000080bab7030000000000000000000000",
 		"00feedfacecafebeef0000000000000000000000",
 	},
 	reqShardVector: {
-		"08020000000000000000808080808080010080bab7030000000000000000200000",
-		"000000000000000009808080808080010000000000000000080400000000000000010000000000000000ffffffffffffffff0000000000000003",
+		"08028080808080800180bab7030000000000000000200000",
+		"000000000000000000808080808080010000000000000000080400000000000000010000000000000000ffffffffffffffff0000000000000003",
 	},
 	reqPeelBackShard: {
-		"09020000000000000000808080808080010080bab703f6ffffffff3f0104100104676f6e65009a0103012c030202010400001a200000",
+		"09028080808080800180bab703f6ffffffff3f0104100104676f6e65009a0103012c030202010400001a200000",
 		"02000000000000000b80808080808001f6ffffffff3f01040001086b2f3030303031370376318080808080400209000209000000000000",
 	},
 	reqMailBatch: {
-		"0a0200000000000000000000000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c030202010402020601000000000000c08db70106",
+		"0a0200000000000002086b2f30303030313703763180808080804002090002090004676f6e6500e5feffffff3f03012c030202010402020601000000000000c08db70106",
 		"000000000000000000000000000203000000000000",
 	},
 }
@@ -109,11 +100,11 @@ const goldenErrHex = "0000000000000000000000000000000017756e6b6e6f776e2072657175
 
 // TestGoldenFrameBytes pins the payload bytes of every request kind and its
 // response, digest sections empty, so any change to the layout shows up
-// here and must come with a new wire version. The retired kinds 1, 4 and
-// 7 have no row.
+// here and must come with a new wire version. The retired kinds 1, 4, 7
+// and 11 have no row.
 func TestGoldenFrameBytes(t *testing.T) {
 	frames := goldenFrames()
-	for k := reqKind(1); k <= reqSyncOffer; k++ {
+	for k := reqKind(1); k <= 11; k++ {
 		if k.kindName() == "unknown" {
 			continue // retired
 		}

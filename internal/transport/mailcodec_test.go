@@ -106,9 +106,7 @@ func TestCodecMailBatchForgedEntryCount(t *testing.T) {
 	var b []byte
 	b = append(b, byte(reqMailBatch))
 	b = wire.AppendSite(b, 1)
-	b = binary.BigEndian.AppendUint64(b, 0)
 	b = binary.AppendVarint(b, 0) // Now
-	b = binary.AppendVarint(b, 0) // Tau
 	b = binary.AppendVarint(b, 0) // Tau1
 	b = wire.AppendStamp(b, timestamp.T{}, 0)
 	b = binary.AppendVarint(b, 0)      // Limit

@@ -227,10 +227,10 @@ func bucketOf(t *testing.T, key string, m int) int {
 // on the remote while the walk of the one diverged bucket is in flight,
 // into a bucket the vector saw as equal. The conversation still ends with
 // that walk — no global recompare, no whole-store walk, no full swap —
-// and leaves the write to the next round 0, which delivers it.
+// and leaves the write to the next conversation, whose vector sees it.
 func TestBucketWalkEndsConversationDespiteMidConversationWrite(t *testing.T) {
 	const shards = 16
-	// One key only the local side holds, aged out of round 0's window.
+	// One key only the local side holds.
 	sc := shardVecScenario{shared: 40, localOnly: 1, seed: 3}
 	local, remote, srv, _, remoteMissing := buildShardVecPair(t, sc, shards, shards)
 	defer srv.Close()
@@ -262,20 +262,19 @@ func TestBucketWalkEndsConversationDespiteMidConversationWrite(t *testing.T) {
 	if _, ok := local.Get(late); ok {
 		t.Error("the mid-conversation write crossed in the same conversation")
 	}
-	// Round 0 (nothing in the window, so no carrier), the vector, and one
-	// walk round of the diverged bucket.
+	// The vector and one walk round of the diverged bucket.
 	snap := stats.Snapshot()
-	if st.FullCompare || snap.MsgsBinary != 3 || st.ShardsRepaired != 1 || snap.ShardVecExchanges != 1 {
-		t.Errorf("full swap %v, %d round trips (want 3), %d buckets repaired, %+v",
+	if st.FullCompare || snap.MsgsBinary != 2 || st.ShardsRepaired != 1 || snap.ShardVecExchanges != 1 {
+		t.Errorf("full swap %v, %d round trips (want 2), %d buckets repaired, %+v",
 			st.FullCompare, snap.MsgsBinary, st.ShardsRepaired, snap)
 	}
 
-	// The write is recent, so the next conversation's round 0 carries it.
+	// The next conversation's vector finds the write's bucket diverged.
 	if _, err := peer.AntiEntropy(cfg, local, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !store.ContentEqual(local, remote.Store()) {
-		t.Fatal("stores differ after the next round 0")
+		t.Fatal("stores differ after the next conversation")
 	}
 }
 
@@ -324,7 +323,7 @@ func TestMalformedBucketRequestsRefused(t *testing.T) {
 		n.Store().Update(fmt.Sprintf("k%03d", i), store.Value("v"))
 	}
 	for _, req := range malformedBucketRequests() {
-		if resp := srv.dispatch(req); resp.Err == "" {
+		if resp := srv.dispatch(req, nil); resp.Err == "" {
 			t.Errorf("kind %s bucket %d of %d: no error, answered %+v", req.Kind.kindName(), req.Shard, req.ShardCount, resp)
 		}
 	}
@@ -333,7 +332,7 @@ func TestMalformedBucketRequestsRefused(t *testing.T) {
 	}
 	now, live := n.Store().Now(), n.Store().ChecksumLive(n.Store().Now(), 0)
 	for _, tc := range []struct{ sent, want int }{{1, 1}, {4, 4}, {16, 16}, {64, 16}} {
-		resp := srv.dispatch(request{Kind: reqShardVector, ShardCount: tc.sent, Now: now})
+		resp := srv.dispatch(request{Kind: reqShardVector, ShardCount: tc.sent, Now: now}, nil)
 		if resp.Err != "" || resp.ShardCount != tc.want || len(resp.Vector) != tc.want {
 			t.Fatalf("vector for %d shards: got %d buckets, %d sums, err %q; want %d",
 				tc.sent, resp.ShardCount, len(resp.Vector), resp.Err, tc.want)

@@ -14,25 +14,23 @@ import (
 	"epidemic/internal/timestamp"
 )
 
-// syncOfferFrames are the frames of an ids-first round 0: recent-update ids
-// out, want-bits plus the responder's uncovered recent entries back, and
-// the checksum request that carries the wanted entries.
-func syncOfferFrames() []goldenFrame {
-	stamp := timestamp.T{Time: 1 << 40, Site: 2, Seq: 9}
+// conversationFrames are the anti-entropy frames outside the bucket walks:
+// the opening vector exchange with digests piggybacked both ways, and a
+// checksum carrier shipping a certificate a walk woke, answered with the
+// peer's checksum and a certificate the carrier woke there in turn.
+func conversationFrames() []goldenFrame {
+	cert := store.Entry{Key: "gone", Stamp: timestamp.T{Time: 3, Site: 1}, Activation: timestamp.T{Time: 1 << 41, Site: 1}}
 	return []goldenFrame{
 		{
-			req: request{Kind: reqSyncOffer, From: 1, Checksum: 7, Now: 1 << 41, Tau: 10_000, Tau1: 1 << 40,
-				Entries: []store.Entry{
-					{Key: "k/000017", Stamp: stamp, Activation: stamp},
-					{Key: "gone", Stamp: timestamp.T{Time: 3, Site: 1}, Activation: timestamp.T{Time: 8, Site: 1}},
-				}},
-			resp: response{Needed: []bool{true, false}, Checksum: 9, Now: 1 << 41,
-				Entries: []store.Entry{{Key: "k/000021", Value: store.Value("v"), Stamp: stamp, Activation: stamp}}},
+			req: request{Kind: reqShardVector, From: 1, Now: 1 << 41, Tau1: 1 << 40, ShardCount: 16,
+				Digests: sampleDigests()},
+			resp: response{Now: 1<<41 + 3, ShardCount: 4, Vector: []uint64{9, 0, ^uint64(0), 7},
+				Digests: sampleDigests()[:1]},
 		},
 		{
-			req: request{Kind: reqChecksum, From: 1, Now: 1 << 41, Tau1: 1 << 40,
-				Entries: []store.Entry{{Key: "k/000017", Value: store.Value("v"), Stamp: stamp, Activation: stamp}}},
-			resp: response{Needed: []bool{true}, Checksum: 11},
+			req: request{Kind: reqChecksum, From: 1, Now: 1 << 41, Tau1: 1 << 40, Entries: []store.Entry{cert}},
+			resp: response{Needed: []bool{true}, Checksum: 11,
+				Entries: []store.Entry{{Key: "zombie", Stamp: cert.Stamp, Activation: cert.Activation}}},
 		},
 	}
 }
@@ -51,13 +49,14 @@ func parityConfig() core.ResolveConfig {
 
 // parityPair builds initiator a and responder b on one simulated clock,
 // diverged at random by seed — one-sided keys, a newer write on either
-// side, deletes, shared certificates, old and recent — plus the cases the
-// ids-first round 0 must get right: an equal-stamp certificate with a newer
+// side, deletes, shared certificates, old and recent — plus the cases a
+// recent-update window must get right: an equal-stamp certificate with a newer
 // activation inside the window, one-sided entries exactly tau and tau-1 old
 // at the conversation's clock, and a retained dormant certificate on one
 // side facing the obsolete live value it deleted on the other (§2.2). Two
 // calls with one seed build identical pairs. bShards sets b's shard count;
-// a count other than a's sends the wire conversation down the global walk.
+// a count other than a's makes the wire conversation fold its vector to
+// the smaller one.
 func parityPair(t *testing.T, seed int64, bShards int) (a, b *node.Node) {
 	t.Helper()
 	src := timestamp.NewSimulated(1 << 30)
@@ -158,11 +157,11 @@ func replicaState(s *store.Store) []string {
 }
 
 // TestSyncOfferParityLocalAndTCP: for random divergent pairs, a wire
-// conversation (ids-first round 0, then shard-vector or global peel-back)
-// and the in-process one (core's recent-update lists, then a full compare)
+// conversation (the bucket vector, then walks of the diverged buckets) and
+// the in-process one (core's recent-update lists, then a full compare)
 // leave identical replicas and report identical EntriesApplied and
-// AppliedBySite — the wire's want-bits and Needed bits account for every
-// repair the peer applied, as core accounts for both stores.
+// AppliedBySite — the wire's Needed bits account for every repair the peer
+// applied, as core accounts for both stores.
 func TestSyncOfferParityLocalAndTCP(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		bShards := 0
@@ -279,10 +278,12 @@ func TestTCPReactivatesDormantCertificate(t *testing.T) {
 	}
 }
 
-// TestSyncOfferShipsOnlyWhatDiffers: round 0 between replicas that share a
-// recent window moves ids, not entries. In sync it is one round trip with
-// no entry either way; otherwise the full entries that cross are exactly
-// the ones the other side lacks, the wanted ones on one checksum request.
+// TestSyncOfferShipsOnlyWhatDiffers: a conversation between replicas that
+// share a recent history opens with the bucket vector, not with that
+// history. In sync it is one round trip with no entry either way;
+// otherwise only the diverged buckets are walked, each in one round trip
+// carrying at most one probe batch each way, and exactly the entries the
+// other side lacks are applied.
 func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 	src, nodes, addrs := servedPair(t)
 	a, b := nodes[0], nodes[1]
@@ -299,10 +300,10 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.EntriesSent != 0 || st.EntriesReceived != 0 || st.FullCompare {
-		t.Errorf("in-sync round 0 moved %d + %d entries (full compare %v), want none", st.EntriesSent, st.EntriesReceived, st.FullCompare)
+		t.Errorf("in-sync conversation moved %d + %d entries (full compare %v), want none", st.EntriesSent, st.EntriesReceived, st.FullCompare)
 	}
 	if msgs := stats.Snapshot().MsgsBinary; msgs != 1 {
-		t.Errorf("in-sync round 0 took %d round trips, want 1", msgs)
+		t.Errorf("in-sync conversation took %d round trips, want 1", msgs)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -315,14 +316,22 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.EntriesSent != 3 || st.EntriesReceived != 2 || st.EntriesApplied != 5 {
-		t.Errorf("sent/received/applied = %d/%d/%d, want 3/2/5", st.EntriesSent, st.EntriesReceived, st.EntriesApplied)
+	buckets := st.ShardsRepaired
+	if buckets < 1 || buckets > 5 || st.FullCompare {
+		t.Fatalf("walked %d buckets (full compare %v), want 1 to 5 for 5 diverged keys", buckets, st.FullCompare)
 	}
-	if trips := stats.Snapshot().MsgsBinary - 1; trips != 2 {
-		t.Errorf("round 0 with wanted entries took %d round trips, want 2", trips)
+	if st.EntriesApplied != 5 {
+		t.Errorf("applied %d entries, want 5", st.EntriesApplied)
+	}
+	if limit := shardProbeBatch * buckets; st.EntriesSent > limit || st.EntriesReceived > limit {
+		t.Errorf("sent/received %d/%d entries, want at most one %d-entry probe batch each way per bucket (%d)",
+			st.EntriesSent, st.EntriesReceived, shardProbeBatch, limit)
+	}
+	if trips := stats.Snapshot().MsgsBinary - 1; trips != int64(1+buckets) {
+		t.Errorf("took %d round trips, want the vector and one walk round per diverged bucket (%d)", trips, 1+buckets)
 	}
 	if !store.ContentEqual(a.Store(), b.Store()) {
-		t.Error("replicas differ after round 0")
+		t.Error("replicas differ after the conversation")
 	}
 }
 
@@ -332,6 +341,8 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 // entries, which a server applied; a value-less id read that way is a death
 // certificate. Kind 7 carried a batch of the whole-store peel walk, which
 // a server applied; that walk is now bucket 0 of 1 on reqPeelBackShard.
+// Kind 11 offered the ids of the recent-update window; the bucket vector
+// opens every conversation now.
 func TestRetiredSyncKindIsRefused(t *testing.T) {
 	src, nodes, addrs := servedPair(t)
 	n := nodes[0]
@@ -343,10 +354,12 @@ func TestRetiredSyncKindIsRefused(t *testing.T) {
 	defer peer.Close()
 	for _, req := range []request{
 		{Kind: 1, From: 2, Entries: []store.Entry{{Key: "k", Value: store.Value("mailed"), Stamp: newer, Activation: newer}}},
-		{Kind: 4, From: 2, Now: src.Read(), Tau: parityTau, Tau1: parityTau1,
+		{Kind: 4, From: 2, Now: src.Read(), Tau1: parityTau1,
 			Entries: []store.Entry{{Key: "k", Stamp: newer, Activation: newer}}},
 		{Kind: 7, From: 2, Now: src.Read(), Tau1: parityTau1, Bound: store.PeelStart, Limit: 16,
 			Entries: []store.Entry{{Key: "k", Value: store.Value("peeled"), Stamp: newer, Activation: newer}}},
+		{Kind: 11, From: 2, Now: src.Read(), Tau1: parityTau1,
+			Entries: []store.Entry{{Key: "k", Stamp: newer, Activation: newer}}},
 	} {
 		c := getWireCall()
 		c.req = req

@@ -21,17 +21,14 @@ import (
 
 // Wire protocol: persistent framed sessions (see frame.go) carrying many
 // request/response pairs per TCP connection. The anti-entropy exchange is
-// the §1.3/§1.5 incremental scheme, ids first: the caller offers the ids
-// of its recent updates with its live checksum, and gets back want-bits,
-// the peer's recent entries the offer does not cover, and the peer's
-// checksum; only wanted entries follow, on a checksum request. On mismatch
-// the two sides peel back through their databases in reverse-timestamp
-// batches, re-comparing checksums after each batch, so a conversation
-// ships O(δ) entries for δ differing keys. The walk is narrowed first: the
-// two sides compare per-bucket checksum vectors folded to their common
-// shard count and peel only the diverged buckets; the whole-store walk is
-// bucket 0 of 1. A full database swap survives only as a capped last
-// resort.
+// §1.3's checksum compare, narrowed: a conversation opens with the two
+// sides' per-bucket checksum vectors, folded to their common shard count,
+// so an in-sync pair settles in one round trip whatever its size or write
+// rate. Only the buckets whose checksums differ are peeled, the two sides
+// walking back through the bucket in reverse-timestamp batches and
+// re-comparing its checksum after each batch, so a conversation ships O(δ)
+// entries for δ differing keys; the whole-store walk is bucket 0 of 1. A
+// full database swap survives only as a capped last resort.
 type reqKind int
 
 const (
@@ -54,7 +51,9 @@ const (
 	reqShardVector   // bucket live-checksum vector at the pair's common shard count
 	reqPeelBackShard // one bucket-scoped peel batch + that bucket's checksum (§1.3)
 	reqMailBatch     // one outbox drain: many mail entries in one frame
-	reqSyncOffer     // round 0: recent-update ids + checksum out; want-bits + uncovered recent entries back
+	// Kind 11 opened every conversation with the ids of the recent-update
+	// window. The bucket vector opens it now, so it is retired and answered
+	// "unknown request kind".
 )
 
 // kindName names a request kind for logs and metric labels.
@@ -64,8 +63,6 @@ func (k reqKind) kindName() string {
 		return "push-rumors"
 	case reqRumorOffer:
 		return "rumor-offer"
-	case reqSyncOffer:
-		return "sync"
 	case reqFullSync:
 		return "full-sync"
 	case reqChecksum:
@@ -82,13 +79,11 @@ func (k reqKind) kindName() string {
 }
 
 type request struct {
-	Kind     reqKind
-	From     timestamp.SiteID
-	Entries  []store.Entry
-	Checksum uint64
-	Now      int64
-	Tau      int64 // recent-update window (reqSyncOffer)
-	Tau1     int64 // death-certificate dormancy threshold
+	Kind    reqKind
+	From    timestamp.SiteID
+	Entries []store.Entry
+	Now     int64
+	Tau1    int64 // death-certificate dormancy threshold
 	// Bound and Limit drive the server's side of the peel-back walk
 	// (reqPeelBackShard): the server returns up to Limit entries of the
 	// bucket strictly older than Bound, newest first. The server is
@@ -99,9 +94,10 @@ type request struct {
 	// Hops carries one provenance envelope per entry in Entries when the
 	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
-	// Digests piggybacks the sender's cluster-digest view on reqSyncOffer and
-	// reqRumorOffer conversations (the observatory's epidemic channel).
-	// nil when the observatory is off: one zero byte on the wire.
+	// Digests piggybacks the sender's cluster-digest view on the two
+	// conversation openers, reqShardVector and reqRumorOffer (the
+	// observatory's epidemic channel). nil when the observatory is off: one
+	// zero byte on the wire.
 	Digests []cluster.Digest
 	// ShardCount is the sender's store shard count on reqShardVector, and
 	// the bucket count m on reqPeelBackShard, whose Shard is the bucket b
@@ -136,8 +132,8 @@ type response struct {
 	// ShardCount and Vector answer reqShardVector with the bucket count m,
 	// the smaller of the two stores' shard counts, and the responder's m
 	// bucket live checksums. For reqPeelBackShard the Checksum field
-	// carries the requested bucket's live checksum instead of the global
-	// one.
+	// carries the requested bucket's live checksum; reqChecksum answers
+	// with the global one.
 	ShardCount int
 	Vector     []uint64
 }
@@ -309,9 +305,9 @@ func (s *Server) acceptLoop() {
 
 // handle serves one persistent session: after the hello, requests are read
 // and answered on the same framed streams until the client disconnects, the
-// session idles out, or the stream breaks. One request/response pair is
-// kept alive across the loop so a steady-state session serves without
-// allocating.
+// session idles out, or the stream breaks. One request/response pair and
+// the bucket vector's backing array are kept alive across the loop so a
+// steady-state session serves without allocating.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	sess := newSession(conn, maxWireBytes)
@@ -325,6 +321,7 @@ func (s *Server) handle(conn net.Conn) {
 	debug := log.Enabled(context.Background(), slog.LevelDebug)
 	var req request
 	var resp response
+	var vec []uint64
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(serverIdleTimeout))
 		if err := sess.readRequest(&req); err != nil {
@@ -335,7 +332,10 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		start := time.Now()
-		resp = s.dispatch(req)
+		resp = s.dispatch(req, vec)
+		if resp.Vector != nil {
+			vec = resp.Vector
+		}
 		d := time.Since(start)
 		if observe != nil {
 			observe(req.Kind.kindName(), d)
@@ -368,7 +368,9 @@ func clampPeelLimit(limit int) int {
 	return limit
 }
 
-func (s *Server) dispatch(req request) response {
+// dispatch serves one request. vec is scratch the reqShardVector reply
+// may build its vector in.
+func (s *Server) dispatch(req request, vec []uint64) response {
 	switch req.Kind {
 	case reqMailBatch:
 		return response{Needed: s.node.HandleMailBatch(node.MailBatch{
@@ -383,18 +385,6 @@ func (s *Server) dispatch(req request) response {
 	case reqRumorOffer:
 		want, entries, hops := s.node.HandleOffer(req.Entries)
 		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
-	case reqSyncOffer:
-		st := s.node.Store()
-		now := maxInt64(st.Now(), req.Now)
-		want, recent, hops := s.node.HandleSyncOffer(req.Entries, now, req.Tau)
-		return response{
-			Needed:   want,
-			Entries:  recent,
-			Hops:     hops,
-			Checksum: st.ChecksumLive(now, req.Tau1),
-			Now:      now,
-			Digests:  s.swapDigests(req.Digests),
-		}
 	case reqFullSync:
 		st := s.node.Store()
 		// The snapshot is read after the apply, so it already carries every
@@ -403,11 +393,10 @@ func (s *Server) dispatch(req request) response {
 		now := maxInt64(st.Now(), req.Now)
 		full := st.LiveSnapshot(now, req.Tau1)
 		return response{
-			Needed:   needed,
-			Entries:  full,
-			Hops:     s.node.Tracer().Envelopes(full),
-			Checksum: st.ChecksumLive(now, req.Tau1),
-			Now:      now,
+			Needed:  needed,
+			Entries: full,
+			Hops:    s.node.Tracer().Envelopes(full),
+			Now:     now,
 		}
 	case reqChecksum:
 		// Entries, when present, are anti-entropy repairs the caller ships
@@ -430,10 +419,10 @@ func (s *Server) dispatch(req request) response {
 		now := maxInt64(st.Now(), req.Now)
 		m := min(req.ShardCount, st.ShardCount())
 		return response{
-			Checksum:   st.ChecksumLive(now, req.Tau1),
 			Now:        now,
 			ShardCount: m,
-			Vector:     st.AppendChecksumVector(nil, m, now, req.Tau1),
+			Vector:     st.AppendChecksumVector(vec[:0], m, now, req.Tau1),
+			Digests:    s.swapDigests(req.Digests),
 		}
 	case reqPeelBackShard:
 		st := s.node.Store()
@@ -598,13 +587,12 @@ func (p *TCPPeer) Close() error {
 	return nil
 }
 
-// wireCall bundles one request/response pair plus shard-vector scratch,
+// wireCall bundles one request/response pair and the bytes it moved,
 // pooled so steady-state calls allocate nothing.
 type wireCall struct {
 	req               request
 	resp              response
 	bytesOut, bytesIn int64
-	vecBuf            []uint64 // the local bucket vector (reqShardVector)
 }
 
 var wireCallPool = sync.Pool{New: func() any { return new(wireCall) }}
@@ -613,12 +601,12 @@ func getWireCall() *wireCall { return wireCallPool.Get().(*wireCall) }
 
 // putWireCall clears the call before pooling it so no request payload (or
 // key/value memory) stays pinned. Response slices handed out to callers
-// are safe: every decode allocates fresh ones.
+// are safe: every decode allocates fresh ones, except the vector's, which
+// is kept for the next decode and never leaves the transport.
 func putWireCall(c *wireCall) {
 	c.req = request{}
-	c.resp = response{}
+	c.resp = response{Vector: c.resp.Vector[:0]}
 	c.bytesOut, c.bytesIn = 0, 0
-	c.vecBuf = c.vecBuf[:0]
 	wireCallPool.Put(c)
 }
 
@@ -702,85 +690,109 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 	return c.resp.Checksum, nil
 }
 
-// AntiEntropy implements node.Peer: the §1.3/§1.5 incremental exchange
-// over the wire. Round 0 is an offer: the ids of the recent-update window
-// go out with the live checksum, and the reply carries a want-bit per id,
-// the peer's own recent entries the offer does not cover, and the peer's
-// checksum. Only when some bit is set do the wanted entries follow, on a
-// checksum request that re-reads the peer's checksum after applying them,
-// so a pair whose windows agree settles in one round trip and ships no
-// entry. On mismatch the two sides compare bucket checksum vectors folded
-// to their common shard count and peel back through the diverged buckets
-// in reverse-timestamp batches, re-comparing the bucket checksum after
-// every batch and stopping as soon as it agrees — O(δ) entries shipped for
-// δ differing keys. The conversation ends with those walks. No global
-// recompare follows: a write landing meanwhile would fail it, and that
-// write is what mail, rumors and the next round 0 deliver anyway. Only a
-// bucket that spends its 32 peel batches degrades the conversation to the
-// full swap. Throughout, with cfg.ReactivateDormant set, an obsolete entry
-// that meets a dormant death certificate on either side wakes it (§2.2),
-// and the awakened certificate crosses to the other side before the next
-// compare.
+// AntiEntropy implements node.Peer: §1.3's checksum compare over the wire,
+// narrowed by bucket. The conversation opens with the bucket vector: the
+// peer answers with the live checksums of m buckets, m the smaller of the
+// two stores' shard counts, and a pair whose vectors agree settles in that
+// one round trip and ships no entry. Each diverged bucket is then walked:
+// both sides peel back through it in reverse-timestamp batches,
+// re-comparing the bucket checksum after every batch and stopping as soon
+// as it agrees — O(δ) entries shipped for δ differing keys. The
+// conversation ends with those walks. No global recompare follows: a write
+// landing meanwhile would fail it, and that write is what mail, rumors and
+// the next conversation deliver anyway. Only a bucket that spends its 32
+// peel batches degrades the conversation to the full swap. Throughout,
+// with cfg.ReactivateDormant set, an obsolete entry that meets a dormant
+// death certificate on either side wakes it (§2.2), and the awakened
+// certificate crosses to the other side before the next compare. When the
+// cluster observatory is on, the vector request carries the local digest
+// view out and merges the peer's back.
 //
-// Of cfg only Tau, Tau1, BatchSize and ReactivateDormant are read. The
-// ladder above is the one wire conversation, always push-pull:
-// cfg.Strategy and cfg.Mode are ignored.
+// Of cfg only Tau1, BatchSize and ReactivateDormant are read. The ladder
+// above is the one wire conversation, always push-pull: cfg.Strategy,
+// cfg.Mode and the recent-update window cfg.Tau are ignored.
 func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error) {
 	var st core.ExchangeStats
 	c := getWireCall()
 	defer putWireCall(c)
 
 	now := local.Now()
-	var ids []store.Entry
-	if cfg.Tau > 0 {
-		ids = local.RecentIDs(now, cfg.Tau)
-	}
 	c.req = request{
-		Kind:     reqSyncOffer,
-		From:     local.Site(),
-		Entries:  ids,
-		Checksum: local.ChecksumLive(now, cfg.Tau1),
-		Now:      now,
-		Tau:      cfg.Tau,
-		Tau1:     cfg.Tau1,
-		Digests:  p.opts.Digests.Share(),
+		Kind:       reqShardVector,
+		From:       local.Site(),
+		Now:        now,
+		Tau1:       cfg.Tau1,
+		Digests:    p.opts.Digests.Share(),
+		ShardCount: local.ShardCount(),
 	}
 	if err := p.call(c); err != nil {
 		return st, err
 	}
 	p.opts.Digests.Merge(c.resp.Digests)
+	st.ChecksumsCompared++
 	now = maxInt64(now, c.resp.Now)
-	sum := c.resp.Checksum
-	ship := append(wantedEntries(local, ids, c.resp.Needed),
-		p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, trace.MechAntiEntropy, &st)...)
-	if len(ship) > 0 {
-		var err error
-		if sum, err = p.carry(c, cfg, local, tr, ship, now, &st); err != nil {
-			return st, err
+	m := c.resp.ShardCount
+	if !isBucketCount(m) || m > local.ShardCount() || len(c.resp.Vector) != m {
+		return st, fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
+			p.addr, len(c.resp.Vector), m, local.ShardCount())
+	}
+	var diverged []int
+	for b, sum := range c.resp.Vector {
+		if local.ChecksumBucket(b, m, now, cfg.Tau1) != sum {
+			diverged = append(diverged, b)
 		}
 	}
-	st.ChecksumsCompared++
-	if local.ChecksumLive(now, cfg.Tau1) == sum {
+	if len(diverged) == 0 {
 		p.finishExchange(c, &st)
 		return st, nil
 	}
-
-	return p.repair(cfg, local, tr, now, c, st)
+	return p.repair(cfg, local, tr, now, m, diverged, c, st)
 }
 
-// repair runs the rest of the ladder after round 0 disagreed: the bucket
-// vector and the walks of the diverged buckets (shardRepair), after which
-// the conversation ends; only a bucket that spent its peel budget sends it
-// on to the capped full swap. st comes by value: the repair workers take
-// its address, which would otherwise move the caller's stats to the heap
-// on the allocation-free in-sync path.
-func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, c *wireCall, st core.ExchangeStats) (core.ExchangeStats, error) {
+// repair walks the diverged buckets of m, a bounded pool of workers over
+// concurrent pooled sessions, after which the conversation ends; only a
+// bucket that spent its peel budget sends it on to the capped full swap.
+// st comes by value: the workers take its address, which would otherwise
+// move the caller's stats to the heap on the allocation-free in-sync path.
+// c accumulates the byte counters of every session the repair used.
+func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, m int, diverged []int, c *wireCall, st core.ExchangeStats) (core.ExchangeStats, error) {
 	batch := cfg.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultPeelBatch
 	}
-	err := p.shardRepair(cfg, local, tr, now, batch, c, &st)
-	if errors.Is(err, errPeelBudget) {
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex // guards st, c's byte counters and firstErr
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < min(shardRepairWorkers, len(diverged)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(diverged) || failed.Load() {
+					return
+				}
+				if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, c, &st); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	err := firstErr
+	if err == nil {
+		st.ShardsRepaired += len(diverged)
+		p.opts.Stats.noteShardVec(len(diverged))
+	} else if errors.Is(err, errPeelBudget) {
 		// Capped last resort: a bucket spent its peel budget and the
 		// replicas still disagree — swap full live databases in one round
 		// trip.
@@ -790,7 +802,7 @@ func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.T
 			Kind: reqFullSync, From: local.Site(), Entries: full,
 			Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
 		}
-		_, err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
+		err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
 	}
 	if err != nil {
 		return st, err
@@ -799,60 +811,44 @@ func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.T
 	return st, nil
 }
 
-// wantedEntries reads the full entries for the ids whose want-bit is set.
-func wantedEntries(local *store.Store, ids []store.Entry, want []bool) []store.Entry {
-	var out []store.Entry
-	for i, id := range ids {
-		if i < len(want) && want[i] {
-			if e, ok := local.Get(id.Key); ok {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
 // exchange sends c's request, whose Entries are this side's shipment, and
 // settles the reply. Certificates the reply woke here go straight back on
-// a carrier, and the peer's checksum after applying them is returned in
-// place of the reply's; c keeps the reply itself.
-func (p *TCPPeer) exchange(c *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, mech trace.Mechanism, st *core.ExchangeStats) (uint64, error) {
+// a carrier; c keeps the reply itself.
+func (p *TCPPeer) exchange(c *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, mech trace.Mechanism, st *core.ExchangeStats) error {
 	if err := p.call(c); err != nil {
-		return 0, err
+		return err
 	}
 	if awake := p.settle(cfg, local, c, mech, st); len(awake) > 0 {
 		return p.carry(c, cfg, local, tr, awake, now, st)
 	}
-	return c.resp.Checksum, nil
+	return nil
 }
 
 // carry ships entries on a checksum request: the peer applies them as
-// anti-entropy repairs, then answers with its live checksum, which carry
-// returns. Certificates that applying them woke on the peer come back in
-// the answer and are applied here; any that the answer wakes here in turn
-// ride another carrier. Each key wakes at most once — its certificate is
-// live afterwards — so the loop ends. The round trips run on their own
-// call, whose bytes are added to agg.
-func (p *TCPPeer) carry(agg *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, entries []store.Entry, now int64, st *core.ExchangeStats) (uint64, error) {
+// anti-entropy repairs. Certificates that applying them woke on the peer
+// come back in the answer and are applied here; any that the answer wakes
+// here in turn ride another carrier. Each key wakes at most once — its
+// certificate is live afterwards — so the loop ends. The round trips run
+// on their own call, whose bytes are added to agg.
+func (p *TCPPeer) carry(agg *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, entries []store.Entry, now int64, st *core.ExchangeStats) error {
 	k := getWireCall()
 	defer func() {
 		agg.bytesOut += k.bytesOut
 		agg.bytesIn += k.bytesIn
 		putWireCall(k)
 	}()
-	for {
+	for len(entries) > 0 {
 		k.req = request{
 			Kind: reqChecksum, From: local.Site(),
 			Entries: entries, Hops: tr.Envelopes(entries),
 			Now: now, Tau1: cfg.Tau1,
 		}
 		if err := p.call(k); err != nil {
-			return 0, err
+			return err
 		}
-		if entries = p.settle(cfg, local, k, trace.MechAntiEntropy, st); len(entries) == 0 {
-			return k.resp.Checksum, nil
-		}
+		entries = p.settle(cfg, local, k, trace.MechAntiEntropy, st)
 	}
+	return nil
 }
 
 // settle books the round trip in c, whose request shipped this side's
@@ -869,86 +865,6 @@ func (p *TCPPeer) settle(cfg core.ResolveConfig, local *store.Store, c *wireCall
 		}
 	}
 	return p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, mech, st)
-}
-
-// shardRepair is the narrow path of an anti-entropy conversation: one
-// round trip fetches the peer's bucket vector folded to m, the smaller of
-// the two stores' shard counts, and only the buckets whose checksums
-// differ from the local fold are peeled — by a bounded pool of workers
-// over concurrent pooled sessions. Its end is the conversation's: no
-// global recompare follows, because a write landing mid-conversation
-// would break it and the next round 0 covers that write anyway. A bucket
-// that spends its peel budget fails the walk with errPeelBudget. agg
-// accumulates the byte counters of every session the repair used.
-func (p *TCPPeer) shardRepair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, batch int, agg *wireCall, st *core.ExchangeStats) error {
-	v := getWireCall()
-	defer func() {
-		agg.bytesOut += v.bytesOut
-		agg.bytesIn += v.bytesIn
-		putWireCall(v)
-	}()
-
-	v.req = request{
-		Kind:       reqShardVector,
-		From:       local.Site(),
-		Now:        now,
-		Tau1:       cfg.Tau1,
-		ShardCount: local.ShardCount(),
-	}
-	if err := p.call(v); err != nil {
-		return err
-	}
-	st.ChecksumsCompared++
-	now = maxInt64(now, v.resp.Now)
-	m := v.resp.ShardCount
-	if !isBucketCount(m) || m > local.ShardCount() || len(v.resp.Vector) != m {
-		return fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
-			p.addr, len(v.resp.Vector), m, local.ShardCount())
-	}
-	mine := local.AppendChecksumVector(v.vecBuf[:0], m, now, cfg.Tau1)
-	v.vecBuf = mine[:0]
-	var diverged []int
-	for b, sum := range mine {
-		if sum != v.resp.Vector[b] {
-			diverged = append(diverged, b)
-		}
-	}
-
-	workers := min(shardRepairWorkers, len(diverged))
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex // guards st, agg and firstErr
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(diverged) || failed.Load() {
-					return
-				}
-				if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, agg, st); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	st.ShardsRepaired += len(diverged)
-	p.opts.Stats.noteShardVec(len(diverged))
-	return nil
 }
 
 // errPeelBudget reports a bucket walk that spent maxPeelRounds batches
@@ -1012,9 +928,9 @@ func (p *TCPPeer) repairBucket(cfg core.ResolveConfig, local *store.Store, tr *t
 			ShardCount: m,
 		}
 		size = min(size*4, batch)
-		// A certificate woken here rides a carrier, whose checksum is the
-		// global one: the bucket's is re-read next round.
-		if _, err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &own); err != nil {
+		// A certificate woken here rides a carrier after the peer read its
+		// bucket checksum: the bucket compares again next round.
+		if err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &own); err != nil {
 			return err
 		}
 		remoteBound, remoteMore = c.resp.Bound, c.resp.More

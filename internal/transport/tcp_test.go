@@ -106,9 +106,10 @@ func TestTCPAntiEntropyInSync(t *testing.T) {
 }
 
 // TestTCPAntiEntropyInSyncAllocatesNothing holds the steady state of a
-// healthy cluster — an in-sync pooled conversation, recent window included
-// — to zero allocations, client and server together (AllocsPerRun counts
-// the whole process). It is what keeps repair taking its stats by value.
+// healthy cluster — an in-sync pooled conversation, the bucket vector each
+// way — to zero allocations, client and server together (AllocsPerRun
+// counts the whole process). It is what keeps repair taking its stats by
+// value and the peer's vector decoding into a kept buffer.
 // Under the race detector sync.Pool drops a quarter of its puts, about
 // 0.25 allocations per conversation, which AllocsPerRun's integer average
 // still reads as 0; one allocation more per conversation fails either way.
@@ -140,6 +141,56 @@ func TestTCPAntiEntropyInSyncAllocatesNothing(t *testing.T) {
 	exchange() // warm-up: opens the pooled session the runs reuse
 	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
 		t.Errorf("in-sync pooled anti-entropy allocates %v times per conversation, want 0", allocs)
+	}
+}
+
+// TestTCPAntiEntropyInSyncCostIndependentOfWindow: an in-sync pair whose
+// shared entries were all written inside the recent-update window settles
+// in one round trip — the bucket vector — and that round trip's request and
+// reply bytes do not grow with the window: 1 000 shared recent entries cost
+// what 2 000 do.
+func TestTCPAntiEntropyInSyncCostIndependentOfWindow(t *testing.T) {
+	cfg := core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 1 << 40, Tau1: 1 << 40}
+	conversation := func(shared int) WireSnapshot {
+		src := timestamp.NewSimulated(1 << 30)
+		remote, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Serve(remote, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		local := store.New(1, src.ClockAt(1))
+		for i := 0; i < shared; i++ {
+			remote.Store().Apply(local.Update(fmt.Sprintf("k/%06d", i), store.Value("v")))
+			src.Advance(1)
+		}
+		stats := &WireStats{}
+		peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Stats: stats})
+		defer peer.Close()
+		st, err := peer.AntiEntropy(cfg, local, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Transferred() != 0 || st.FullCompare || st.ShardsRepaired != 0 {
+			t.Fatalf("%d shared entries: in-sync conversation did work: %+v", shared, st)
+		}
+		snap := stats.Snapshot()
+		if snap.MsgsBinary != 1 {
+			t.Errorf("%d shared entries: %d round trips, want 1", shared, snap.MsgsBinary)
+		}
+		return snap
+	}
+	small, large := conversation(1000), conversation(2000)
+	if small.BytesSent != large.BytesSent || small.BytesReceived != large.BytesReceived {
+		t.Errorf("request/reply bytes grew with the window: %d/%d at 1000 entries, %d/%d at 2000",
+			small.BytesSent, small.BytesReceived, large.BytesSent, large.BytesReceived)
+	}
+	// A request of a few varints, a reply of one 8-byte sum per bucket.
+	if limit := int64(8*store.DefaultShards + 64); small.BytesSent+small.BytesReceived > limit {
+		t.Errorf("in-sync conversation moved %d bytes, want at most %d", small.BytesSent+small.BytesReceived, limit)
 	}
 }
 
@@ -197,11 +248,11 @@ func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
 	if !st.FullCompare {
 		t.Errorf("expected full-swap last resort: %+v", st)
 	}
-	// Round 0, the vector, the bucket's maxPeelRounds walk rounds and the
-	// full swap: no whole-store walk between the spent budget and the swap.
+	// The vector, the bucket's maxPeelRounds walk rounds and the full swap:
+	// no whole-store walk between the spent budget and the swap.
 	snap := stats.Snapshot()
-	if want := int64(2 + maxPeelRounds + 1); snap.MsgsBinary != want {
-		t.Errorf("%d round trips, want %d (round 0, vector, %d walk rounds, full swap)", snap.MsgsBinary, want, maxPeelRounds)
+	if want := int64(1 + maxPeelRounds + 1); snap.MsgsBinary != want {
+		t.Errorf("%d round trips, want %d (vector, %d walk rounds, full swap)", snap.MsgsBinary, want, maxPeelRounds)
 	}
 	if snap.ShardVecExchanges != 0 || st.ShardsRepaired != 0 {
 		t.Errorf("a spent budget must not count as a narrow repair: %+v, repaired %d", snap, st.ShardsRepaired)
@@ -419,9 +470,10 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// 7 is the layout the previous build speaks: digests carrying the two
-	// UDP counters. 6 had requests with a vector section and kind 7 live.
-	for _, version := range []byte{1, 4, 5, 6, 7, 9} {
+	// 8 is the layout the previous build speaks: requests carrying a
+	// checksum and a recent window, kind 10 live. 7 had digests carrying the
+	// two UDP counters, 6 requests with a vector section and kind 7 live.
+	for _, version := range []byte{1, 4, 5, 6, 7, 8, 10} {
 		stream := append([]byte{'E', 'P', 'G', version}, mailFrame("old")...)
 		if got := refusedStream(t, srv.Addr(), stream); !bytes.Equal(got, []byte{wireVersion}) {
 			t.Errorf("v%d hello: server sent % x, want only its version byte", version, got)
@@ -432,8 +484,8 @@ func TestServerRefusesOtherWireVersions(t *testing.T) {
 	}
 
 	// A server that answers with an older version — 4 as a v4-capped build
-	// did, 7 as the previous build does — is refused by the client.
-	for _, version := range []byte{4, 5, 6, 7} {
+	// did, 8 as the previous build does — is refused by the client.
+	for _, version := range []byte{4, 5, 6, 7, 8} {
 		old := fakeServer(t, func(conn net.Conn) {
 			defer conn.Close()
 			acceptHello(conn, version)
