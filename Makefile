@@ -40,10 +40,10 @@ test:
 # concurrency-sensitive package), a targeted race pass over the mail path
 # (outbox queues and workers, mail batches on the wire, the slow-peer
 # isolation test, redistribution by mail, who hot-lists mail) and over
-# anti-entropy (the bucket vector that opens every conversation, in sync
-# and with a dormant certificate to wake, diverged buckets peeled on
-# worker goroutines, the malformed-bucket dispatch table), the race
-# detector over the whole
+# anti-entropy (core's shard-vector conversation in process and on the
+# wire: the bucket vector that opens it, in sync and with a dormant
+# certificate to wake, the bucket walks, the malformed-bucket dispatch
+# table), the race detector over the whole
 # module (daemons included), and the observability and cluster-observatory
 # smoke tests.
 check:
@@ -51,7 +51,7 @@ check:
 	$(GO) vet ./...
 	$(MAKE) bench-adapter
 	$(GO) test -race -count=1 ./internal/store/...
-	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail|ShardVector|Bucket|InSync|ReactivatesDormant' ./internal/node ./internal/transport
+	$(GO) test -race -count=1 -run 'Outbox|MailBatch|SlowPeer|RedistributeMail|ShardVector|Bucket|InSync|ReactivatesDormant' ./internal/core ./internal/node ./internal/transport
 	$(GO) test -race ./...
 	$(MAKE) obs-smoke
 	$(MAKE) cluster-smoke

@@ -25,12 +25,13 @@ const (
 	// ComparePeelBack exchanges updates in reverse timestamp order,
 	// batch by batch, until the checksums agree (§1.3's "peel back").
 	ComparePeelBack
-	// CompareShardVector exchanges per-bucket checksum vectors after a
-	// global-checksum mismatch and peels back only the diverged buckets'
-	// timestamp indexes, keeping examined work proportional to the
-	// divergence rather than the database. The vectors are folded to the
-	// smaller of the two stores' shard counts (see store.ChecksumBucket),
-	// so any pair of stores narrows.
+	// CompareShardVector opens with per-bucket checksum vectors and peels
+	// back only the diverged buckets' timestamp indexes, keeping examined
+	// work proportional to the divergence rather than the database; a
+	// bucket that spends its peel budget falls back to a full compare. The
+	// vectors are folded to the smaller of the two stores' shard counts
+	// (see store.ChecksumBucket), so any pair of stores narrows. It is the
+	// wire's one conversation (Reconcile), run here in process.
 	CompareShardVector
 )
 
@@ -117,8 +118,8 @@ type ExchangeStats struct {
 	// complete databases.
 	FullCompare bool
 	// ShardsRepaired counts the diverged buckets the shard-vector strategy
-	// localized and peeled individually (zero for other strategies or when
-	// the vector compare downgraded to a global walk).
+	// walked to agreement (zero for other strategies, and when a walk spent
+	// its peel budget and the conversation fell back to a full compare).
 	ShardsRepaired int
 	// AppliedKeys lists the repaired keys §1.5's redistribution policies
 	// act on. In process that is every key whose entry changed either
@@ -259,7 +260,11 @@ func ResolveDifference(cfg ResolveConfig, s, p *store.Store) (ExchangeStats, err
 	case ComparePeelBack:
 		resolvePeelBack(cfg, s, p, &st)
 	case CompareShardVector:
-		resolveShardVector(cfg, s, p, &st)
+		far := &storePartner{cfg: cfg, store: p}
+		var err error
+		st, err = Reconcile(cfg, s, nil, far)
+		st.Add(far.st)
+		return st, err
 	}
 	return st, nil
 }
@@ -277,43 +282,30 @@ func resolveFull(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 }
 
 // sendEntries transmits from's entries to to, skipping dormant death
-// certificates, applying each and accounting for reactivations. initiator
-// identifies the conversation's initiating store so traffic is attributed
-// to the right direction; mech tags the resulting Repairs with the
-// anti-entropy sub-mechanism that shipped them.
+// certificates (§2.2), and applies them. initiator identifies the
+// conversation's initiating store so traffic is attributed to the right
+// direction; mech tags the resulting Repairs with the anti-entropy
+// sub-mechanism that shipped them. A certificate an obsolete entry woke at
+// to goes straight back to from, so it starts spreading.
 func sendEntries(cfg ResolveConfig, entries []store.Entry, from, to, initiator *store.Store, mech trace.Mechanism, st *ExchangeStats) {
 	now := maxNow(from, to)
+	live := make([]store.Entry, 0, len(entries))
 	for _, e := range entries {
-		if store.IsDormant(e, now, cfg.Tau1) {
-			continue // dormant certificates are not propagated (§2.2)
-		}
-		st.countTransfer(from, initiator)
-		res := to.Apply(e)
-		if res.Changed() {
-			st.NoteRepair(Repair{
-				Site: to.Site(), Parent: from.Site(),
-				Key: e.Key, Stamp: e.Stamp,
-				Mech: mech, SenderHop: trace.HopUnknown,
-			})
-		}
-		if res == store.RejectedByDeath && cfg.ReactivateDormant {
-			reactivateIfDormant(cfg, to, from, initiator, e.Key, st)
+		if !store.IsDormant(e, now, cfg.Tau1) {
+			st.countTransfer(from, initiator)
+			live = append(live, e)
 		}
 	}
-}
-
-// reactivateIfDormant awakens holder's death certificate for key if it is
-// dormant, and hands the awakened certificate straight back to the peer so
-// it starts spreading.
-func reactivateIfDormant(cfg ResolveConfig, holder, peer, initiator *store.Store, key string, st *ExchangeStats) {
-	re, ok := ReactivateIfDormant(holder, key, cfg.Tau1)
-	if !ok {
-		return
+	_, repairs, awakened := applyRepairs(cfg, to, live, nil, from.Site(), mech)
+	for _, r := range repairs {
+		st.NoteRepair(r)
 	}
-	st.Reactivated = append(st.Reactivated, key)
-	st.countTransfer(holder, initiator)
-	if peer.Apply(re).Changed() {
-		st.NoteApplied(peer.Site(), key)
+	for _, re := range awakened {
+		st.Reactivated = append(st.Reactivated, re.Key)
+		st.countTransfer(to, initiator)
+		if from.Apply(re).Changed() {
+			st.NoteApplied(from.Site(), re.Key)
+		}
 	}
 }
 
@@ -363,66 +355,6 @@ func resolvePeelBack(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
 		}
 		if len(pNext) > 0 {
 			pNext = p.OlderThan(pNext[len(pNext)-1].Stamp, batch)
-		}
-	}
-}
-
-// resolveShardVector compares the bucket vectors of the two stores, folded
-// to the smaller shard count, after a global mismatch and peels back only
-// the diverged buckets, each walked to bucket checksum agreement or
-// exhaustion. A final global recompare (which also catches dormancy skew
-// between the two vector reads) falls back to the global peel-back walk, so
-// convergence is never weaker than ComparePeelBack. In-process both stores
-// are walked directly. It is the simulator's reference engine, not the
-// wire's: transport.TCPPeer ends its conversation after the bucket walks,
-// with no terminal recompare and no whole-store walk.
-func resolveShardVector(cfg ResolveConfig, s, p *store.Store, st *ExchangeStats) {
-	st.ChecksumsCompared++
-	if liveChecksumEqual(cfg, s, p) {
-		return
-	}
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = DefaultPeelBatch
-	}
-	now := maxNow(s, p)
-	m := min(s.ShardCount(), p.ShardCount())
-	sv := s.AppendChecksumVector(nil, m, now, cfg.Tau1)
-	pv := p.AppendChecksumVector(nil, m, now, cfg.Tau1)
-	st.ChecksumsCompared++ // the vector swap is one compare round trip
-	for b := range sv {
-		if sv[b] == pv[b] {
-			continue
-		}
-		st.ShardsRepaired++
-		repairBucketInProcess(cfg, s, p, b, m, now, batch, st)
-	}
-	// Terminal global recompare; residual mismatch (e.g. a dormancy
-	// transition racing the vector reads) downgrades to the global walk.
-	resolvePeelBack(cfg, s, p, st)
-}
-
-// repairBucketInProcess peels bucket b of m of both stores newest-first
-// until their bucket live checksums agree or both walks are exhausted.
-func repairBucketInProcess(cfg ResolveConfig, s, p *store.Store, b, m int, now int64, batch int, st *ExchangeStats) {
-	sBound, pBound := store.PeelStart, store.PeelStart
-	sMore, pMore := true, true
-	for {
-		var sb, pb []store.Entry
-		if sMore {
-			sb, sBound, sMore = s.PeelBucket(b, m, sBound, batch, now, cfg.Tau1)
-		}
-		if pMore {
-			pb, pBound, pMore = p.PeelBucket(b, m, pBound, batch, now, cfg.Tau1)
-		}
-		sendEntries(cfg, sb, s, p, s, trace.MechPeelBack, st)
-		sendEntries(cfg, pb, p, s, s, trace.MechPeelBack, st)
-		st.ChecksumsCompared++
-		if s.ChecksumBucket(b, m, now, cfg.Tau1) == p.ChecksumBucket(b, m, now, cfg.Tau1) {
-			return
-		}
-		if !sMore && !pMore {
-			return
 		}
 	}
 }

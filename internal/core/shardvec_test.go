@@ -153,8 +153,8 @@ func TestResolveShardVectorMismatchedCountsNarrows(t *testing.T) {
 }
 
 // TestResolveShardVectorDormantSkew: divergence consisting only of a
-// dormancy-skewed death certificate must still terminate (the global
-// recompare and peel-back fallback own that case).
+// dormancy-skewed death certificate must still terminate: the bucket's walk
+// ends when both sides' walks are exhausted.
 func TestResolveShardVectorDormantSkew(t *testing.T) {
 	const tau1 = 100
 	a, b, src := shardedPair(t, 16, 16)
@@ -178,5 +178,33 @@ func TestResolveShardVectorDormantSkew(t *testing.T) {
 	}
 	if st.FullCompare {
 		t.Error("dormant-only divergence triggered a full compare")
+	}
+}
+
+// TestResolveShardVectorSpentBudgetSwapsFull: a 1-shard pair folds to one
+// bucket, and 600 entries only a holds outlast that bucket walk's budget
+// (an 8-entry probe, then 31 rounds of 16: 504 entries). The conversation
+// falls back to the full swap and leaves the stores equal.
+func TestResolveShardVectorSpentBudgetSwapsFull(t *testing.T) {
+	a, b, src := shardedPair(t, 1, 1)
+	for i := 0; i < 600; i++ {
+		a.Update(fmt.Sprintf("only-a-%03d", i), store.Value("v"))
+		src.Advance(1)
+	}
+	b.Update("only-b", store.Value("v"))
+	cfg := ResolveConfig{Mode: PushPull, Strategy: CompareShardVector, BatchSize: 16}
+	st, err := ResolveDifference(cfg, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.FullCompare || st.ShardsRepaired != 0 {
+		t.Errorf("full compare %v, %d buckets repaired; want the full swap and none", st.FullCompare, st.ShardsRepaired)
+	}
+	if !store.ContentEqual(a, b) {
+		t.Fatal("stores differ after the full swap")
+	}
+	if st.ChecksumsCompared != 1+PeelRounds || st.EntriesApplied != 601 {
+		t.Errorf("%d compares, %d applied; want the vector and %d walk rounds, 601 applied",
+			st.ChecksumsCompared, st.EntriesApplied, PeelRounds)
 	}
 }

@@ -38,9 +38,9 @@ type Peer interface {
 	// implementations backfill SenderHop on the returned stats' Repairs so
 	// both parties can stamp causal hop spans. A nil tr disables tracing.
 	// How much of cfg applies is the implementation's: an in-process peer
-	// runs cfg.Strategy and cfg.Mode, while the wire peer always runs its
-	// one push-pull ladder and reads only Tau1, BatchSize and
-	// ReactivateDormant.
+	// runs cfg.Strategy and cfg.Mode, while the wire peer always runs
+	// CompareShardVector's push-pull conversation (core.Reconcile) and
+	// reads only Tau1, BatchSize and ReactivateDormant.
 	AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error)
 	// OfferRumors opens a rumor conversation with the identities of the
 	// caller's hot rumors: Key, Stamp and Activation, no Value (store.ID).
@@ -188,7 +188,9 @@ type Stats struct {
 	RumorsOffered int `json:"rumors_offered"`
 	RumorsWanted  int `json:"rumors_wanted"`
 	// FullCompares counts anti-entropy conversations that fell back to
-	// shipping complete databases (checksum or recent-list miss, §1.3).
+	// shipping complete databases (§1.3): after a checksum or recent-list
+	// miss in process, after a bucket walk spent its peel budget under
+	// CompareShardVector, the wire's one conversation.
 	FullCompares int `json:"full_compares"`
 	// Redistributed counts updates re-hotted or re-mailed after an
 	// anti-entropy repair.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"epidemic/internal/core"
+	"epidemic/internal/node"
 	"epidemic/internal/store"
 )
 
@@ -12,6 +13,38 @@ import (
 // whose anti-entropy resolves via the per-shard vector compare: scattered
 // divergence, deletions included, must still reach a consistent state.
 func TestClusterShardVectorStrategyConverges(t *testing.T) {
+	c := shardVectorCluster(t)
+	if cycles, ok := c.RunAntiEntropyToConsistency(60); !ok {
+		t.Fatalf("shard-vector cluster not consistent after %d cycles", cycles)
+	}
+	if c.CountDeleted("site0-k0") != c.N() {
+		t.Error("deletion did not spread under the shard-vector strategy")
+	}
+	if c.TotalStats().FullCompares != 0 {
+		t.Error("shard-vector runs degraded to full compares")
+	}
+}
+
+// TestClusterShardVectorStrategyDeterministic: the one bucket ladder walks
+// its buckets in order on the caller, so two runs of one seed report the
+// same stats.
+func TestClusterShardVectorStrategyDeterministic(t *testing.T) {
+	var runs [2]node.Stats
+	for i := range runs {
+		c := shardVectorCluster(t)
+		c.RunAntiEntropyToConsistency(60)
+		runs[i] = c.TotalStats()
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("same seed, different stats:\n%+v\n%+v", runs[0], runs[1])
+	}
+}
+
+// shardVectorCluster is six replicas resolving by the shard-vector
+// strategy, each with five keys of its own aged past the recent window,
+// and one of them deleted.
+func shardVectorCluster(t *testing.T) *Cluster {
+	t.Helper()
 	c, err := NewCluster(ClusterConfig{
 		N: 6,
 		Resolve: core.ResolveConfig{
@@ -32,14 +65,5 @@ func TestClusterShardVectorStrategyConverges(t *testing.T) {
 	}
 	c.Clock().Advance(50) // age the divergence past the recent window
 	c.Node(0).Delete(fmt.Sprintf("site%d-k%d", 0, 0))
-
-	if cycles, ok := c.RunAntiEntropyToConsistency(60); !ok {
-		t.Fatalf("shard-vector cluster not consistent after %d cycles", cycles)
-	}
-	if c.CountDeleted("site0-k0") != c.N() {
-		t.Error("deletion did not spread under the shard-vector strategy")
-	}
-	if c.TotalStats().FullCompares != 0 {
-		t.Error("shard-vector runs degraded to full compares")
-	}
+	return c
 }

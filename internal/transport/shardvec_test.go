@@ -178,9 +178,10 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestShardVectorWorkerPoolRepairsManyShards drives a divergence wide
-// enough to occupy every worker and checks the parallel repair is exact.
-func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
+// TestShardVectorWalkRepairsManyShardsOnOneSession drives a divergence
+// across most of 32 buckets: the walks run one after another, so the
+// repair is exact and the whole conversation rides one pooled session.
+func TestShardVectorWalkRepairsManyShardsOnOneSession(t *testing.T) {
 	sc := shardVecScenario{shared: 200, localOnly: 120, remoteOnly: 120, seed: 7}
 	local, remote, srv, localMissing, remoteMissing := buildShardVecPair(t, sc, 32, 32)
 	defer srv.Close()
@@ -194,7 +195,7 @@ func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !store.ContentEqual(local, remote.Store()) {
-		t.Fatal("stores differ after parallel shard repair")
+		t.Fatal("stores differ after the bucket walks")
 	}
 	if want := len(localMissing) + len(remoteMissing); st.EntriesApplied != want {
 		t.Errorf("applied %d entries, want %d", st.EntriesApplied, want)
@@ -205,6 +206,12 @@ func TestShardVectorWorkerPoolRepairsManyShards(t *testing.T) {
 	}
 	if snap.ShardVecShards != int64(st.ShardsRepaired) {
 		t.Errorf("stats shards %d != exchange shards %d", snap.ShardVecShards, st.ShardsRepaired)
+	}
+	if st.ShardsRepaired < 16 {
+		t.Errorf("walked %d buckets, want most of 32", st.ShardsRepaired)
+	}
+	if snap.Dials != 1 {
+		t.Errorf("the conversation dialed %d sessions, want 1", snap.Dials)
 	}
 }
 

@@ -161,7 +161,9 @@ func replicaState(s *store.Store) []string {
 // the in-process one (core's recent-update lists, then a full compare)
 // leave identical replicas and report identical EntriesApplied and
 // AppliedBySite — the wire's Needed bits account for every repair the peer
-// applied, as core accounts for both stores.
+// applied, as core accounts for both stores. CompareShardVector in process
+// runs the wire's own conversation, so it must match the wire in every
+// count as well.
 func TestSyncOfferParityLocalAndTCP(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		bShards := 0
@@ -188,7 +190,29 @@ func TestSyncOfferParityLocalAndTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for name, s := range map[string]*store.Store{"local a": la.Store(), "tcp a": ta.Store(), "tcp b": tb.Store()} {
+			va, vb := parityPair(t, seed, bShards)
+			vecCfg := parityConfig()
+			vecCfg.Strategy = core.CompareShardVector
+			vec, err := node.NewLocalPeer(vb, 1).AntiEntropy(vecCfg, va.Store(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type counts struct {
+				Sent, Received, Applied, Compared, Shards int
+				Full                                      bool
+				BySite                                    map[timestamp.SiteID][]string
+			}
+			countsOf := func(st core.ExchangeStats) counts {
+				return counts{st.EntriesSent, st.EntriesReceived, st.EntriesApplied, st.ChecksumsCompared,
+					st.ShardsRepaired, st.FullCompare, appliedBySite(st)}
+			}
+			if g, v := countsOf(got), countsOf(vec); !reflect.DeepEqual(g, v) {
+				t.Errorf("over TCP %+v, shard vector in process %+v", g, v)
+			}
+
+			for name, s := range map[string]*store.Store{
+				"local a": la.Store(), "tcp a": ta.Store(), "tcp b": tb.Store(), "vector a": va.Store(), "vector b": vb.Store(),
+			} {
 				if !reflect.DeepEqual(replicaState(s), replicaState(lb.Store())) {
 					t.Errorf("%s differs from local b:\n%v\n%v", name, replicaState(s), replicaState(lb.Store()))
 				}
@@ -323,9 +347,9 @@ func TestSyncOfferShipsOnlyWhatDiffers(t *testing.T) {
 	if st.EntriesApplied != 5 {
 		t.Errorf("applied %d entries, want 5", st.EntriesApplied)
 	}
-	if limit := shardProbeBatch * buckets; st.EntriesSent > limit || st.EntriesReceived > limit {
+	if limit := core.ProbeBatch * buckets; st.EntriesSent > limit || st.EntriesReceived > limit {
 		t.Errorf("sent/received %d/%d entries, want at most one %d-entry probe batch each way per bucket (%d)",
-			st.EntriesSent, st.EntriesReceived, shardProbeBatch, limit)
+			st.EntriesSent, st.EntriesReceived, core.ProbeBatch, limit)
 	}
 	if trips := stats.Snapshot().MsgsBinary - 1; trips != int64(1+buckets) {
 		t.Errorf("took %d round trips, want the vector and one walk round per diverged bucket (%d)", trips, 1+buckets)

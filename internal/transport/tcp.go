@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"epidemic/internal/core"
@@ -21,14 +20,10 @@ import (
 
 // Wire protocol: persistent framed sessions (see frame.go) carrying many
 // request/response pairs per TCP connection. The anti-entropy exchange is
-// §1.3's checksum compare, narrowed: a conversation opens with the two
-// sides' per-bucket checksum vectors, folded to their common shard count,
-// so an in-sync pair settles in one round trip whatever its size or write
-// rate. Only the buckets whose checksums differ are peeled, the two sides
-// walking back through the bucket in reverse-timestamp batches and
-// re-comparing its checksum after each batch, so a conversation ships O(δ)
-// entries for δ differing keys; the whole-store walk is bucket 0 of 1. A
-// full database swap survives only as a capped last resort.
+// core's shard-vector conversation (core.Reconcile, core.Respond): the
+// transport carries its four round trips as the reqShardVector,
+// reqPeelBackShard, reqChecksum and reqFullSync frames and adds the
+// cluster-digest piggyback to the opening vector exchange.
 type reqKind int
 
 const (
@@ -78,19 +73,17 @@ func (k reqKind) kindName() string {
 	}
 }
 
+// request and response carry, on the anti-entropy kinds, the fields of
+// core.LadderRequest and core.LadderReply of the same names; unused fields
+// cost a zero byte each.
 type request struct {
 	Kind    reqKind
 	From    timestamp.SiteID
 	Entries []store.Entry
 	Now     int64
 	Tau1    int64 // death-certificate dormancy threshold
-	// Bound and Limit drive the server's side of the peel-back walk
-	// (reqPeelBackShard): the server returns up to Limit entries of the
-	// bucket strictly older than Bound, newest first. The server is
-	// stateless across rounds; the caller echoes back the Bound each
-	// response hands it.
-	Bound timestamp.T
-	Limit int
+	Bound   timestamp.T
+	Limit   int
 	// Hops carries one provenance envelope per entry in Entries when the
 	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
@@ -98,11 +91,7 @@ type request struct {
 	// conversation openers, reqShardVector and reqRumorOffer (the
 	// observatory's epidemic channel). nil when the observatory is off: one
 	// zero byte on the wire.
-	Digests []cluster.Digest
-	// ShardCount is the sender's store shard count on reqShardVector, and
-	// the bucket count m on reqPeelBackShard, whose Shard is the bucket b
-	// in [0, m) (see store.ChecksumBucket). Unused, the two cost two zero
-	// bytes.
+	Digests    []cluster.Digest
 	Shard      int
 	ShardCount int
 	// MailQueuedNanos and MailCoalesced are a reqMailBatch's sender-side
@@ -118,22 +107,14 @@ type response struct {
 	Entries  []store.Entry
 	Checksum uint64
 	Now      int64
-	// Bound and More resume the server's peel-back walk: Bound is the
-	// oldest index record the server examined, More whether records older
-	// than it remain.
-	Bound timestamp.T
-	More  bool
+	Bound    timestamp.T
+	More     bool
 	// Hops mirrors request.Hops for the response's Entries.
 	Hops []trace.Hop
 	Err  string
 	// Digests mirrors request.Digests: the responder's view, piggybacked
 	// back so digest exchange is bidirectional like the data exchange.
-	Digests []cluster.Digest
-	// ShardCount and Vector answer reqShardVector with the bucket count m,
-	// the smaller of the two stores' shard counts, and the responder's m
-	// bucket live checksums. For reqPeelBackShard the Checksum field
-	// carries the requested bucket's live checksum; reqChecksum answers
-	// with the global one.
+	Digests    []cluster.Digest
 	ShardCount int
 	Vector     []uint64
 }
@@ -353,21 +334,6 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// peelLimitCap bounds the batch size a remote caller can demand from the
-// server-side peel walk.
-const peelLimitCap = 8192
-
-// clampPeelLimit sanitises a wire-supplied batch size.
-func clampPeelLimit(limit int) int {
-	if limit <= 0 {
-		return core.DefaultPeelBatch
-	}
-	if limit > peelLimitCap {
-		return peelLimitCap
-	}
-	return limit
-}
-
 // dispatch serves one request. vec is scratch the reqShardVector reply
 // may build its vector in.
 func (s *Server) dispatch(req request, vec []uint64) response {
@@ -385,72 +351,39 @@ func (s *Server) dispatch(req request, vec []uint64) response {
 	case reqRumorOffer:
 		want, entries, hops := s.node.HandleOffer(req.Entries)
 		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
-	case reqFullSync:
-		st := s.node.Store()
-		// The snapshot is read after the apply, so it already carries every
-		// certificate the entries woke.
-		needed, _ := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechAntiEntropy, req.Tau1)
-		now := maxInt64(st.Now(), req.Now)
-		full := st.LiveSnapshot(now, req.Tau1)
-		return response{
-			Needed:  needed,
-			Entries: full,
-			Hops:    s.node.Tracer().Envelopes(full),
-			Now:     now,
-		}
-	case reqChecksum:
-		// Entries, when present, are anti-entropy repairs the caller ships
-		// (an offer's wanted entries, certificates it woke): applied first,
-		// so the checksum answers for the replica they leave. Without them
-		// Now is zero and this is the plain probe.
-		st := s.node.Store()
-		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechAntiEntropy, req.Tau1)
-		return response{
-			Needed:   needed,
-			Entries:  awakened,
-			Hops:     s.node.Tracer().Envelopes(awakened),
-			Checksum: st.ChecksumLive(maxInt64(st.Now(), req.Now), req.Tau1),
-		}
 	case reqShardVector:
-		st := s.node.Store()
-		if !isBucketCount(req.ShardCount) {
-			return response{Err: fmt.Sprintf("shard count %d is not a power of two", req.ShardCount)}
-		}
-		now := maxInt64(st.Now(), req.Now)
-		m := min(req.ShardCount, st.ShardCount())
-		return response{
-			Now:        now,
-			ShardCount: m,
-			Vector:     st.AppendChecksumVector(vec[:0], m, now, req.Tau1),
-			Digests:    s.swapDigests(req.Digests),
-		}
+		return s.answer(core.RungVector, req, vec)
 	case reqPeelBackShard:
-		st := s.node.Store()
-		if m := req.ShardCount; !isBucketCount(m) || m > st.ShardCount() || req.Shard < 0 || req.Shard >= m {
-			return response{Err: fmt.Sprintf("bucket %d of %d invalid against %d shards",
-				req.Shard, req.ShardCount, st.ShardCount())}
-		}
-		needed, awakened := s.node.ApplyRepairs(req.Entries, req.Hops, req.From, trace.MechPeelBack, req.Tau1)
-		now := maxInt64(st.Now(), req.Now)
-		batch, next, more := st.PeelBucket(req.Shard, req.ShardCount, req.Bound, clampPeelLimit(req.Limit), now, req.Tau1)
-		batch = withAwakened(batch, awakened)
-		return response{
-			Needed:   needed,
-			Entries:  batch,
-			Hops:     s.node.Tracer().Envelopes(batch),
-			Checksum: st.ChecksumBucket(req.Shard, req.ShardCount, now, req.Tau1),
-			Now:      now,
-			Bound:    next,
-			More:     more,
-		}
+		return s.answer(core.RungPeel, req, vec)
+	case reqChecksum:
+		return s.answer(core.RungCarry, req, vec)
+	case reqFullSync:
+		return s.answer(core.RungSwap, req, vec)
 	default:
 		return response{Err: fmt.Sprintf("unknown request kind %d", req.Kind)}
 	}
 }
 
-// isBucketCount reports whether m can count buckets: a power of two, at
-// least 1. A store folds to any such m up to its own shard count.
-func isBucketCount(m int) bool { return m > 0 && m&(m-1) == 0 }
+// answer serves one anti-entropy round trip through core.Respond, the
+// node's ApplyRepairs applying what the request ships; the opening vector
+// exchange also swaps cluster digests.
+func (s *Server) answer(rung core.Rung, req request, vec []uint64) response {
+	rep, err := core.Respond(s.node.Store(), core.LadderRequest{
+		Rung: rung, From: req.From, Entries: req.Entries, Hops: req.Hops, Now: req.Now, Tau1: req.Tau1,
+		Shard: req.Shard, ShardCount: req.ShardCount, Bound: req.Bound, Limit: req.Limit,
+	}, s.node.ApplyRepairs, s.node.Tracer(), vec)
+	if err != nil {
+		return response{Err: err.Error()}
+	}
+	resp := response{
+		Needed: rep.Needed, Entries: rep.Entries, Hops: rep.Hops, Checksum: rep.Checksum, Now: rep.Now,
+		Bound: rep.Bound, More: rep.More, ShardCount: rep.ShardCount, Vector: rep.Vector,
+	}
+	if rung == core.RungVector {
+		resp.Digests = s.swapDigests(req.Digests)
+	}
+	return resp
+}
 
 // swapDigests merges digests a caller piggybacked into this node's
 // directory and returns the local view to piggyback back. All nil-safe:
@@ -464,42 +397,10 @@ func (s *Server) swapDigests(in []cluster.Digest) []cluster.Digest {
 	return dir.Share()
 }
 
-// withAwakened appends to a peel batch the certificates the request's
-// entries woke (node.ApplyRepairs) that the batch, read after the apply,
-// does not already carry.
-func withAwakened(batch, awakened []store.Entry) []store.Entry {
-next:
-	for _, re := range awakened {
-		for _, e := range batch {
-			if e.Key == re.Key {
-				continue next
-			}
-		}
-		batch = append(batch, re)
-	}
-	return batch
-}
-
-// hopAt returns hops[i], or the zero (no-envelope) Hop when the sender
-// shipped no envelopes or fewer than entries.
-func hopAt(hops []trace.Hop, i int) trace.Hop {
-	if i < len(hops) {
-		return hops[i]
-	}
-	return trace.Hop{}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PeerOptions tunes a TCPPeer's pooled wire protocol. The zero value
-// selects the defaults noted per field. The repair ladder has no knob: a
-// bucket walk's peel budget (32 rounds) and the buckets walked at once (4)
-// are constants, and the batch size comes from core.ResolveConfig.
+// selects the defaults noted per field. The repair ladder has no knob: it
+// is core's (core.Reconcile), and its batch size comes from
+// core.ResolveConfig.
 type PeerOptions struct {
 	// Timeout is the dial timeout and the per-request deadline (default
 	// 10s). Unlike a per-connection deadline, it re-arms for every
@@ -588,11 +489,13 @@ func (p *TCPPeer) Close() error {
 }
 
 // wireCall bundles one request/response pair and the bytes it moved,
-// pooled so steady-state calls allocate nothing.
+// pooled so steady-state calls allocate nothing. Bound to a peer, it is
+// the far side of one anti-entropy conversation (core.Partner).
 type wireCall struct {
 	req               request
 	resp              response
 	bytesOut, bytesIn int64
+	peer              *TCPPeer
 }
 
 var wireCallPool = sync.Pool{New: func() any { return new(wireCall) }}
@@ -607,6 +510,7 @@ func putWireCall(c *wireCall) {
 	c.req = request{}
 	c.resp = response{Vector: c.resp.Vector[:0]}
 	c.bytesOut, c.bytesIn = 0, 0
+	c.peer = nil
 	wireCallPool.Put(c)
 }
 
@@ -690,297 +594,61 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 	return c.resp.Checksum, nil
 }
 
-// AntiEntropy implements node.Peer: §1.3's checksum compare over the wire,
-// narrowed by bucket. The conversation opens with the bucket vector: the
-// peer answers with the live checksums of m buckets, m the smaller of the
-// two stores' shard counts, and a pair whose vectors agree settles in that
-// one round trip and ships no entry. Each diverged bucket is then walked:
-// both sides peel back through it in reverse-timestamp batches,
-// re-comparing the bucket checksum after every batch and stopping as soon
-// as it agrees — O(δ) entries shipped for δ differing keys. The
-// conversation ends with those walks. No global recompare follows: a write
-// landing meanwhile would fail it, and that write is what mail, rumors and
-// the next conversation deliver anyway. Only a bucket that spends its 32
-// peel batches degrades the conversation to the full swap. Throughout,
-// with cfg.ReactivateDormant set, an obsolete entry that meets a dormant
-// death certificate on either side wakes it (§2.2), and the awakened
-// certificate crosses to the other side before the next compare. When the
-// cluster observatory is on, the vector request carries the local digest
-// view out and merges the peer's back.
+// AntiEntropy implements node.Peer: core's shard-vector conversation
+// (core.Reconcile), each of its round trips one pooled request on one
+// session at a time. When the cluster observatory is on, the opening vector
+// request carries the local digest view out and merges the peer's back.
 //
-// Of cfg only Tau1, BatchSize and ReactivateDormant are read. The ladder
-// above is the one wire conversation, always push-pull: cfg.Strategy,
-// cfg.Mode and the recent-update window cfg.Tau are ignored.
+// Of cfg only Tau1, BatchSize and ReactivateDormant are read. The
+// conversation is the one wire conversation, always push-pull:
+// cfg.Strategy, cfg.Mode and the recent-update window cfg.Tau are ignored.
 func (p *TCPPeer) AntiEntropy(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer) (core.ExchangeStats, error) {
-	var st core.ExchangeStats
 	c := getWireCall()
 	defer putWireCall(c)
-
-	now := local.Now()
-	c.req = request{
-		Kind:       reqShardVector,
-		From:       local.Site(),
-		Now:        now,
-		Tau1:       cfg.Tau1,
-		Digests:    p.opts.Digests.Share(),
-		ShardCount: local.ShardCount(),
-	}
-	if err := p.call(c); err != nil {
-		return st, err
-	}
-	p.opts.Digests.Merge(c.resp.Digests)
-	st.ChecksumsCompared++
-	now = maxInt64(now, c.resp.Now)
-	m := c.resp.ShardCount
-	if !isBucketCount(m) || m > local.ShardCount() || len(c.resp.Vector) != m {
-		return st, fmt.Errorf("transport: %s: %d bucket sums for %d buckets against %d shards",
-			p.addr, len(c.resp.Vector), m, local.ShardCount())
-	}
-	var diverged []int
-	for b, sum := range c.resp.Vector {
-		if local.ChecksumBucket(b, m, now, cfg.Tau1) != sum {
-			diverged = append(diverged, b)
-		}
-	}
-	if len(diverged) == 0 {
-		p.finishExchange(c, &st)
-		return st, nil
-	}
-	return p.repair(cfg, local, tr, now, m, diverged, c, st)
-}
-
-// repair walks the diverged buckets of m, a bounded pool of workers over
-// concurrent pooled sessions, after which the conversation ends; only a
-// bucket that spent its peel budget sends it on to the capped full swap.
-// st comes by value: the workers take its address, which would otherwise
-// move the caller's stats to the heap on the allocation-free in-sync path.
-// c accumulates the byte counters of every session the repair used.
-func (p *TCPPeer) repair(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, m int, diverged []int, c *wireCall, st core.ExchangeStats) (core.ExchangeStats, error) {
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = core.DefaultPeelBatch
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex // guards st, c's byte counters and firstErr
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < min(shardRepairWorkers, len(diverged)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(diverged) || failed.Load() {
-					return
-				}
-				if err := p.repairBucket(cfg, local, tr, diverged[i], m, now, batch, &mu, c, &st); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	err := firstErr
-	if err == nil {
-		st.ShardsRepaired += len(diverged)
-		p.opts.Stats.noteShardVec(len(diverged))
-	} else if errors.Is(err, errPeelBudget) {
-		// Capped last resort: a bucket spent its peel budget and the
-		// replicas still disagree — swap full live databases in one round
-		// trip.
-		st.FullCompare = true
-		full := local.LiveSnapshot(now, cfg.Tau1)
-		c.req = request{
-			Kind: reqFullSync, From: local.Site(), Entries: full,
-			Hops: tr.Envelopes(full), Now: now, Tau1: cfg.Tau1,
-		}
-		err = p.exchange(c, cfg, local, tr, now, trace.MechAntiEntropy, &st)
-	}
+	c.peer = p
+	st, err := core.Reconcile(cfg, local, tr, c)
 	if err != nil {
 		return st, err
 	}
-	p.finishExchange(c, &st)
+	if st.ShardsRepaired > 0 {
+		p.opts.Stats.noteShardVec(st.ShardsRepaired)
+	}
+	p.opts.Stats.noteExchange(st.EntriesSent, st.EntriesReceived, c.bytesOut, c.bytesIn)
 	return st, nil
 }
 
-// exchange sends c's request, whose Entries are this side's shipment, and
-// settles the reply. Certificates the reply woke here go straight back on
-// a carrier; c keeps the reply itself.
-func (p *TCPPeer) exchange(c *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, now int64, mech trace.Mechanism, st *core.ExchangeStats) error {
+// rungKinds frames each round trip of the anti-entropy conversation.
+var rungKinds = [...]reqKind{
+	core.RungVector: reqShardVector,
+	core.RungPeel:   reqPeelBackShard,
+	core.RungCarry:  reqChecksum,
+	core.RungSwap:   reqFullSync,
+}
+
+// ID implements core.Partner.
+func (c *wireCall) ID() timestamp.SiteID { return c.peer.id }
+
+// Ask implements core.Partner: one pooled round trip, its framed bytes
+// summed on c. The reply's vector is c's kept buffer, overwritten by the
+// next Ask.
+func (c *wireCall) Ask(q core.LadderRequest) (core.LadderReply, error) {
+	p := c.peer
+	c.req = request{
+		Kind: rungKinds[q.Rung], From: q.From, Entries: q.Entries, Hops: q.Hops, Now: q.Now, Tau1: q.Tau1,
+		Bound: q.Bound, Limit: q.Limit, Shard: q.Shard, ShardCount: q.ShardCount,
+	}
+	if q.Rung == core.RungVector {
+		c.req.Digests = p.opts.Digests.Share()
+	}
 	if err := p.call(c); err != nil {
-		return err
+		return core.LadderReply{}, err
 	}
-	if awake := p.settle(cfg, local, c, mech, st); len(awake) > 0 {
-		return p.carry(c, cfg, local, tr, awake, now, st)
+	if q.Rung == core.RungVector {
+		p.opts.Digests.Merge(c.resp.Digests)
 	}
-	return nil
-}
-
-// carry ships entries on a checksum request: the peer applies them as
-// anti-entropy repairs. Certificates that applying them woke on the peer
-// come back in the answer and are applied here; any that the answer wakes
-// here in turn ride another carrier. Each key wakes at most once — its
-// certificate is live afterwards — so the loop ends. The round trips run
-// on their own call, whose bytes are added to agg.
-func (p *TCPPeer) carry(agg *wireCall, cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, entries []store.Entry, now int64, st *core.ExchangeStats) error {
-	k := getWireCall()
-	defer func() {
-		agg.bytesOut += k.bytesOut
-		agg.bytesIn += k.bytesIn
-		putWireCall(k)
-	}()
-	for len(entries) > 0 {
-		k.req = request{
-			Kind: reqChecksum, From: local.Site(),
-			Entries: entries, Hops: tr.Envelopes(entries),
-			Now: now, Tau1: cfg.Tau1,
-		}
-		if err := p.call(k); err != nil {
-			return err
-		}
-		entries = p.settle(cfg, local, k, trace.MechAntiEntropy, st)
-	}
-	return nil
-}
-
-// settle books the round trip in c, whose request shipped this side's
-// entries: those the reply's Needed bits report applied at the peer
-// (counted only — redistribution and span stamping act on this side's own
-// repairs), then the reply's own entries, applied here. It returns the
-// dormant certificates the reply woke here, which the caller must ship
-// back.
-func (p *TCPPeer) settle(cfg core.ResolveConfig, local *store.Store, c *wireCall, mech trace.Mechanism, st *core.ExchangeStats) []store.Entry {
-	st.EntriesSent += len(c.req.Entries)
-	for i, e := range c.req.Entries {
-		if i < len(c.resp.Needed) && c.resp.Needed[i] {
-			st.NoteApplied(p.id, e.Key)
-		}
-	}
-	return p.applyReceived(cfg, local, c.resp.Entries, c.resp.Hops, mech, st)
-}
-
-// errPeelBudget reports a bucket walk that spent maxPeelRounds batches
-// without reconciling its bucket.
-var errPeelBudget = errors.New("transport: peel budget spent")
-
-const (
-	// shardProbeBatch is the opening batch size of a bucket walk (it ramps
-	// ×4 per round up to the configured BatchSize).
-	shardProbeBatch = 8
-	// maxPeelRounds caps the peel-back batches of one bucket walk; a walk
-	// that spends them sends the conversation to the full swap.
-	maxPeelRounds = 32
-	// shardRepairWorkers bounds the diverged buckets walked concurrently,
-	// each on its own pooled session, so the effective parallelism is also
-	// bounded by PoolSize plus overflow dials.
-	shardRepairWorkers = 4
-)
-
-// repairBucket reconciles bucket b of m: both sides peel the bucket's slice
-// of their timestamp index in reverse order, re-comparing the bucket
-// checksum after every batch, until the checksums agree or both walks are
-// exhausted; errPeelBudget reports maxPeelRounds batches spent first. It
-// may run on a worker goroutine: it books into its own stats and folds
-// them and its byte counts into st and agg, the state it shares, under mu
-// when it returns.
-func (p *TCPPeer) repairBucket(cfg core.ResolveConfig, local *store.Store, tr *trace.Tracer, b, m int, now int64, batch int, mu *sync.Mutex, agg *wireCall, st *core.ExchangeStats) error {
-	c := getWireCall()
-	var own core.ExchangeStats
-	defer func() {
-		mu.Lock()
-		agg.bytesOut += c.bytesOut
-		agg.bytesIn += c.bytesIn
-		st.Add(own)
-		mu.Unlock()
-		putWireCall(c)
-	}()
-
-	// The expected divergence inside one bucket is δ/m — usually a couple
-	// of entries, usually recent. Start with a small probe batch and ramp
-	// toward the configured size, so shallow divergence costs O(δ) on the
-	// wire instead of a full batch each way.
-	size := min(batch, shardProbeBatch)
-	localBound, remoteBound := store.PeelStart, store.PeelStart
-	localMore, remoteMore := true, true
-	for round := 0; round < maxPeelRounds; round++ {
-		var mine []store.Entry
-		if localMore {
-			mine, localBound, localMore = local.PeelBucket(b, m, localBound, size, now, cfg.Tau1)
-		}
-		c.req = request{
-			Kind:       reqPeelBackShard,
-			From:       local.Site(),
-			Entries:    mine,
-			Hops:       tr.Envelopes(mine),
-			Bound:      remoteBound,
-			Limit:      size,
-			Now:        now,
-			Tau1:       cfg.Tau1,
-			Shard:      b,
-			ShardCount: m,
-		}
-		size = min(size*4, batch)
-		// A certificate woken here rides a carrier after the peer read its
-		// bucket checksum: the bucket compares again next round.
-		if err := p.exchange(c, cfg, local, tr, now, trace.MechPeelBack, &own); err != nil {
-			return err
-		}
-		remoteBound, remoteMore = c.resp.Bound, c.resp.More
-		own.ChecksumsCompared++
-		if local.ChecksumBucket(b, m, now, cfg.Tau1) == c.resp.Checksum {
-			return nil
-		}
-		if !localMore && !remoteMore {
-			// Both walks exhausted: every shippable entry crossed the wire;
-			// remaining differences are dormant certificates the protocol
-			// must not propagate (§2.2).
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: bucket %d of %d", errPeelBudget, b, m)
-}
-
-// finishExchange attributes one completed anti-entropy conversation to the
-// peer's stats.
-func (p *TCPPeer) finishExchange(c *wireCall, st *core.ExchangeStats) {
-	p.opts.Stats.noteExchange(st.EntriesSent, st.EntriesReceived, c.bytesOut, c.bytesIn)
-}
-
-// applyReceived merges entries the peer shipped into the local store,
-// attributing traffic and repairs to the exchange stats. hops are the
-// peer's provenance envelopes (nil when it does not trace); each applied
-// entry becomes a Repair so the caller can stamp causal hop spans. With
-// cfg.ReactivateDormant set, an obsolete entry rejected by a dormant local
-// death certificate wakes it (§2.2); the awakened certificates are
-// returned for the caller to ship back.
-func (p *TCPPeer) applyReceived(cfg core.ResolveConfig, local *store.Store, entries []store.Entry, hops []trace.Hop, mech trace.Mechanism, st *core.ExchangeStats) (awakened []store.Entry) {
-	for i, e := range entries {
-		st.EntriesReceived++
-		switch res := local.Apply(e); {
-		case res.Changed():
-			senderHop := trace.HopUnknown
-			if h := hopAt(hops, i); h.Valid {
-				senderHop = h.Count
-			}
-			st.NoteRepair(core.Repair{
-				Site: local.Site(), Parent: p.id,
-				Key: e.Key, Stamp: e.Stamp,
-				Mech: mech, SenderHop: senderHop,
-			})
-		case res == store.RejectedByDeath && cfg.ReactivateDormant:
-			if re, ok := core.ReactivateIfDormant(local, e.Key, cfg.Tau1); ok {
-				st.Reactivated = append(st.Reactivated, e.Key)
-				awakened = append(awakened, re)
-			}
-		}
-	}
-	return awakened
+	r := &c.resp
+	return core.LadderReply{
+		Needed: r.Needed, Entries: r.Entries, Hops: r.Hops, Checksum: r.Checksum, Now: r.Now,
+		Bound: r.Bound, More: r.More, ShardCount: r.ShardCount, Vector: r.Vector,
+	}, nil
 }

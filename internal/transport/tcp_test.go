@@ -248,11 +248,11 @@ func TestTCPAntiEntropyFullSwapLastResort(t *testing.T) {
 	if !st.FullCompare {
 		t.Errorf("expected full-swap last resort: %+v", st)
 	}
-	// The vector, the bucket's maxPeelRounds walk rounds and the full swap:
+	// The vector, the bucket's core.PeelRounds walk rounds and the full swap:
 	// no whole-store walk between the spent budget and the swap.
 	snap := stats.Snapshot()
-	if want := int64(1 + maxPeelRounds + 1); snap.MsgsBinary != want {
-		t.Errorf("%d round trips, want %d (vector, %d walk rounds, full swap)", snap.MsgsBinary, want, maxPeelRounds)
+	if want := int64(1 + core.PeelRounds + 1); snap.MsgsBinary != want {
+		t.Errorf("%d round trips, want %d (vector, %d walk rounds, full swap)", snap.MsgsBinary, want, core.PeelRounds)
 	}
 	if snap.ShardVecExchanges != 0 || st.ShardsRepaired != 0 {
 		t.Errorf("a spent budget must not count as a narrow repair: %+v, repaired %d", snap, st.ShardsRepaired)
