@@ -89,6 +89,26 @@ func TestClusterSmoke(t *testing.T) {
 		return true
 	})
 
+	// Freshness under the per-peer delta: a remote digest is refreshed
+	// every -digest-every and crosses each link on the next conversation,
+	// so none is older than that plus one rumor period, beside scheduling
+	// slack on a loaded box — well inside -stale-after.
+	const slack = 150 * time.Millisecond
+	bound := (base.digestEvery + base.rumPer + slack).Seconds()
+	for _, d := range daemons {
+		st := getClusterStatus(t, d)
+		oldest := 0.0
+		for _, s := range st.Sites {
+			if s.Site != st.Site {
+				oldest = max(oldest, s.AgeSeconds)
+			}
+		}
+		t.Logf("site %d: oldest remote digest %.0f ms", st.Site, oldest*1e3)
+		if oldest > bound {
+			t.Errorf("site %d's oldest remote digest is %.3fs old, want <= %.3fs", st.Site, oldest, bound)
+		}
+	}
+
 	// A healthy converged cluster must not trip the residue-stuck detector:
 	// wait out the residue window (2x stale-after) and the view must still
 	// be ok with zero residue everywhere. Regression test for the lone-
@@ -209,7 +229,7 @@ func TestHealthzDegradesAndRecovers(t *testing.T) {
 
 	// A site whose digest is already 500ms old: past the 50ms staleness
 	// window, well inside the 2s TTL.
-	d.digests.Merge([]epidemic.ClusterDigest{{
+	d.digests.Merge(99, []epidemic.ClusterDigest{{
 		Site: 99, Stamp: time.Now().Add(-500 * time.Millisecond).UnixNano(),
 	}})
 	waitFor(t, 3*time.Second, "degraded health", func() bool {

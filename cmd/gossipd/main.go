@@ -72,7 +72,10 @@
 // Cluster observatory: with -cluster-digests (default on) every replica
 // refreshes a compact health digest each -digest-every and the digests
 // ride ordinary anti-entropy and rumor exchanges as a trailing frame
-// section — no extra connections, one byte when disabled. Any single
+// section — no extra connections, one byte when empty. A conversation
+// carries only the digests newer than its partner is known to hold, so
+// each version crosses each link once; a peer whose digest shows a new
+// start time gets the full view again. Any single
 // daemon can then serve the whole cluster's status on /cluster (gossipctl
 // status / watch render it). A stall detector flags sites whose digests
 // go stale (-stale-after, default 3x the anti-entropy period), residue

@@ -324,6 +324,7 @@ const (
 	MetricWireEntriesPerExchange = obs.MetricWireEntriesPerExchange
 	MetricWireBytesPerExchange   = obs.MetricWireBytesPerExchange
 	MetricWireMsgsBinary         = obs.MetricWireMsgsBinary
+	MetricWireDigestBytes        = obs.MetricWireDigestBytes
 	MetricWireShardVecExchanges  = obs.MetricWireShardVecExchanges
 	MetricWireShardVecShards     = obs.MetricWireShardVecShards
 	MetricWireMailBatches        = obs.MetricWireMailBatches

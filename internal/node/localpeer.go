@@ -44,15 +44,23 @@ func (p *LocalPeer) SetDigestDirectory(owner *cluster.Directory) {
 	p.owner = owner
 }
 
-// exchangeDigests pushes the owner's digest view to the target and pulls
-// the target's back — the bidirectional piggyback every conversation gets.
-// All operations are nil-safe no-ops when either side has no directory.
+// exchangeDigests pushes the digests the target lacks and pulls back the
+// ones the owner lacks — the bidirectional piggyback every conversation
+// gets, under the wire's per-peer rule: the target merges first, then
+// answers with its own delta, and each side marks what it delivered.
+// A no-op when either side has no directory.
 func (p *LocalPeer) exchangeDigests() {
-	if p.owner == nil {
+	theirs := p.target.Digests()
+	if p.owner == nil || theirs == nil {
 		return
 	}
-	p.target.Digests().Merge(p.owner.Share())
-	p.owner.Merge(p.target.Digests().Share())
+	self, peer := p.owner.Self(), theirs.Self()
+	out := p.owner.ShareTo(peer)
+	theirs.Merge(self, out)
+	back := theirs.ShareTo(self)
+	theirs.Delivered(self, back)
+	p.owner.Merge(peer, back)
+	p.owner.Delivered(peer, out)
 }
 
 // SetMailLoss sets the probability that a mailed update is silently

@@ -116,8 +116,9 @@ type Config struct {
 	// entirely — no spans, no envelopes, no allocations.
 	TraceRing int
 	// Digests, when non-nil, is this node's cluster digest directory: the
-	// transport piggybacks its Share() on anti-entropy and rumor-offer
-	// exchanges and merges what peers send back. Nil (the default)
+	// transport piggybacks its ShareTo(peer) — the digests that peer
+	// lacks — on anti-entropy and rumor-offer exchanges and merges what
+	// peers send back. Nil (the default)
 	// disables the cluster observatory — no directory, no wire bytes.
 	Digests *cluster.Directory
 	// Seed seeds this node's private RNG; 0 derives one from the site ID.

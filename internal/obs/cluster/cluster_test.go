@@ -10,11 +10,12 @@ import (
 func TestDirectoryNilSafe(t *testing.T) {
 	var d *Directory
 	d.SetSelf(Digest{StoreKeys: 1})
-	if got := d.Merge([]Digest{{Site: 2, Stamp: 5}}); got != 0 {
+	if got := d.Merge(2, []Digest{{Site: 2, Stamp: 5}}); got != 0 {
 		t.Errorf("nil Merge = %d", got)
 	}
-	if d.Share() != nil {
-		t.Error("nil Share returned digests")
+	d.Delivered(2, []Digest{{Site: 3, Stamp: 5}})
+	if d.ShareTo(2) != nil {
+		t.Error("nil ShareTo returned digests")
 	}
 	if d.Snapshot() != nil {
 		t.Error("nil Snapshot returned digests")
@@ -31,14 +32,14 @@ func TestDirectoryMergeNewestWins(t *testing.T) {
 	d := NewDirectory(1, 0)
 	d.SetSelf(Digest{Stamp: 100, StoreKeys: 7})
 
-	if got := d.Merge([]Digest{{Site: 2, Stamp: 50}, {Site: 3, Stamp: 60}}); got != 2 {
+	if got := d.Merge(2, []Digest{{Site: 2, Stamp: 50}, {Site: 3, Stamp: 60}}); got != 2 {
 		t.Fatalf("initial merge changed %d, want 2", got)
 	}
 	// Older stamp for site 2 must lose; newer must win.
-	if got := d.Merge([]Digest{{Site: 2, Stamp: 40, StoreKeys: 1}}); got != 0 {
+	if got := d.Merge(2, []Digest{{Site: 2, Stamp: 40, StoreKeys: 1}}); got != 0 {
 		t.Errorf("stale digest merged (%d)", got)
 	}
-	if got := d.Merge([]Digest{{Site: 2, Stamp: 55, StoreKeys: 9}}); got != 1 {
+	if got := d.Merge(2, []Digest{{Site: 2, Stamp: 55, StoreKeys: 9}}); got != 1 {
 		t.Errorf("newer digest rejected (%d)", got)
 	}
 	dg, ok := d.Get(2)
@@ -47,7 +48,7 @@ func TestDirectoryMergeNewestWins(t *testing.T) {
 	}
 	// The node is authoritative for its own digest: a bounced copy with a
 	// newer stamp must not overwrite it.
-	if got := d.Merge([]Digest{{Site: 1, Stamp: 999, StoreKeys: 0}}); got != 0 {
+	if got := d.Merge(2, []Digest{{Site: 1, Stamp: 999, StoreKeys: 0}}); got != 0 {
 		t.Errorf("self digest overwritten via merge (%d)", got)
 	}
 	if dg, _ := d.Get(1); dg.Stamp != 100 || dg.StoreKeys != 7 {
@@ -57,17 +58,17 @@ func TestDirectoryMergeNewestWins(t *testing.T) {
 
 func TestDirectoryShareSelfFirstAndCapped(t *testing.T) {
 	d := NewDirectory(1, 3)
-	if d.Share() != nil {
+	if d.ShareTo(9) != nil {
 		t.Fatal("empty directory shared digests")
 	}
 	d.SetSelf(Digest{Stamp: 10})
-	d.Merge([]Digest{
+	d.Merge(6, []Digest{
 		{Site: 2, Stamp: 100},
 		{Site: 3, Stamp: 300},
 		{Site: 4, Stamp: 200},
 		{Site: 5, Stamp: 50},
 	})
-	share := d.Share()
+	share := d.ShareTo(9)
 	if len(share) != 3 {
 		t.Fatalf("share len = %d, want cap 3", len(share))
 	}
@@ -78,12 +79,97 @@ func TestDirectoryShareSelfFirstAndCapped(t *testing.T) {
 	if share[1].Site != 3 || share[2].Site != 4 {
 		t.Errorf("share order = %d,%d, want 3,4", share[1].Site, share[2].Site)
 	}
+	// Once those three are delivered, the capped-off rest follows.
+	d.Delivered(9, share)
+	rest := d.ShareTo(9)
+	if len(rest) != 2 || rest[0].Site != 2 || rest[1].Site != 5 {
+		t.Errorf("second share = %+v, want sites 2 then 5", rest)
+	}
+}
+
+// TestDirectoryShareIsPerPeerDelta walks the reset rules of the per-peer
+// delta: a digest crosses each peer link once per version.
+func TestDirectoryShareIsPerPeerDelta(t *testing.T) {
+	d := NewDirectory(1, 0)
+	d.SetSelf(Digest{Stamp: 10, StartedAt: 1})
+	d.Merge(2, []Digest{{Site: 2, Stamp: 20, StartedAt: 2}, {Site: 3, Stamp: 30, StartedAt: 3}})
+
+	// A digest received from a peer is never echoed back to it, and a
+	// peer is never sent its own digest: peer 2 lacks only self.
+	first := d.ShareTo(2)
+	if len(first) != 1 || first[0].Site != 1 {
+		t.Fatalf("share to 2 = %+v, want self only", first)
+	}
+	// Nothing is marked until the round trip succeeds: a share that was
+	// never delivered is offered again.
+	if again := d.ShareTo(2); len(again) != 1 {
+		t.Fatalf("undelivered share not offered again: %+v", again)
+	}
+	d.Delivered(2, first)
+	if got := d.ShareTo(2); got != nil {
+		t.Fatalf("second share with no refresh = %+v, want nil", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.ShareTo(2) }); allocs != 0 {
+		t.Errorf("empty delta allocates %v times, want 0", allocs)
+	}
+
+	// A peer that has heard nothing gets the whole view, self first.
+	if got := d.ShareTo(4); len(got) != 3 || got[0].Site != 1 {
+		t.Fatalf("share to a fresh peer = %+v, want the full view", got)
+	}
+
+	// A refreshed self digest is sent alone.
+	d.SetSelf(Digest{Stamp: 40, StartedAt: 1})
+	got := d.ShareTo(2)
+	if len(got) != 1 || got[0].Site != 1 || got[0].Stamp != 40 {
+		t.Fatalf("share after refresh = %+v, want the new self digest alone", got)
+	}
+	d.Delivered(2, got)
+
+	// A refresh of site 3 heard from peer 2 is not sent back to 2.
+	d.Merge(2, []Digest{{Site: 3, Stamp: 50, StartedAt: 3}})
+	if got := d.ShareTo(2); got != nil {
+		t.Fatalf("digest echoed to the peer it came from: %+v", got)
+	}
+	// A newer site-3 digest heard from 5 is what 2 lacks.
+	d.Merge(5, []Digest{{Site: 3, Stamp: 60, StartedAt: 3}})
+	if got := d.ShareTo(2); len(got) != 1 || got[0].Site != 3 || got[0].Stamp != 60 {
+		t.Fatalf("share after a newer site-3 digest = %+v", got)
+	}
+	// An older copy heard from 2 says 2 lags; it still gets the newer one.
+	d.Merge(2, []Digest{{Site: 3, Stamp: 55, StartedAt: 3}})
+	if got := d.ShareTo(2); len(got) != 1 || got[0].Stamp != 60 {
+		t.Fatalf("a stale copy from 2 hid the newer digest: %+v", got)
+	}
+}
+
+// TestDirectoryRestartResetsPeer: a digest whose StartedAt changed means
+// its site restarted with an empty view, so it gets the full view again.
+func TestDirectoryRestartResetsPeer(t *testing.T) {
+	d := NewDirectory(1, 0)
+	d.SetSelf(Digest{Stamp: 10, StartedAt: 1})
+	d.Merge(2, []Digest{{Site: 2, Stamp: 20, StartedAt: 2}, {Site: 3, Stamp: 30, StartedAt: 3}})
+	d.Delivered(2, d.ShareTo(2))
+	if got := d.ShareTo(2); got != nil {
+		t.Fatalf("share before restart = %+v, want nil", got)
+	}
+	// A newer digest from the same incarnation changes nothing.
+	d.Merge(3, []Digest{{Site: 2, Stamp: 25, StartedAt: 2}})
+	if got := d.ShareTo(2); got != nil {
+		t.Fatalf("share after a same-incarnation refresh = %+v, want nil", got)
+	}
+	// Site 2 restarts; a third site relays its new digest.
+	d.Merge(3, []Digest{{Site: 2, Stamp: 35, StartedAt: 33}})
+	got := d.ShareTo(2)
+	if len(got) != 2 || got[0].Site != 1 || got[1].Site != 3 {
+		t.Fatalf("share to a restarted peer = %+v, want self and site 3", got)
+	}
 }
 
 func TestDirectorySnapshotSortedAndPrune(t *testing.T) {
 	d := NewDirectory(2, 0)
 	d.SetSelf(Digest{Stamp: 1000})
-	d.Merge([]Digest{{Site: 5, Stamp: 900}, {Site: 1, Stamp: 100}})
+	d.Merge(5, []Digest{{Site: 5, Stamp: 900}, {Site: 1, Stamp: 100}})
 
 	snap := d.Snapshot()
 	if len(snap) != 3 || snap[0].Site != 1 || snap[1].Site != 2 || snap[2].Site != 5 {
@@ -114,8 +200,8 @@ func TestDirectoryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				d.SetSelf(Digest{Stamp: int64(i)})
-				d.Merge([]Digest{{Site: int32(2 + g), Stamp: int64(i)}})
-				d.Share()
+				d.Merge(int32(2+g), []Digest{{Site: int32(2 + g), Stamp: int64(i)}})
+				d.Delivered(int32(2+g), d.ShareTo(int32(2+g)))
 				d.Snapshot()
 				d.Prune(int64(i), 50)
 			}

@@ -14,6 +14,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -76,20 +78,27 @@ type Digest struct {
 
 // DefaultShareLimit caps the digests piggybacked on one exchange so the
 // envelope stays bounded on large clusters; the epidemic still spreads
-// every digest, just over more exchanges.
+// every digest, just over more exchanges. It caps the per-peer delta
+// ShareTo returns, which in steady state is far smaller: a digest crosses
+// each peer link once per version.
 const DefaultShareLimit = 64
 
 // Directory is one node's view of the cluster digest set: its own digest
-// plus the newest digest it has heard for every other site. All methods
-// are safe for concurrent use and nil-safe — a nil *Directory records
-// nothing and shares nothing, so disabled digests cost zero wire bytes
-// (the same pattern as the nil trace.Tracer).
+// plus the newest digest it has heard for every other site, and, per peer
+// site, the newest stamp of each site's digest that peer is known to hold.
+// All methods are safe for concurrent use and nil-safe — a nil *Directory
+// records nothing and shares nothing, so disabled digests cost zero wire
+// bytes (the same pattern as the nil trace.Tracer).
 type Directory struct {
 	self       int32
 	shareLimit int
 
 	mu      sync.RWMutex
 	digests map[int32]Digest
+	// held[p][s] is the newest stamp of site s's digest that peer p is
+	// known to hold: p sent it to us, or we sent it to p on a round trip
+	// that succeeded. ShareTo(p) offers only digests newer than that.
+	held map[int32]map[int32]int64
 }
 
 // NewDirectory builds a directory for the given site. shareLimit bounds
@@ -102,6 +111,7 @@ func NewDirectory(self int32, shareLimit int) *Directory {
 		self:       self,
 		shareLimit: shareLimit,
 		digests:    make(map[int32]Digest),
+		held:       make(map[int32]map[int32]int64),
 	}
 }
 
@@ -125,11 +135,15 @@ func (d *Directory) SetSelf(dg Digest) {
 	d.mu.Unlock()
 }
 
-// Merge folds digests heard from a peer into the view: newest stamp wins
+// Merge folds digests heard from peer into the view: newest stamp wins
 // per site, and the node stays authoritative for its own digest (a copy
 // of it bouncing back from a peer can never overwrite the local one).
+// peer is recorded as holding every digest in in, so none is echoed back
+// to it. A winning digest whose StartedAt differs from the one it replaces
+// means its site restarted with an empty view: what that site was known
+// to hold is forgotten, and its next conversation gets the full view.
 // It returns the number of digests that changed the view.
-func (d *Directory) Merge(in []Digest) int {
+func (d *Directory) Merge(peer int32, in []Digest) int {
 	if d == nil || len(in) == 0 {
 		return 0
 	}
@@ -140,52 +154,81 @@ func (d *Directory) Merge(in []Digest) int {
 			continue
 		}
 		if cur, ok := d.digests[dg.Site]; !ok || dg.Stamp > cur.Stamp {
+			if ok && dg.StartedAt != cur.StartedAt {
+				delete(d.held, dg.Site)
+			}
 			d.digests[dg.Site] = dg
 			changed++
 		}
 	}
+	d.noteHeld(peer, in)
 	d.mu.Unlock()
 	return changed
 }
 
-// Share returns the digests to piggyback on one outgoing exchange: this
-// node's own digest first (the one fact only it can originate), then the
-// freshest others, capped at the share limit. nil when the directory is
-// nil or empty — nil piggybacks encode to zero wire bytes.
-func (d *Directory) Share() []Digest {
+// Delivered records that peer now holds every digest in sent: call it once
+// the round trip that carried them has succeeded.
+func (d *Directory) Delivered(peer int32, sent []Digest) {
+	if d == nil || len(sent) == 0 {
+		return
+	}
+	d.mu.Lock()
+	d.noteHeld(peer, sent)
+	d.mu.Unlock()
+}
+
+// noteHeld raises peer's held stamps to those of dgs. d.mu must be held.
+func (d *Directory) noteHeld(peer int32, dgs []Digest) {
+	if peer == d.self {
+		return
+	}
+	held := d.held[peer]
+	if held == nil {
+		held = make(map[int32]int64, len(d.digests))
+		d.held[peer] = held
+	}
+	for _, dg := range dgs {
+		if stamp, ok := held[dg.Site]; !ok || dg.Stamp > stamp {
+			held[dg.Site] = dg.Stamp
+		}
+	}
+}
+
+// ShareTo returns the digests to piggyback on one exchange with peer: the
+// ones newer than what peer is known to hold, this node's own digest first
+// (the one fact only it can originate), then the freshest others, capped
+// at the share limit. nil when peer already holds the whole view — the
+// steady state between digest refreshes, which costs no allocation — and
+// when the directory is nil; nil piggybacks encode to one zero byte.
+func (d *Directory) ShareTo(peer int32) []Digest {
 	if d == nil {
 		return nil
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if len(d.digests) == 0 {
-		return nil
+	held := d.held[peer]
+	lacks := func(dg Digest) bool {
+		stamp, ok := held[dg.Site]
+		return dg.Site != peer && (!ok || dg.Stamp > stamp)
 	}
-	out := make([]Digest, 0, min(len(d.digests), d.shareLimit))
-	if self, ok := d.digests[d.self]; ok {
+	var out []Digest
+	if self, ok := d.digests[d.self]; ok && lacks(self) {
 		out = append(out, self)
 	}
-	rest := make([]Digest, 0, len(d.digests))
+	first := len(out)
 	for site, dg := range d.digests {
-		if site == d.self {
-			continue
+		if site != d.self && lacks(dg) {
+			out = append(out, dg)
 		}
-		rest = append(rest, dg)
 	}
 	// Freshest first, site as the deterministic tiebreak.
-	sort.Slice(rest, func(i, j int) bool {
-		if rest[i].Stamp != rest[j].Stamp {
-			return rest[i].Stamp > rest[j].Stamp
+	slices.SortFunc(out[first:], func(a, b Digest) int {
+		if c := cmp.Compare(b.Stamp, a.Stamp); c != 0 {
+			return c
 		}
-		return rest[i].Site < rest[j].Site
+		return cmp.Compare(a.Site, b.Site)
 	})
-	for _, dg := range rest {
-		if len(out) >= d.shareLimit {
-			break
-		}
-		out = append(out, dg)
-	}
-	return out
+	return out[:min(len(out), d.shareLimit)]
 }
 
 // Snapshot returns every digest in the view, sorted by site.
@@ -227,7 +270,9 @@ func (d *Directory) Len() int {
 // Prune drops digests whose stamp is older than now-ttl — the TTL aging
 // that eventually forgets departed nodes (their digest stops refreshing,
 // goes stale, gets flagged by the stall detector, and is finally aged
-// out). The node's own digest is never pruned. Returns the count dropped.
+// out). The node's own digest is never pruned; a pruned site is also
+// forgotten as a peer, so if it returns it gets the full view. Returns the
+// count dropped.
 func (d *Directory) Prune(now, ttl int64) int {
 	if d == nil || ttl <= 0 {
 		return 0
@@ -240,6 +285,10 @@ func (d *Directory) Prune(now, ttl int64) int {
 		}
 		if now-dg.Stamp > ttl {
 			delete(d.digests, site)
+			delete(d.held, site)
+			for _, held := range d.held {
+				delete(held, site)
+			}
 			dropped++
 		}
 	}

@@ -25,6 +25,10 @@ const (
 	MetricWireShardVecExchanges = "epidemic_wire_shardvec_exchanges_total"
 	MetricWireShardVecShards    = "epidemic_wire_shardvec_shards_total"
 
+	// Cluster-digest sections of gossip frames, by direction (dir="sent" |
+	// "received"): the observatory's share of the wire bytes.
+	MetricWireDigestBytes = "epidemic_wire_digest_bytes_total"
+
 	// Batched mail: outbox drains shipped as one frame and the entries
 	// they carried.
 	MetricWireMailBatches      = "epidemic_wire_mail_batches_total"
@@ -45,10 +49,10 @@ var (
 // observation per completed anti-entropy conversation. Call once per
 // process-wide WireStats.
 func InstrumentWire(reg *Registry, ws *transport.WireStats) {
-	counter := func(name, help string, read func(transport.WireSnapshot) int64) {
+	counter := func(name, help string, read func(transport.WireSnapshot) int64, labels ...Label) {
 		reg.CounterFunc(name, help, func() float64 {
 			return float64(read(ws.Snapshot()))
-		})
+		}, labels...)
 	}
 	counter(MetricWireDials, "Gossip client connections dialed.",
 		func(s transport.WireSnapshot) int64 { return s.Dials })
@@ -72,6 +76,11 @@ func InstrumentWire(reg *Registry, ws *transport.WireStats) {
 		func(s transport.WireSnapshot) int64 { return s.MailBatches })
 	counter(MetricWireMailBatchEntries, "Mail entries carried by batched mail frames.",
 		func(s transport.WireSnapshot) int64 { return s.MailBatchEntries })
+	const digestHelp = "Encoded cluster-digest section bytes in gossip frames, by direction."
+	counter(MetricWireDigestBytes, digestHelp,
+		func(s transport.WireSnapshot) int64 { return s.DigestBytesSent }, Label{"dir", "sent"})
+	counter(MetricWireDigestBytes, digestHelp,
+		func(s transport.WireSnapshot) int64 { return s.DigestBytesReceived }, Label{"dir", "received"})
 	reg.GaugeFunc(MetricWireOpenConns, "Gossip client connections currently open.",
 		func() float64 { return float64(ws.Snapshot().OpenConns) })
 

@@ -100,6 +100,9 @@ func TestInstrumentWire(t *testing.T) {
 		MetricWireEntriesPerExchange + "_count": 2,
 		MetricWireBytesPerExchange + "_count":   2,
 		MetricWireMsgsBinary:                    1,
+		// No directory: each frame's empty digest section is one byte.
+		MetricWireDigestBytes + `{dir="sent"}`:     1,
+		MetricWireDigestBytes + `{dir="received"}`: 1,
 	} {
 		if got := scrape(t, reg, name); got < min {
 			t.Errorf("%s = %v, want >= %v", name, got, min)

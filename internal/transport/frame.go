@@ -75,6 +75,10 @@ type session struct {
 	limit  int // per-frame payload cap
 
 	bytesOut, bytesIn int64 // cumulative traffic on this session
+	// digestOut and digestIn count the cluster-digest sections of the
+	// requests this session wrote and the responses it read: the client's
+	// share of bytesOut and bytesIn that the observatory spends.
+	digestOut, digestIn int64
 }
 
 // newSession wraps conn. limit <= 0 selects maxWireBytes.
@@ -143,7 +147,11 @@ func (s *session) serverHandshake() error {
 // writeRequest ships req as one frame.
 func (s *session) writeRequest(req *request) error {
 	s.wbuf = appendRequest(s.frame(), req)
-	return s.flushFrame()
+	if err := s.flushFrame(); err != nil {
+		return err
+	}
+	s.digestOut += int64(digestSectionLen(req.Digests))
+	return nil
 }
 
 // writeResponse ships resp as one frame.
@@ -174,6 +182,7 @@ func (s *session) readResponse(resp *response) error {
 	if err := decodeResponse(payload, resp); err != nil {
 		return fmt.Errorf("transport: decode response: %w", err)
 	}
+	s.digestIn += int64(digestSectionLen(resp.Digests))
 	return nil
 }
 

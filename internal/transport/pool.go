@@ -19,6 +19,10 @@ type WireStats struct {
 	exchanges                atomic.Int64
 	msgs                     atomic.Int64 // request round trips over TCP
 
+	// Cluster-digest sections of those round trips' requests and
+	// responses, a share of bytesSent and bytesReceived.
+	digestBytesSent, digestBytesReceived atomic.Int64
+
 	// Shard-vector anti-entropy accounting: conversations whose bucket
 	// walks all finished within their peel budget, and the diverged
 	// buckets they repaired.
@@ -55,6 +59,12 @@ type WireSnapshot struct {
 	// MsgsBinary counts request round trips over TCP; the name dates from
 	// when gob-framed ones were counted apart.
 	MsgsBinary int64 `json:"msgs_binary"`
+	// DigestBytesSent and DigestBytesReceived count the encoded
+	// cluster-digest sections of requests sent and responses received: the
+	// observatory's share of BytesSent and BytesReceived. A frame that
+	// carries no digest adds the section's one count byte.
+	DigestBytesSent     int64 `json:"digest_bytes_sent"`
+	DigestBytesReceived int64 `json:"digest_bytes_received"`
 	// Shard-vector counters: anti-entropy conversations whose bucket
 	// walks all finished within their peel budget, and the diverged
 	// buckets those conversations repaired.
@@ -76,18 +86,20 @@ func (w *WireStats) Snapshot() WireSnapshot {
 		return WireSnapshot{}
 	}
 	return WireSnapshot{
-		Dials:             w.dials.Load(),
-		Redials:           w.redials.Load(),
-		Reuses:            w.reuses.Load(),
-		OpenConns:         w.open.Load(),
-		BytesSent:         w.bytesSent.Load(),
-		BytesReceived:     w.bytesReceived.Load(),
-		Exchanges:         w.exchanges.Load(),
-		MsgsBinary:        w.msgs.Load(),
-		ShardVecExchanges: w.shardVecExchanges.Load(),
-		ShardVecShards:    w.shardVecShards.Load(),
-		MailBatches:       w.mailBatches.Load(),
-		MailBatchEntries:  w.mailBatchEntries.Load(),
+		Dials:               w.dials.Load(),
+		Redials:             w.redials.Load(),
+		Reuses:              w.reuses.Load(),
+		OpenConns:           w.open.Load(),
+		BytesSent:           w.bytesSent.Load(),
+		BytesReceived:       w.bytesReceived.Load(),
+		Exchanges:           w.exchanges.Load(),
+		MsgsBinary:          w.msgs.Load(),
+		DigestBytesSent:     w.digestBytesSent.Load(),
+		DigestBytesReceived: w.digestBytesReceived.Load(),
+		ShardVecExchanges:   w.shardVecExchanges.Load(),
+		ShardVecShards:      w.shardVecShards.Load(),
+		MailBatches:         w.mailBatches.Load(),
+		MailBatchEntries:    w.mailBatchEntries.Load(),
 	}
 }
 
@@ -128,14 +140,17 @@ func (w *WireStats) noteClose() {
 	}
 }
 
-// noteMsg counts one request round trip and the framed bytes it moved.
-func (w *WireStats) noteMsg(out, in int64) {
+// noteMsg counts one request round trip, the framed bytes it moved and
+// the digest-section bytes among them.
+func (w *WireStats) noteMsg(out, in, digestOut, digestIn int64) {
 	if w == nil {
 		return
 	}
 	w.msgs.Add(1)
 	w.bytesSent.Add(out)
 	w.bytesReceived.Add(in)
+	w.digestBytesSent.Add(digestOut)
+	w.digestBytesReceived.Add(digestIn)
 }
 
 func (w *WireStats) noteShardVec(shards int) {
@@ -292,11 +307,12 @@ func (p *pool) do(s *session, req *request, resp *response) (bytesOut, bytesIn i
 		s.setDeadline(time.Now().Add(p.timeout))
 	}
 	startOut, startIn := s.bytesOut, s.bytesIn
+	startDigestOut, startDigestIn := s.digestOut, s.digestIn
 	err = s.writeRequest(req)
 	if err == nil {
 		err = s.readResponse(resp)
 	}
 	bytesOut, bytesIn = s.bytesOut-startOut, s.bytesIn-startIn
-	p.stats.noteMsg(bytesOut, bytesIn)
+	p.stats.noteMsg(bytesOut, bytesIn, s.digestOut-startDigestOut, s.digestIn-startDigestIn)
 	return bytesOut, bytesIn, err
 }

@@ -87,9 +87,10 @@ type request struct {
 	// Hops carries one provenance envelope per entry in Entries when the
 	// sender traces. nil — the common untraced case — costs one zero byte.
 	Hops []trace.Hop
-	// Digests piggybacks the sender's cluster-digest view on the two
-	// conversation openers, reqShardVector and reqRumorOffer (the
-	// observatory's epidemic channel). nil when the observatory is off: one
+	// Digests piggybacks, on the two conversation openers reqShardVector
+	// and reqRumorOffer (the observatory's epidemic channel), the sender's
+	// cluster digests newer than the receiver is known to hold. nil when
+	// the receiver holds them all, and when the observatory is off: one
 	// zero byte on the wire.
 	Digests    []cluster.Digest
 	Shard      int
@@ -112,8 +113,9 @@ type response struct {
 	// Hops mirrors request.Hops for the response's Entries.
 	Hops []trace.Hop
 	Err  string
-	// Digests mirrors request.Digests: the responder's view, piggybacked
-	// back so digest exchange is bidirectional like the data exchange.
+	// Digests mirrors request.Digests: the responder's digests newer than
+	// the caller is known to hold, piggybacked back so digest exchange is
+	// bidirectional like the data exchange.
 	Digests    []cluster.Digest
 	ShardCount int
 	Vector     []uint64
@@ -350,7 +352,7 @@ func (s *Server) dispatch(req request, vec []uint64) response {
 		return response{Needed: s.node.HandleRumors(req.Entries, req.Hops)}
 	case reqRumorOffer:
 		want, entries, hops := s.node.HandleOffer(req.Entries)
-		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.Digests)}
+		return response{Needed: want, Entries: entries, Hops: hops, Digests: s.swapDigests(req.From, req.Digests)}
 	case reqShardVector:
 		return s.answer(core.RungVector, req, vec)
 	case reqPeelBackShard:
@@ -380,21 +382,23 @@ func (s *Server) answer(rung core.Rung, req request, vec []uint64) response {
 		Bound: rep.Bound, More: rep.More, ShardCount: rep.ShardCount, Vector: rep.Vector,
 	}
 	if rung == core.RungVector {
-		resp.Digests = s.swapDigests(req.Digests)
+		resp.Digests = s.swapDigests(req.From, req.Digests)
 	}
 	return resp
 }
 
-// swapDigests merges digests a caller piggybacked into this node's
-// directory and returns the local view to piggyback back. All nil-safe:
-// with the observatory off both directions are nil and cost nothing.
-func (s *Server) swapDigests(in []cluster.Digest) []cluster.Digest {
+// swapDigests merges the digests the caller, site from, piggybacked into
+// this node's directory and returns the ones the caller still lacks,
+// marked delivered as the reply is built: a reply lost on the way costs
+// the caller at most one digest refresh of staleness, after which the
+// newer version goes out. All nil-safe: with the observatory off both
+// directions are nil and cost nothing.
+func (s *Server) swapDigests(from timestamp.SiteID, in []cluster.Digest) []cluster.Digest {
 	dir := s.node.Digests()
-	if dir == nil && in == nil {
-		return nil
-	}
-	dir.Merge(in)
-	return dir.Share()
+	dir.Merge(int32(from), in)
+	out := dir.ShareTo(int32(from))
+	dir.Delivered(int32(from), out)
+	return out
 }
 
 // PeerOptions tunes a TCPPeer's pooled wire protocol. The zero value
@@ -422,8 +426,10 @@ type PeerOptions struct {
 	// one WireStats across all peers of a process.
 	Stats *WireStats
 	// Digests, when set, is the calling node's cluster-digest directory:
-	// anti-entropy and rumor-offer conversations piggyback its Share() and
-	// merge what the peer sends back. Nil disables the piggyback.
+	// anti-entropy and rumor-offer conversations piggyback its
+	// ShareTo(peer) — the digests the peer lacks — mark them delivered once
+	// the round trip succeeds, and merge what the peer sends back. Its Self
+	// fills a rumor offer's From. Nil disables the piggyback.
 	Digests *cluster.Directory
 }
 
@@ -571,16 +577,32 @@ func (p *TCPPeer) PushRumors(entries []store.Entry, hops []trace.Hop) ([]bool, e
 // OfferRumors implements node.Peer. The ids ride the request's entries
 // section as value-less, retention-less entries and the want-bits come back
 // in the Needed bitset. When the cluster observatory is on, the offer
-// carries the local digest view out and merges the peer's back.
+// carries the digests the peer lacks and merges the peer's back, and its
+// From names the caller's site so the server can answer in kind.
 func (p *TCPPeer) OfferRumors(ids []store.Entry) ([]bool, []store.Entry, []trace.Hop, error) {
 	c := getWireCall()
 	defer putWireCall(c)
-	c.req = request{Kind: reqRumorOffer, Entries: ids, Digests: p.opts.Digests.Share()}
-	if err := p.call(c); err != nil {
+	dir := p.opts.Digests
+	c.req = request{Kind: reqRumorOffer, From: timestamp.SiteID(dir.Self()), Entries: ids}
+	if err := p.swapDigests(c); err != nil {
 		return nil, nil, nil, err
 	}
-	p.opts.Digests.Merge(c.resp.Digests)
 	return c.resp.Needed, c.resp.Entries, c.resp.Hops, nil
+}
+
+// swapDigests runs c's request as a conversation opener: it carries the
+// digests the peer lacks, marks them delivered only once the round trip
+// has succeeded, and merges the reply's digests as heard from the peer.
+func (p *TCPPeer) swapDigests(c *wireCall) error {
+	dir, peer := p.opts.Digests, int32(p.id)
+	sent := dir.ShareTo(peer)
+	c.req.Digests = sent
+	if err := p.call(c); err != nil {
+		return err
+	}
+	dir.Merge(peer, c.resp.Digests)
+	dir.Delivered(peer, sent)
+	return nil
 }
 
 // Checksum implements node.Peer.
@@ -597,7 +619,7 @@ func (p *TCPPeer) Checksum(tau1 int64) (uint64, error) {
 // AntiEntropy implements node.Peer: core's shard-vector conversation
 // (core.Reconcile), each of its round trips one pooled request on one
 // session at a time. When the cluster observatory is on, the opening vector
-// request carries the local digest view out and merges the peer's back.
+// request carries the digests the peer lacks and merges the peer's back.
 //
 // Of cfg only Tau1, BatchSize and ReactivateDormant are read. The
 // conversation is the one wire conversation, always push-pull:
@@ -637,14 +659,14 @@ func (c *wireCall) Ask(q core.LadderRequest) (core.LadderReply, error) {
 		Kind: rungKinds[q.Rung], From: q.From, Entries: q.Entries, Hops: q.Hops, Now: q.Now, Tau1: q.Tau1,
 		Bound: q.Bound, Limit: q.Limit, Shard: q.Shard, ShardCount: q.ShardCount,
 	}
+	var err error
 	if q.Rung == core.RungVector {
-		c.req.Digests = p.opts.Digests.Share()
+		err = p.swapDigests(c)
+	} else {
+		err = p.call(c)
 	}
-	if err := p.call(c); err != nil {
+	if err != nil {
 		return core.LadderReply{}, err
-	}
-	if q.Rung == core.RungVector {
-		p.opts.Digests.Merge(c.resp.Digests)
 	}
 	r := &c.resp
 	return core.LadderReply{

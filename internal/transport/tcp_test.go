@@ -12,6 +12,7 @@ import (
 
 	"epidemic/internal/core"
 	"epidemic/internal/node"
+	"epidemic/internal/obs/cluster"
 	"epidemic/internal/store"
 	"epidemic/internal/timestamp"
 )
@@ -109,38 +110,59 @@ func TestTCPAntiEntropyInSync(t *testing.T) {
 // healthy cluster — an in-sync pooled conversation, the bucket vector each
 // way — to zero allocations, client and server together (AllocsPerRun
 // counts the whole process). It is what keeps repair taking its stats by
-// value and the peer's vector decoding into a kept buffer.
+// value and the peer's vector decoding into a kept buffer. The observatory
+// variant runs it with a digest directory on both ends, views swapped
+// during the warm-up: between digest refreshes a peer already holds every
+// digest, so the piggyback is empty both ways and must stay free too.
 // Under the race detector sync.Pool drops a quarter of its puts, about
 // 0.25 allocations per conversation, which AllocsPerRun's integer average
 // still reads as 0; one allocation more per conversation fails either way.
 func TestTCPAntiEntropyInSyncAllocatesNothing(t *testing.T) {
-	src := timestamp.NewSimulated(1 << 30)
-	remote, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(remote, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	local := store.New(1, src.ClockAt(1))
-	for i := 0; i < 100; i++ {
-		remote.Store().Apply(local.Update(fmt.Sprintf("k%03d", i), store.Value("v")))
-		src.Advance(1)
-	}
-	src.Advance(100) // most of the shared history ages out of the window
-	cfg := core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 10, Tau1: 1 << 40}
-	peer := NewTCPPeer(2, srv.Addr())
-	defer peer.Close()
-	exchange := func() {
-		if st, err := peer.AntiEntropy(cfg, local, nil); err != nil || st.Transferred() != 0 {
-			t.Fatalf("in-sync exchange: %+v, %v", st, err)
+	for _, observatory := range []bool{false, true} {
+		name := "plain"
+		if observatory {
+			name = "observatory"
 		}
-	}
-	exchange() // warm-up: opens the pooled session the runs reuse
-	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
-		t.Errorf("in-sync pooled anti-entropy allocates %v times per conversation, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			var localDir, remoteDir *cluster.Directory
+			if observatory {
+				localDir, remoteDir = cluster.NewDirectory(1, 0), cluster.NewDirectory(2, 0)
+				localDir.SetSelf(cluster.Digest{Stamp: 10, StartedAt: 1, StoreKeys: 100})
+				remoteDir.SetSelf(cluster.Digest{Stamp: 20, StartedAt: 2, StoreKeys: 100})
+				localDir.Merge(3, []cluster.Digest{{Site: 3, Stamp: 30, StartedAt: 3}})
+			}
+			src := timestamp.NewSimulated(1 << 30)
+			remote, err := node.New(node.Config{Site: 2, Clock: src.ClockAt(2), Digests: remoteDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Serve(remote, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			local := store.New(1, src.ClockAt(1))
+			for i := 0; i < 100; i++ {
+				remote.Store().Apply(local.Update(fmt.Sprintf("k%03d", i), store.Value("v")))
+				src.Advance(1)
+			}
+			src.Advance(100) // most of the shared history ages out of the window
+			cfg := core.ResolveConfig{Mode: core.PushPull, Strategy: core.CompareRecent, Tau: 10, Tau1: 1 << 40}
+			peer := NewTCPPeerWith(2, srv.Addr(), PeerOptions{Digests: localDir})
+			defer peer.Close()
+			exchange := func() {
+				if st, err := peer.AntiEntropy(cfg, local, nil); err != nil || st.Transferred() != 0 {
+					t.Fatalf("in-sync exchange: %+v, %v", st, err)
+				}
+			}
+			exchange() // warm-up: opens the pooled session the runs reuse and swaps the views
+			if observatory && (localDir.Len() != 3 || remoteDir.Len() != 3) {
+				t.Fatalf("warm-up left views of %d and %d sites, want 3 each", localDir.Len(), remoteDir.Len())
+			}
+			if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+				t.Errorf("in-sync pooled anti-entropy allocates %v times per conversation, want 0", allocs)
+			}
+		})
 	}
 }
 
